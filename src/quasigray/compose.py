@@ -1,12 +1,12 @@
 """Composition engines: pointer-driven step lists, co-prime counter
-products, and the radix views that tie mixed constructions together."""
+products, and the radix view that ties mixed constructions together."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .core import Counter, Domain, OffsetTape
+from .core import Counter, Domain, OffsetTape, Tape
 from .graycode import BaseGrayCode, gray_counter, gray_rank, gray_unrank
 
 
@@ -109,10 +109,10 @@ def crt_compose(components: list[Counter], *, recipe=None) -> Counter:
             if w1 == mk:
                 components[idx + 1].next_tape(OffsetTape(tape, offsets[idx + 1]))
                 break
-        clock.next_tape(OffsetTape(tape, 0))
+        clock.next_tape(tape)
 
     def prev_fn(tape) -> None:
-        clock.prev_tape(OffsetTape(tape, 0))
+        clock.prev_tape(tape)
         w1 = tuple(tape.read(j) for j in range(n1))
         for idx, mk in enumerate(markers):
             if w1 == mk:
@@ -134,62 +134,6 @@ def crt_compose(components: list[Counter], *, recipe=None) -> Counter:
                    claimed_reads=reads, claimed_writes=writes, recipe=recipe)
 
 
-class _BlockTape:
-    """Presents radix-2^k cells as k bits each; the first bit of a block is
-    its most significant."""
-
-    __slots__ = ("base", "k")
-
-    def __init__(self, base, k: int):
-        self.base = base
-        self.k = k
-
-    def read(self, i: int) -> int:
-        b, pos = divmod(i, self.k)
-        return (self.base.read(b) >> (self.k - 1 - pos)) & 1
-
-    def write(self, i: int, bit: int) -> None:
-        b, pos = divmod(i, self.k)
-        shift = self.k - 1 - pos
-        cur = self.base.read(b)
-        self.base.write(b, (cur & ~(1 << shift)) | (bit << shift))
-
-
-def stitch_radix(k: int, counter: Counter) -> Counter:
-    """View a counter over bits as one over radix-2^k blocks of k bits.
-
-    Reads and writes then count at block granularity: touching any bit of a
-    block touches the block once.
-    """
-    if k < 1:
-        raise ValueError("block size must be at least 1")
-    if k == 1:
-        return counter
-    inner = counter.domain
-    if any(r != 2 for r in inner.radices):
-        raise ValueError("inner counter must be over bits")
-    if inner.n % k:
-        raise ValueError(f"width {inner.n} is not divisible by block size {k}")
-    nb = inner.n // k
-
-    def fuse(word):
-        out = []
-        for b in range(nb):
-            v = 0
-            for bit in word[b * k:(b + 1) * k]:
-                v = v << 1 | bit
-            out.append(v)
-        return tuple(out)
-
-    return Counter(Domain.uniform(2 ** k, nb),
-                   lambda tape: counter.next_tape(_BlockTape(tape, k)),
-                   lambda tape: counter.prev_tape(_BlockTape(tape, k)),
-                   counter.claimed_length, fuse(counter.start),
-                   claimed_reads=counter.claimed_reads,
-                   claimed_writes=counter.claimed_writes,
-                   recipe={"kind": "stitch", "block": k, "inner": counter.recipe})
-
-
 def multiplicative_order(o: int, base: int = 2) -> int:
     if o < 1:
         raise ValueError("modulus must be positive")
@@ -205,87 +149,112 @@ def multiplicative_order(o: int, base: int = 2) -> int:
 
 
 class _MixedTape:
-    """Splits radix-m data cells into their power-of-two and odd residues so
-    sub-counters can work on virtual coordinates. Layout of the virtual
-    word: n_clock clock cells, then n_data low-part cells, then (when the
-    odd part is nontrivial) n_data odd-part cells, all over one physical
-    cell per data position."""
+    """Shows radix-m data cells, m = 2^l * o with o odd, through their
+    residues so sub-counters can work on virtual coordinates. Layout of the
+    virtual word: n_clock clock cells, then l bits per data cell (its
+    residue mod 2^l, most significant bit first), then, when o > 1, one
+    residue mod o per data cell. bits maps each bit coordinate to its
+    (physical cell, shift)."""
 
-    __slots__ = ("base", "n_clock", "n_data", "two_k", "o", "recombine")
+    __slots__ = ("base", "n_clock", "split", "bits", "n_bits", "o", "recombine")
 
-    def __init__(self, base, n_clock, n_data, two_k, o, recombine):
+    def __init__(self, base, n_clock, split, bits, o, recombine):
         self.base = base
         self.n_clock = n_clock
-        self.n_data = n_data
-        self.two_k = two_k
+        self.split = split
+        self.bits = bits
+        self.n_bits = split - n_clock
         self.o = o
         self.recombine = recombine
 
     def read(self, v: int) -> int:
         if v < self.n_clock:
             return self.base.read(v)
-        v -= self.n_clock
-        if v < self.n_data:
-            return self.base.read(self.n_clock + v) % self.two_k
-        v -= self.n_data
-        return self.base.read(self.n_clock + v) % self.o
+        if v < self.split:
+            cell, shift = self.bits[v]
+            return self.base.read(cell) >> shift & 1
+        return self.base.read(v - self.n_bits) % self.o
 
     def write(self, v: int, val: int) -> None:
         if v < self.n_clock:
             self.base.write(v, val)
-            return
-        v -= self.n_clock
-        if v < self.n_data:
-            coord = self.n_clock + v
-            cur = self.base.read(coord)
-            self.base.write(coord, self.recombine(val, cur % self.o))
+        elif v < self.split:
+            cell, shift = self.bits[v]
+            cur = self.base.read(cell)
+            self.base.write(cell, self.recombine(cur & ~(1 << shift) | val << shift, cur))
         else:
-            v -= self.n_data
-            coord = self.n_clock + v
-            cur = self.base.read(coord)
-            self.base.write(coord, self.recombine(cur % self.two_k, val))
+            cell = v - self.n_bits
+            cur = self.base.read(cell)
+            self.base.write(cell, self.recombine(cur, val))
 
 
 def _fuse_mixed(m: int, two_k: int, o: int, n_clock: int,
                 virtual: Counter, recipe=None) -> Counter:
-    """Fold a counter over Z_m^i x (Z_2^l)^d [x (Z_o)^d] onto Z_m^(i+d)."""
-    if o > 1:
-        n_data = (virtual.domain.n - n_clock) // 2
-        inv_t = pow(two_k, -1, o)
-    else:
-        n_data = virtual.domain.n - n_clock
-        inv_t = 0
+    """Fold a counter over Z_m^i x Z_2^(l*d) [x Z_o^d] onto Z_m^(i+d), where
+    two_k = 2^l and m = 2^l * o. Data cell j is the one whose residue mod
+    2^l has the bits of virtual cells i + l*j .. i + l*j + l - 1, most
+    significant first, and (when o > 1) whose residue mod o is virtual
+    cell i + l*d + j."""
+    ell = two_k.bit_length() - 1
+    n_data = (virtual.domain.n - n_clock) // (ell + (o > 1))
+    bits = (None,) * n_clock + tuple(
+        (n_clock + j, ell - 1 - p) for j in range(n_data) for p in range(ell))
+    split = len(bits)
     inv_o = pow(o, -1, two_k)
+    inv_t = pow(two_k, -1, o)
 
     def recombine(a: int, b: int) -> int:
-        # unique residue mod m that is a mod 2^l and b mod o
+        # the residue mod m that is a mod 2^l and b mod o; neither argument
+        # needs reducing first
         return (a * o * inv_o + b * two_k * inv_t) % m
 
     def view(tape) -> _MixedTape:
-        return _MixedTape(tape, n_clock, n_data, two_k, o, recombine)
+        return _MixedTape(tape, n_clock, split, bits, o, recombine)
 
-    vs = virtual.start
-    start = tuple(vs[:n_clock]) + tuple(
-        recombine(vs[n_clock + j], vs[n_clock + n_data + j] if o > 1 else 0)
-        for j in range(n_data))
+    start = Tape((0,) * (n_clock + n_data))
+    start_view = view(start)
+    for v, x in enumerate(virtual.start):
+        start_view.write(v, x)
     return Counter(Domain.uniform(m, n_clock + n_data),
                    lambda tape: virtual.next_tape(view(tape)),
                    lambda tape: virtual.prev_tape(view(tape)),
-                   virtual.claimed_length, start,
+                   virtual.claimed_length, start.word(),
                    claimed_reads=virtual.claimed_reads,
                    claimed_writes=virtual.claimed_writes,
                    recipe=recipe or virtual.recipe)
 
 
+def stitch_radix(k: int, counter: Counter) -> Counter:
+    """View a counter over bits as one over radix-2^k cells of k bits each,
+    the first bit of a cell its most significant. This is _fuse_mixed with
+    no clock and odd part 1.
+
+    Reads and writes then count per cell: touching any bit of a cell
+    touches the cell once.
+    """
+    if k < 1:
+        raise ValueError("block size must be at least 1")
+    if k == 1:
+        return counter
+    inner = counter.domain
+    if any(r != 2 for r in inner.radices):
+        raise ValueError("inner counter must be over bits")
+    if inner.n % k:
+        raise ValueError(f"width {inner.n} is not divisible by block size {k}")
+    return _fuse_mixed(2 ** k, 2 ** k, 1, 0, counter,
+                       recipe={"kind": "stitch", "block": k, "inner": counter.recipe})
+
+
 def general_counter(m: int, n: int) -> Counter:
     """Counter over Z_m^n for even m that writes at most 3 cells per step.
 
-    The data cells carry two independent counters at once: their low bits
-    run a pointer-driven linear counter and their odd residues run the
-    odd-radix counter. A Gray clock on the leading cells multiplexes the
-    two, and the clock width is chosen to make the data cycle lengths
-    co-prime, so the whole thing is one cycle. Scan order is deterministic:
-    clock width first, then extra pointer padding.
+    The data cells carry two independent counters at once: the bits of
+    their residues mod 2^l run a pointer-driven linear counter and their
+    odd residues run the odd-radix counter. A Gray clock on the leading
+    cells multiplexes the two, and the clock width is chosen to make the
+    data cycle lengths co-prime, so the whole thing is one cycle. Scan order
+    is deterministic: every clock width at the minimal pointer first, then
+    extra pointer padding.
     """
     from .linear import Field, linear_counter, row_op_count
     from .permdecomp import min_width, odd_counter
@@ -298,63 +267,48 @@ def general_counter(m: int, n: int) -> Counter:
     ord2 = multiplicative_order(o) if o > 1 else 1
     d_min = min_width(o) if o > 1 else 1
 
-    def solve_bits(bits):
-        # smallest Gray pointer covering the row operations at that width
-        for r in range(1, bits - 1):
-            n_in = bits - r
-            if 2 ** r >= row_op_count(f2, n_in):
-                return n_in, r
-        return None
-
-    chosen = None
-    for i in range(1, ord2 + 1):
-        d = n - i
-        if d < d_min or ell * d < 3:
-            break
-        sol = solve_bits(ell * d)
-        if sol is None:
-            continue
-        n_in, r = sol
-        if o == 1 or math.gcd(2 ** n_in - 1, o) == 1:
-            chosen = (i, d, n_in, r)
-            break
-    if chosen is None and o > 1:
-        # pad the pointer beyond its minimum: consecutive inner widths make
-        # a co-prime one appear within ord(2 mod o) tries
+    def minimal():
+        # (clock, data cells, inner width, smallest Gray pointer covering
+        # the row operations at that width) for each usable clock width
         for i in range(1, ord2 + 1):
             d = n - i
             if d < d_min or ell * d < 3:
-                break
-            sol = solve_bits(ell * d)
-            if sol is None:
-                continue
-            n_in, r = sol
-            for extra in range(1, ord2 + 1):
-                n2, r2 = n_in - extra, r + extra
-                if n2 < 2:
+                return
+            for r in range(1, ell * d - 1):
+                n_in = ell * d - r
+                if 2 ** r >= row_op_count(f2, n_in):
+                    yield i, d, n_in, r
                     break
-                if (math.gcd(2 ** n2 - 1, o) == 1
-                        and 2 ** r2 >= row_op_count(f2, n2)):
-                    chosen = (i, d, n2, r2)
-                    break
-            if chosen:
-                break
+
+    def candidates():
+        yield from minimal()
+        # pad the pointer beyond its minimum: consecutive inner widths make
+        # a co-prime one appear within ord(2 mod o) tries
+        for i, d, n_in, r in minimal():
+            for extra in range(1, min(ord2, n_in - 2) + 1):
+                if 2 ** (r + extra) >= row_op_count(f2, n_in - extra):
+                    yield i, d, n_in - extra, r + extra
+
+    chosen = next((c for c in candidates() if math.gcd(2 ** c[2] - 1, o) == 1),
+                  None)
     if chosen is None:
         raise ValueError(
             f"width {n} too small for radix {m}: the odd part needs "
             f"{d_min} data cells and the binary part needs at least 3 bits")
 
     i, d, n_in, r = chosen
-    clock = gray_counter(m, i)
-    binary = stitch_radix(ell, linear_counter(f2, n_in, r))
-    parts = [clock, binary]
+    parts = [gray_counter(m, i), linear_counter(f2, n_in, r)]
     if o > 1:
         parts.append(odd_counter(o, d))
-    lengths = {"clock": m ** i, "binary": binary.claimed_length,
+    lengths = {"clock": m ** i, "binary": parts[1].claimed_length,
                "odd": o ** d if o > 1 else 1}
     recipe = {"kind": "general", "m": m, "n": n, "clock": i,
               "binary": {"bits": ell * d, "inner": n_in, "pointer": r},
               "odd": ({"radix": o, "width": d} if o > 1 else None),
               "lengths": lengths}
-    virtual = crt_compose(parts)
-    return _fuse_mixed(m, 1 << ell, o, i, virtual, recipe=recipe)
+    fused = _fuse_mixed(m, 1 << ell, o, i, crt_compose(parts), recipe=recipe)
+    # the r pointer bits fill the first ceil(r / l) data cells and a row
+    # operation touches at most two more
+    fused.claimed_reads = i + max([-(-r // ell) + 2]
+                                  + [p.claimed_reads for p in parts[2:]])
+    return fused

@@ -222,20 +222,35 @@ def dat_to_json(tree):
     raise ValueError(f"not a tree node: {tree!r}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def dat_from_json(obj):
+    """Inverse of dat_to_json. Raises ValueError on any malformed node."""
     if not isinstance(obj, dict):
         raise ValueError("tree node must be an object")
     if "query" in obj:
         coord = obj["query"]
-        if not isinstance(coord, int) or coord < 1:
+        if not _is_int(coord) or coord < 1:
             raise ValueError("query coordinate must be a positive integer")
-        return Query(coord - 1, tuple(dat_from_json(c) for c in obj["children"]))
+        children = obj.get("children")
+        if not isinstance(children, (list, tuple)):
+            raise ValueError("query node needs a 'children' list")
+        return Query(coord - 1, tuple(dat_from_json(c) for c in children))
     if "assign" in obj:
+        pairs = obj["assign"]
+        if not isinstance(pairs, (list, tuple)):
+            raise ValueError("'assign' must be a list of [coordinate, value] pairs")
         out = []
-        for pair in obj["assign"]:
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"assignment {pair!r} is not a [coordinate, value] pair")
             coord, value = pair
-            if not isinstance(coord, int) or coord < 1:
+            if not _is_int(coord) or coord < 1:
                 raise ValueError("assignment coordinate must be a positive integer")
+            if not _is_int(value) or value < 0:
+                raise ValueError("assigned value must be a non-negative integer")
             out.append((coord - 1, value))
         return Assign(tuple(out))
     raise ValueError("tree node needs a 'query' or 'assign' key")

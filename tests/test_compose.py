@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,8 @@ from quasigray.graycode import BaseGrayCode, gray_counter
 from quasigray.linear import (Field, companion_counter, companion_matrix,
                               decompose_elementary, find_primitive,
                               linear_counter, mat_vec)
+from quasigray.permdecomp import odd_counter
+from quasigray.verify import audit
 
 
 def _companion_steps(n):
@@ -295,3 +298,55 @@ def test_general_counter_errors():
         general_counter(12, 5)
     with pytest.raises(ValueError):
         general_counter(2, 3)
+
+
+def test_general_counter_padded_pointer_recipes():
+    # no clock width works at the minimal pointer, so the pointer is padded
+    assert general_counter(12, 12).recipe["binary"] == {
+        "bits": 22, "inner": 15, "pointer": 7}
+    assert general_counter(14, 11).recipe["binary"] == {
+        "bits": 10, "inner": 5, "pointer": 5}
+
+
+def test_general_counter_read_claim_counts_pointer_cells():
+    # the r pointer bits fill ceil(r / l) data cells and a row operation
+    # touches at most two more
+    rep = audit(general_counter(4, 8))
+    assert rep.ok and rep.claimed_reads == 6 == rep.max_reads
+    claims = {(12, 12): 9, (8, 10): 5, (6, 12): 9, (10, 14): 9}
+    for (m, n), reads in claims.items():
+        assert general_counter(m, n).claimed_reads == reads
+
+
+def test_general_counter_bits_and_odd_residues_match_word_reference():
+    # radix 12 = 4 * 3: each data cell shows the linear counter the 2 bits
+    # of its residue mod 4, most significant first, and shows the odd
+    # counter its residue mod 3
+    c = general_counter(12, 12)
+    virtual = crt_compose([gray_counter(12, 1), linear_counter(Field(2), 15, 7),
+                           odd_counter(3, 11)])
+
+    def split(w):
+        data = w[1:]
+        return (w[:1] + tuple(x >> s & 1 for x in data for s in (1, 0))
+                + tuple(x % 3 for x in data))
+
+    def join(v):
+        bits, odd = v[1:23], v[23:]
+        return v[:1] + tuple(
+            next(x for x in range(12)
+                 if x % 4 == 2 * bits[2 * j] + bits[2 * j + 1] and x % 3 == odd[j])
+            for j in range(11))
+
+    assert split(c.start) == virtual.start
+    rng = random.Random(1212)
+    for _ in range(2000):
+        w = tuple(rng.randrange(12) for _ in range(12))
+        assert join(split(w)) == w
+        nxt, st = c.next(w)
+        assert nxt == join(virtual.next(split(w))[0])
+        prv, sp = c.prev(w)
+        assert prv == join(virtual.prev(split(w))[0])
+        assert c.prev(nxt)[0] == w
+        for s in (st, sp):
+            assert s.reads <= c.claimed_reads and s.writes <= c.claimed_writes

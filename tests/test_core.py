@@ -122,6 +122,23 @@ def test_dat_from_json_rejects_junk():
         dat_from_json({"query": 0, "children": []})
 
 
+
+@pytest.mark.parametrize("obj", [
+    {"query": 1},
+    {"query": 1, "children": 5},
+    {"query": True, "children": []},
+    {"assign": 5},
+    {"assign": [5]},
+    {"assign": [[1]]},
+    {"assign": [[1, "x"]]},
+    {"assign": [[1, -1]]},
+    {"assign": [[True, 0]]},
+    {"query": 1, "children": [{"assign": []}, {"assign": [[1, "x"]]}]},
+])
+def test_dat_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        dat_from_json(obj)
+
 def test_materialize_budget():
     c = gray_counter(2, 8)
     with pytest.raises(BoundExceeded):
