@@ -7,7 +7,10 @@ import math
 from dataclasses import dataclass
 
 from .core import Counter, Domain, OffsetTape, Tape
-from .graycode import BaseGrayCode, gray_counter, gray_rank, gray_unrank
+# gray_rank is not called here but stays a module attribute: the traced
+# benchmark run rebinds compose.gray_rank and compose.gray_unrank
+from .graycode import (BaseGrayCode, gray_counter, gray_rank,  # noqa: F401
+                       gray_scan, gray_unrank)
 
 
 @dataclass
@@ -29,6 +32,10 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
     past the end of the list do nothing), then the pointer advances one Gray
     step. One full pointer revolution applies the whole list once, so the
     cycle through <pointer start, start_inner> has length m^r * ell.
+
+    A step reads the r pointer cells once. gray_scan gives from them both
+    the rank, which picks the step, and the one pointer digit the Gray step
+    moves, which is the pointer's single write.
     """
     k = len(steps.steps)
     m, r = pointer.m, pointer.r
@@ -38,24 +45,20 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
     steps.domain.validate(start_inner)
     fwd = steps.steps
     inv = [s.inverse() for s in steps.steps]
-
-    def write_pointer(tape, old, new) -> None:
-        for c in range(r):
-            if new[c] != old[c]:
-                tape.write(c, new[c])
-                return
+    cells = range(r)
 
     def next_fn(tape) -> None:
-        ptr = tuple(tape.read(j) for j in range(r))
-        j = gray_rank(ptr, m, r)
+        ptr = [tape.read(j) for j in cells]
+        j, up, _ = gray_scan(ptr, m)
         if j < k:
             fwd[j].apply_tape(OffsetTape(tape, r))
-        write_pointer(tape, ptr, gray_unrank((j + 1) % k_prime, m, r))
+        tape.write(up, (ptr[up] + 1) % m)
 
     def prev_fn(tape) -> None:
-        ptr = tuple(tape.read(j) for j in range(r))
-        j = (gray_rank(ptr, m, r) - 1) % k_prime
-        write_pointer(tape, ptr, gray_unrank(j, m, r))
+        ptr = [tape.read(j) for j in cells]
+        j, _, down = gray_scan(ptr, m)
+        tape.write(down, (ptr[down] - 1) % m)
+        j = (j - 1) % k_prime
         if j < k:
             inv[j].apply_tape(OffsetTape(tape, r))
 
@@ -103,21 +106,24 @@ def crt_compose(components: list[Counter], *, recipe=None) -> Counter:
     for c in components[:-1]:
         offsets.append(offsets[-1] + c.domain.n)
 
+    # the clock is a cycle of distinct words, so the markers are distinct
+    # and one lookup finds the component a clock word triggers
+    trigger = {mk: idx for idx, mk in enumerate(markers, 1)}
+    if len(trigger) != len(markers):
+        raise ValueError("first component repeats a word among its trigger words")
+    clock_cells = range(n1)
+
     def next_fn(tape) -> None:
-        w1 = tuple(tape.read(j) for j in range(n1))
-        for idx, mk in enumerate(markers):
-            if w1 == mk:
-                components[idx + 1].next_tape(OffsetTape(tape, offsets[idx + 1]))
-                break
+        idx = trigger.get(tuple([tape.read(j) for j in clock_cells]))
+        if idx is not None:
+            components[idx].next_tape(OffsetTape(tape, offsets[idx]))
         clock.next_tape(tape)
 
     def prev_fn(tape) -> None:
         clock.prev_tape(tape)
-        w1 = tuple(tape.read(j) for j in range(n1))
-        for idx, mk in enumerate(markers):
-            if w1 == mk:
-                components[idx + 1].prev_tape(OffsetTape(tape, offsets[idx + 1]))
-                break
+        idx = trigger.get(tuple([tape.read(j) for j in clock_cells]))
+        if idx is not None:
+            components[idx].prev_tape(OffsetTape(tape, offsets[idx]))
 
     radices = tuple(x for c in components for x in c.domain.radices)
     start = tuple(x for c in components for x in c.start)
@@ -255,8 +261,13 @@ def general_counter(m: int, n: int) -> Counter:
     data cycle lengths co-prime, so the whole thing is one cycle. Scan order
     is deterministic: every clock width at the minimal pointer first, then
     extra pointer padding.
+
+    Inner widths whose 2^n_in - 1 is past the factoring limit cannot get a
+    primitive polynomial, so they are skipped: on wide words the pointer
+    takes the bits the inner vector cannot, and the claimed reads grow with
+    it.
     """
-    from .linear import Field, linear_counter, row_op_count
+    from .linear import _FACTOR_LIMIT, Field, linear_counter, row_op_count
     from .permdecomp import min_width, odd_counter
 
     if m < 2 or m % 2:
@@ -266,6 +277,8 @@ def general_counter(m: int, n: int) -> Counter:
     f2 = Field(2)
     ord2 = multiplicative_order(o) if o > 1 else 1
     d_min = min_width(o) if o > 1 else 1
+    # widest inner vector with 2^n_in - 1 <= _FACTOR_LIMIT
+    max_in = (_FACTOR_LIMIT + 1).bit_length() - 1
 
     def minimal():
         # (clock, data cells, inner width, smallest Gray pointer covering
@@ -274,7 +287,7 @@ def general_counter(m: int, n: int) -> Counter:
             d = n - i
             if d < d_min or ell * d < 3:
                 return
-            for r in range(1, ell * d - 1):
+            for r in range(max(1, ell * d - max_in), ell * d - 1):
                 n_in = ell * d - r
                 if 2 ** r >= row_op_count(f2, n_in):
                     yield i, d, n_in, r

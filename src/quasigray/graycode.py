@@ -4,6 +4,13 @@ The word of rank i has digit j equal to b_j - b_{j+1} (mod m), where the b_j
 are the base-m digits of i, least significant first. Consecutive ranks then
 differ in exactly one coordinate and that coordinate increases by 1 mod m,
 so a step reads r cells and writes one.
+
+Which coordinate is the carry rule of base-m counting: adding 1 to the rank
+increments the lowest b_j that is not m-1 and zeroes the ones below it, so
+in the Gray word only digit j moves, by +1. Subtracting 1 decrements the
+lowest b_j that is not 0, so only that digit moves, by -1. When every b_j is
+m-1 (or 0) the rank wraps and the top digit r-1 moves instead. gray_scan
+finds both digits in the same top-down pass that computes the rank.
 """
 
 from __future__ import annotations
@@ -33,21 +40,47 @@ def gray_unrank(i: int, m: int, r: int) -> tuple[int, ...]:
 def gray_rank(word, m: int, r: int) -> int:
     if len(word) != r:
         raise ValueError(f"expected {r} digits, got {len(word)}")
+    return gray_scan(word, m)[0]
+
+
+def gray_scan(ptr, m: int) -> tuple[int, int, int]:
+    """(rank, up, down) of a Gray word whose digits the caller has read.
+
+    up is the one digit a +1 rank step increments and down the one digit a
+    -1 step decrements; both are r-1 when the step wraps the rank.
+    """
+    top = m - 1
+    up = down = len(ptr) - 1
+    b = rank = 0
     # digits telescope: b_j = g_j + b_{j+1}, recovered from the top down
-    b = 0
-    rank = 0
-    for j in range(r - 1, -1, -1):
-        b = (word[j] + b) % m
+    for j in range(up, -1, -1):
+        b = (ptr[j] + b) % m
         rank = rank * m + b
-    return rank
+        if b != top:
+            up = j
+        if b:
+            down = j
+    return rank, up, down
+
+
+def _gray_step(word, m: int, r: int, delta: int) -> tuple[int, ...]:
+    if m < 2 or r < 1:
+        raise ValueError("need m >= 2 and r >= 1")
+    if len(word) != r:
+        raise ValueError(f"expected {r} digits, got {len(word)}")
+    w = [x % m for x in word]  # digits count mod m, as in gray_rank
+    _, up, down = gray_scan(w, m)
+    j = up if delta > 0 else down
+    w[j] = (w[j] + delta) % m
+    return tuple(w)
 
 
 def gray_next(word, m: int, r: int) -> tuple[int, ...]:
-    return gray_unrank((gray_rank(word, m, r) + 1) % m ** r, m, r)
+    return _gray_step(word, m, r, 1)
 
 
 def gray_prev(word, m: int, r: int) -> tuple[int, ...]:
-    return gray_unrank((gray_rank(word, m, r) - 1) % m ** r, m, r)
+    return _gray_step(word, m, r, -1)
 
 
 @dataclass(frozen=True)
@@ -81,20 +114,19 @@ class BaseGrayCode:
 def gray_counter(m: int, r: int) -> Counter:
     """Instrumented counter for the full Gray cycle on Z_m^r."""
     code = BaseGrayCode(m, r)
-    length = code.length
+    cells = range(r)
 
-    def step(tape, delta: int) -> None:
-        w = tuple(tape.read(j) for j in range(r))
-        i = gray_rank(w, m, r)
-        target = gray_unrank((i + delta) % length, m, r)
-        for j in range(r):
-            if target[j] != w[j]:
-                tape.write(j, target[j])
-                break
+    def next_fn(tape) -> None:
+        w = [tape.read(j) for j in cells]
+        up = gray_scan(w, m)[1]
+        tape.write(up, (w[up] + 1) % m)
 
-    return Counter(Domain.uniform(m, r),
-                   lambda tape: step(tape, 1),
-                   lambda tape: step(tape, -1),
-                   length, gray_unrank(0, m, r),
+    def prev_fn(tape) -> None:
+        w = [tape.read(j) for j in cells]
+        down = gray_scan(w, m)[2]
+        tape.write(down, (w[down] - 1) % m)
+
+    return Counter(Domain.uniform(m, r), next_fn, prev_fn,
+                   code.length, gray_unrank(0, m, r),
                    claimed_reads=r, claimed_writes=1,
                    recipe={"kind": "base", "m": m, "n": r})

@@ -7,7 +7,7 @@ from quasigray.compose import (StepList, _fuse_mixed, crt_compose,
                                cycle_compose, general_counter,
                                multiplicative_order, stitch_radix)
 from quasigray.core import Domain, measure_counter
-from quasigray.graycode import BaseGrayCode, gray_counter
+from quasigray.graycode import BaseGrayCode, gray_counter, gray_rank, gray_unrank
 from quasigray.linear import (Field, companion_counter, companion_matrix,
                               decompose_elementary, find_primitive,
                               linear_counter, mat_vec)
@@ -348,5 +348,55 @@ def test_general_counter_bits_and_odd_residues_match_word_reference():
         prv, sp = c.prev(w)
         assert prv == join(virtual.prev(split(w))[0])
         assert c.prev(nxt)[0] == w
+        for s in (st, sp):
+            assert s.reads <= c.claimed_reads and s.writes <= c.claimed_writes
+
+
+@pytest.mark.parametrize("make,r", [
+    (lambda: linear_counter(Field(2), 4), 3),
+    (lambda: linear_counter(Field(3), 2), 1),
+    (lambda: gray_counter(4, 3), 3),
+])
+def test_pointer_step_over_whole_domain(make, r):
+    # every word, not only the orbit of start: next is a bijection, prev
+    # undoes it, the pointer moves one Gray step and the costs hold
+    c = make()
+    m = c.domain.radices[0]
+    size = m ** r
+    images = set()
+    for w in c.domain.words():
+        nxt, sn = c.next(w)
+        prv, sp = c.prev(w)
+        images.add(nxt)
+        assert c.prev(nxt)[0] == w
+        rank = gray_rank(w[:r], m, r)
+        assert nxt[:r] == gray_unrank((rank + 1) % size, m, r)
+        assert prv[:r] == gray_unrank((rank - 1) % size, m, r)
+        for s in (sn, sp):
+            assert s.reads <= c.claimed_reads and s.writes <= c.claimed_writes
+    assert len(images) == c.domain.size
+
+
+def test_crt_rejects_repeated_trigger_words():
+    # a clock that claims length 3 but only alternates two words
+    clock = gray_counter(2, 1)
+    clock.claimed_length = 3
+    with pytest.raises(ValueError):
+        crt_compose([clock, gray_counter(3, 1), gray_counter(5, 1),
+                     gray_counter(7, 1)])
+
+
+def test_general_counter_skips_inner_widths_past_factoring_limit():
+    # 51 data bits: inner widths above 48 bits cannot be factored, so the
+    # pointer grows until the row operations of a 43-bit vector fit
+    c = general_counter(8, 18)
+    assert c.recipe["binary"] == {"bits": 51, "inner": 43, "pointer": 8}
+    assert c.claimed_reads == 6
+    rng = random.Random(818)
+    for _ in range(2000):
+        w = tuple(rng.randrange(8) for _ in range(18))
+        nxt, st = c.next(w)
+        prv, sp = c.prev(w)
+        assert c.prev(nxt)[0] == w and c.next(prv)[0] == w
         for s in (st, sp):
             assert s.reads <= c.claimed_reads and s.writes <= c.claimed_writes

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from quasigray.core import Domain, materialize, measure_counter
 from quasigray.core import dat_read_complexity, dat_write_complexity
 from quasigray.graycode import (BaseGrayCode, gray_counter, gray_next,
-                                gray_prev, gray_rank, gray_unrank)
+                                gray_prev, gray_rank, gray_scan, gray_unrank)
 
 
 def test_unrank_frozen_values():
@@ -102,3 +102,29 @@ def test_gray_counter_tree_complexity():
     tree = materialize(c.next_tape, Domain.uniform(3, 2))
     assert dat_read_complexity(tree) == 2
     assert dat_write_complexity(tree) == 1
+
+
+def _moved(a, b):
+    return [j for j in range(len(a)) if a[j] != b[j]]
+
+
+@pytest.mark.parametrize("m,r", [(2, 1), (2, 5), (3, 3), (4, 3), (5, 2), (6, 2)])
+def test_gray_scan_exhaustive(m, r):
+    size = m ** r
+    for w in Domain.uniform(m, r).words():
+        rank, up, down = gray_scan(list(w), m)
+        assert rank == gray_rank(w, m, r) and gray_unrank(rank, m, r) == w
+        nxt = gray_unrank((rank + 1) % size, m, r)
+        assert _moved(w, nxt) == [up] and nxt[up] == (w[up] + 1) % m
+        prv = gray_unrank((rank - 1) % size, m, r)
+        assert _moved(w, prv) == [down] and prv[down] == (w[down] - 1) % m
+        assert gray_next(w, m, r) == nxt and gray_prev(w, m, r) == prv
+
+
+def test_gray_next_prev_length_error():
+    with pytest.raises(ValueError):
+        gray_next((0, 0, 0), 3, 2)
+    with pytest.raises(ValueError):
+        gray_prev((0,), 3, 2)
+    with pytest.raises(ValueError):
+        BaseGrayCode(3, 2).next((0, 0, 0))
