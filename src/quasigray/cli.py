@@ -12,7 +12,7 @@ from .compose import crt_compose, general_counter
 from .core import BoundExceeded, dat_to_json, word_format, word_parse
 from .graycode import gray_counter
 from .linear import Field, companion_counter, companion_matrix, \
-    decompose_elementary, find_primitive, linear_counter, AddRow, Scale
+    decompose_elementary, find_primitive, linear_counter, Scale
 from .permdecomp import build_plan, odd_counter
 from .verify import audit, search_hierarchical
 
@@ -35,34 +35,42 @@ def _step_cap(args) -> int | None:
     return DEFAULT_STEP_CAP
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"--kind {args.kind} requires --{name}")
+# kind -> (constructor, required settings, optional settings); the
+# constructor takes the settings positionally, required ones first
+KINDS = {
+    "base": (gray_counter, ("m", "n"), ()),
+    "linear": (lambda q, n, r=None: linear_counter(Field(q), n, r), ("q", "n"), ("r",)),
+    "companion": (lambda q, n: companion_counter(Field(q), n), ("q", "n"), ()),
+    "odd": (odd_counter, ("m", "n"), ()),
+    "general": (general_counter, ("m", "n"), ()),
+}
+_CRT = (lambda components: crt_compose(_parse_components(components)),
+        ("components",), ())
+# error wording for a setting given as a flag or inside a --components entry
+_AS_FLAG = "--kind {kind} {verb} --{name}"
+_AS_ITEM = "component {kind!r} {verb} {name}="
 
 
-def _component(kind: str, kw: dict):
-    def need(*names):
-        for name in names:
-            if name not in kw:
-                raise ValueError(f"component {kind!r} requires {name}=")
+def _checked(kind: str, entry, settings: dict, form: str) -> list:
+    """The settings an entry of KINDS takes, in its constructor's order.
+    Raises ValueError when a required setting is missing or an unknown
+    one is given."""
+    _ctor, required, optional = entry
+    problems = (("requires", [s for s in required if s not in settings]),
+                ("does not take", [s for s in settings if s not in required + optional]))
+    for verb, names in problems:
+        if names:
+            raise ValueError(form.format(kind=kind, verb=verb, name=names[0]))
+    return [settings[s] for s in required + optional if s in settings]
 
-    if kind == "base":
-        need("m", "n")
-        return gray_counter(kw["m"], kw["n"])
-    if kind == "linear":
-        need("q", "n")
-        return linear_counter(Field(kw["q"]), kw["n"], kw.get("r"))
-    if kind == "companion":
-        need("q", "n")
-        return companion_counter(Field(kw["q"]), kw["n"])
-    if kind == "odd":
-        need("m", "n")
-        return odd_counter(kw["m"], kw["n"])
-    if kind == "general":
-        need("m", "n")
-        return general_counter(kw["m"], kw["n"])
-    raise ValueError(f"unknown component kind {kind!r}")
+
+def _make(kind: str, entry, settings: dict, form: str):
+    return entry[0](*_checked(kind, entry, settings, form))
+
+
+def _flag_settings(args) -> dict:
+    return {s: getattr(args, s) for s in ("m", "n", "q", "r", "components")
+            if getattr(args, s, None) is not None}
 
 
 def _parse_components(text: str) -> list:
@@ -72,6 +80,7 @@ def _parse_components(text: str) -> list:
     out = []
     for part in parts:
         kind, _, rest = part.partition(":")
+        kind = kind.strip()
         kw = {}
         for item in rest.split(","):
             item = item.strip()
@@ -84,29 +93,15 @@ def _parse_components(text: str) -> list:
                 kw[key.strip()] = int(val)
             except ValueError:
                 raise ValueError(f"malformed component setting {item!r}") from None
-        out.append(_component(kind.strip(), kw))
+        if kind not in KINDS:
+            raise ValueError(f"unknown component kind {kind!r}")
+        out.append(_make(kind, KINDS[kind], kw, _AS_ITEM))
     return out
 
 
 def _build_counter(args):
-    kind = args.kind
-    if kind == "base":
-        _require(args, "m", "n")
-        return gray_counter(args.m, args.n)
-    if kind == "linear":
-        _require(args, "q", "n")
-        return linear_counter(Field(args.q), args.n, args.r)
-    if kind == "odd":
-        _require(args, "m", "n")
-        return odd_counter(args.m, args.n)
-    if kind == "general":
-        _require(args, "m", "n")
-        return general_counter(args.m, args.n)
-    if kind == "crt":
-        if not args.components:
-            raise ValueError("--kind crt requires --components")
-        return crt_compose(_parse_components(args.components))
-    raise ValueError(f"unknown kind {kind!r}")
+    entry = _CRT if args.kind == "crt" else KINDS[args.kind]
+    return _make(args.kind, entry, _flag_settings(args), _AS_FLAG)
 
 
 def _cmd_gen(args) -> int:
@@ -118,7 +113,7 @@ def _cmd_gen(args) -> int:
     cap = _step_cap(args)
     capped = cap is not None and limit > cap
     emit = cap if capped else limit
-    step = (lambda word: counter.prev(word)) if args.dir == "prev" else counter.next
+    step = counter.prev if args.dir == "prev" else counter.next
     for _ in range(emit):
         print(word_format(w, counter.domain))
         w, _stats = step(w)
@@ -142,7 +137,8 @@ def _cmd_step(args) -> int:
     return EXIT_OK
 
 
-def _audit_payload(args):
+def _cmd_audit(args) -> int:
+    """stats and verify: print the audit JSON; a failed claim exits fail_code."""
     counter = _build_counter(args)
     cap = _step_cap(args)
     if cap is not None and counter.claimed_length > cap:
@@ -153,65 +149,37 @@ def _audit_payload(args):
     payload = report.to_json()
     if counter.recipe:
         payload["recipe"] = counter.recipe
-    return report, payload
-
-
-def _cmd_stats(args) -> int:
-    _report, payload = _audit_payload(args)
     print(json.dumps(payload, indent=2))
-    return EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    report, payload = _audit_payload(args)
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK if report.ok else EXIT_VERIFY
+    return EXIT_OK if report.ok else args.fail_code
 
 
 def _cmd_decompose(args) -> int:
+    settings = _checked(args.kind, KINDS[args.kind], _flag_settings(args), _AS_FLAG)
     if args.kind == "linear":
-        _require(args, "q", "n")
-        fld = Field(args.q)
-        poly = find_primitive(fld, args.n)
+        q, n = settings
+        fld = Field(q)
+        poly = find_primitive(fld, n)
         ops = decompose_elementary(companion_matrix(poly), fld)
-        if args.format == "json":
-            items = []
-            for op in ops:
-                if isinstance(op, Scale):
-                    items.append({"op": "scale", "i": op.i + 1, "c": op.c})
-                else:
-                    items.append({"op": "addrow", "i": op.i + 1, "j": op.j + 1,
-                                  "c": op.c})
-            print(json.dumps({"polynomial": str(poly), "ops": items}, indent=2))
-        else:
-            print(f"# companion of {poly} over F_{args.q}: {len(ops)} operations")
-            for op in ops:
-                if isinstance(op, Scale):
-                    print(f"scale {op.i + 1} {op.c}")
-                else:
-                    print(f"addrow {op.i + 1} {op.j + 1} {op.c}")
-        return EXIT_OK
-    if args.kind == "odd":
-        _require(args, "m", "n")
-        plan = build_plan(args.m, args.n)
-        if args.format == "json":
-            items = []
-            for f in plan.steps:
-                items.append({"sources": [s + 1 for s in f.sources],
+        payload = {"polynomial": str(poly), "ops": [
+            {"op": "scale", "i": op.i + 1, "c": op.c} if isinstance(op, Scale)
+            else {"op": "addrow", "i": op.i + 1, "j": op.j + 1, "c": op.c}
+            for op in ops]}
+        lines = [f"# companion of {poly} over F_{q}: {len(ops)} operations"]
+        lines += [" ".join(str(v) for v in item.values()) for item in payload["ops"]]
+    else:
+        m, n = settings
+        plan = build_plan(m, n)
+        payload = {"m": m, "n": n, "count": plan.k, "per_index": plan.counts,
+                   "steps": [{"sources": [s + 1 for s in f.sources],
                               "target": f.target + 1,
-                              "table": _table_rows(f)})
-            print(json.dumps({"m": args.m, "n": args.n, "count": plan.k,
-                              "per_index": plan.counts, "steps": items}, indent=2))
-        else:
-            print(f"# {plan.k} two-functions realizing the full cycle on "
-                  f"Z_{args.m}^{args.n}")
-            for f in plan.steps:
-                srcs = ",".join(f"x{s + 1}" for s in f.sources)
-                print(f"add x{f.target + 1} <- f({srcs})")
-                for row in _table_rows(f):
-                    print("  " + " ".join(str(v) for v in row))
-        return EXIT_OK
-    raise ValueError(f"unknown decomposition kind {args.kind!r}")
+                              "table": _table_rows(f)} for f in plan.steps]}
+        lines = [f"# {plan.k} two-functions realizing the full cycle on Z_{m}^{n}"]
+        for item in payload["steps"]:
+            srcs = ",".join(f"x{s}" for s in item["sources"])
+            lines.append(f"add x{item['target']} <- f({srcs})")
+            lines += ["  " + " ".join(str(v) for v in row) for row in item["table"]]
+    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+    return EXIT_OK
 
 
 def _table_rows(f) -> list[list[int]]:
@@ -229,11 +197,10 @@ def _cmd_search(args) -> int:
     tree = search_hierarchical(radices)
     if args.emit == "json":
         print(json.dumps(dat_to_json(tree) if tree is not None else None, indent=2))
+    elif tree is None:
+        print("none")
     else:
-        if tree is None:
-            print("none")
-        else:
-            _print_tree(tree, 0)
+        _print_tree(tree, 0)
     return EXIT_OK
 
 
@@ -257,8 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     counter_flags = argparse.ArgumentParser(add_help=False)
-    counter_flags.add_argument("--kind", required=True,
-                               choices=["base", "linear", "odd", "crt", "general"])
+    counter_flags.add_argument("--kind", required=True, choices=[*KINDS, "crt"])
     counter_flags.add_argument("--m", type=int, help="radix")
     counter_flags.add_argument("--n", type=int, help="word width")
     counter_flags.add_argument("--q", type=int, help="field order")
@@ -283,11 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", parents=[counter_flags],
                        help="walk the full orbit and print the audit JSON")
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_audit, fail_code=EXIT_OK)
 
     p = sub.add_parser("verify", parents=[counter_flags],
                        help="like stats, but exit 1 when a claim fails")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_audit, fail_code=EXIT_VERIFY)
 
     p = sub.add_parser("decompose",
                        help="print the step decomposition behind a counter")

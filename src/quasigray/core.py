@@ -111,6 +111,14 @@ class Tape:
         return StepStats(len(self.reads), self.writes)
 
 
+def apply_word(step, word) -> tuple[int, ...]:
+    """The word step.apply_tape leaves on a fresh tape over word: the word
+    form of a primitive step, from the same code the counters run."""
+    tape = Tape(word)
+    step.apply_tape(tape)
+    return tape.word()
+
+
 class OffsetTape:
     """Window onto a larger tape, shifted by a fixed coordinate offset."""
 
@@ -315,7 +323,8 @@ def materialize(step: Callable, domain: Domain, node_budget: int = 10 ** 6):
 class Counter:
     """A cyclic counter: instrumented step functions plus claimed bounds.
 
-    next_fn and prev_fn mutate a tape in place. claimed_length is the cycle
+    next_fn and prev_fn mutate a tape in place; they are kept as the
+    next_tape and prev_tape attributes. claimed_length is the cycle
     length the construction promises through the start word; claimed_reads
     and claimed_writes bound per-step coordinate touches. None means no
     promise. Audits check all of them against observed behaviour.
@@ -330,28 +339,22 @@ class Counter:
         if claimed_length < 1:
             raise ValueError("claimed_length must be positive")
         self.domain = domain
-        self._next_fn = next_fn
-        self._prev_fn = prev_fn
+        self.next_tape = next_fn
+        self.prev_tape = prev_fn
         self.claimed_length = claimed_length
         self.start = tuple(start)
         self.claimed_reads = claimed_reads
         self.claimed_writes = claimed_writes
         self.recipe = recipe
 
-    def next_tape(self, tape) -> None:
-        self._next_fn(tape)
-
-    def prev_tape(self, tape) -> None:
-        self._prev_fn(tape)
-
     def next(self, word) -> tuple[tuple[int, ...], StepStats]:
         tape = Tape(word)
-        self._next_fn(tape)
+        self.next_tape(tape)
         return tape.word(), tape.stats()
 
     def prev(self, word) -> tuple[tuple[int, ...], StepStats]:
         tape = Tape(word)
-        self._prev_fn(tape)
+        self.prev_tape(tape)
         return tape.word(), tape.stats()
 
     def __repr__(self) -> str:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .compose import StepList, cycle_compose
-from .core import BoundExceeded, Counter, Domain
+from .core import BoundExceeded, Counter, Domain, apply_word
 from .graycode import BaseGrayCode
 
 # One irreducible modulus over F_2 per extension degree, bit i holding the
@@ -384,10 +384,7 @@ class Scale:
     def apply_tape(self, tape) -> None:
         tape.write(self.i, self.field.mul(self.c, tape.read(self.i)))
 
-    def apply(self, word) -> tuple[int, ...]:
-        out = list(word)
-        out[self.i] = self.field.mul(self.c, out[self.i])
-        return tuple(out)
+    apply = apply_word
 
     def inverse(self) -> "Scale":
         return Scale(self.field, self.i, self.field.inv(self.c))
@@ -417,10 +414,7 @@ class AddRow:
         v = self.field.mul(self.c, tape.read(self.j))
         tape.write(self.i, self.field.add(tape.read(self.i), v))
 
-    def apply(self, word) -> tuple[int, ...]:
-        out = list(word)
-        out[self.i] = self.field.add(out[self.i], self.field.mul(self.c, out[self.j]))
-        return tuple(out)
+    apply = apply_word
 
     def inverse(self) -> "AddRow":
         return AddRow(self.field, self.i, self.j, self.field.neg(self.c))

@@ -13,8 +13,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .compose import StepList, cycle_compose
-from .core import Counter, Domain, materialize
+from .core import Counter, Domain, apply_word, materialize
 from .graycode import BaseGrayCode
 
 
@@ -78,18 +80,12 @@ class RFunction:
     def value(self, args) -> int:
         return self.table.get(tuple(args), 0)
 
-    def apply(self, word) -> tuple[int, ...]:
-        v = self.table.get(tuple(word[s] for s in self.sources), 0)
-        if v == 0:
-            return tuple(word)
-        out = list(word)
-        out[self.target] = (out[self.target] + v) % self.m
-        return tuple(out)
-
     def apply_tape(self, tape) -> None:
         args = tuple(tape.read(s) for s in self.sources)
         cur = tape.read(self.target)
         tape.write(self.target, (cur + self.table.get(args, 0)) % self.m)
+
+    apply = apply_word
 
     def inverse(self) -> "RFunction":
         neg = {k: (self.m - v) % self.m for k, v in self.table.items()}
@@ -148,59 +144,41 @@ def decompose_indicator(f: RFunction) -> list[RFunction]:
     return [gamma, *la, gamma_inv, *lb, gamma, *la_inv, gamma_inv, *lb_inv]
 
 
-def _perm_compose(f: dict, g: dict) -> dict:
-    """Permutation applying g first, then f. Dicts list moved points only."""
-    out = {}
-    for x in set(f) | set(g):
-        y = f.get(g.get(x, x), g.get(x, x))
-        if y != x:
-            out[x] = y
-    return out
-
-
-def _perm_power(f: dict, e: int) -> dict:
-    acc: dict = {}
-    for _ in range(e):
-        acc = _perm_compose(f, acc)
-    return acc
-
-
-def _cycle_lengths_of(perm: dict) -> list[int]:
-    if set(perm.values()) != set(perm):
-        raise ValueError("not a permutation of its support")
-    seen = set()
-    out = []
-    for s in perm:
-        if s in seen:
-            continue
-        ln = 0
-        x = s
-        while x not in seen:
-            seen.add(x)
-            x = perm[x]
-            ln += 1
-        out.append(ln)
-    return sorted(out)
-
-
 def cycle_isolation_check(sigma: dict, tau: dict, ell: int) -> bool:
     """Verify the interleaving identity for two ell-cycles that share
     exactly one moved point: (sigma tau)^ell (tau sigma)^ell = sigma^2.
 
-    Permutations are dicts over their moved points. Raises if either input
-    is not a single ell-cycle or the supports overlap in more or fewer than
-    one point; returns whether the identity held.
+    Permutations are dicts over their moved points; the check runs on dense
+    tables over the union of the two supports. Raises if either input is
+    not a permutation of its support or not a single ell-cycle, or the
+    supports overlap in more or fewer than one point; returns whether the
+    identity held.
     """
+    from .verify import DensePermutation, cycle_lengths  # verify imports this module
+
+    for perm in (sigma, tau):
+        if set(perm.values()) != set(perm):
+            raise ValueError("not a permutation of its support")
+    points = list(dict.fromkeys([*sigma, *tau]))
+    index = {x: i for i, x in enumerate(points)}
+    domain = Domain((len(points),))
+    single = [1] * (len(points) - ell) + [ell]
+    tables = []
     for perm, name in ((sigma, "first"), (tau, "second")):
-        if _cycle_lengths_of(perm) != [ell]:
+        image = np.arange(len(points), dtype=np.int64)
+        image[[index[x] for x in perm]] = [index[y] for y in perm.values()]
+        if cycle_lengths(DensePermutation(domain, image)) != single:
             raise ValueError(f"{name} permutation is not a single {ell}-cycle")
+        tables.append(image)
     shared = set(sigma) & set(tau)
     if len(shared) != 1:
         raise ValueError(f"supports share {len(shared)} points, need exactly 1")
-    ts = _perm_compose(tau, sigma)  # sigma acts first
-    st = _perm_compose(sigma, tau)
-    lhs = _perm_compose(_perm_power(st, ell), _perm_power(ts, ell))
-    return lhs == _perm_compose(sigma, sigma)
+    s, t = tables
+    st, ts = s[t], t[s]  # as tables, a[b] applies b first
+    lhs = np.arange(len(points), dtype=np.int64)
+    for table in [ts] * ell + [st] * ell:
+        lhs = table[lhs]
+    return bool(np.array_equal(lhs, s[s]))
 
 
 def decompose_boundary(i: int, m: int, n_inner: int) -> list[RFunction]:

@@ -84,17 +84,14 @@ def densify(obj, domain: Domain) -> DensePermutation:
     step, a word function, or a list of steps applied first to last."""
     if domain.size > DENSIFY_LIMIT:
         raise BoundExceeded(f"domain size {domain.size} exceeds 2^24")
-    if isinstance(obj, Counter):
-        imgs = np.empty(domain.size, dtype=np.int64)
-        for idx, w in enumerate(domain.words()):
-            nxt, _ = obj.next(w)
-            imgs[idx] = domain.rank(nxt)
-        return DensePermutation(domain, imgs)
     if isinstance(obj, (list, tuple)):
         total = np.arange(domain.size, dtype=np.int64)
         for step in obj:
             total = _step_image(step, domain)[total]
         return DensePermutation(domain, total)
+    if isinstance(obj, Counter):
+        step = obj.next
+        obj = lambda w: step(w)[0]
     return DensePermutation(domain, _step_image(obj, domain))
 
 

@@ -217,3 +217,61 @@ def test_malformed_components(capsys):
     code, _, err = run(capsys, "gen", "--kind", "crt", "--components",
                        "base:m=2;n=1", "--limit", "1")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--kind", "base", "--m", "3", "--n", "2", "--r", "5"],
+     "--kind base does not take --r"),
+    (["gen", "--kind", "crt", "--components", "base:m=2,n=1;base:m=3,n=1",
+      "--m", "4"], "--kind crt does not take --m"),
+    (["gen", "--kind", "crt", "--components",
+      "base:m=2,n=1,x=9;odd:m=3,n=11,r=4"], "component 'base' does not take x="),
+    (["gen", "--kind", "crt", "--components", "base:m=2,n=1;odd:m=3,n=11,r=4",
+      "--limit", "2"], "component 'odd' does not take r="),
+])
+def test_stray_settings_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_companion_kind_and_component(capsys):
+    code, out, _ = run(capsys, "gen", "--kind", "companion", "--q", "2", "--n", "3")
+    assert code == 0
+    assert out.splitlines() == ["001", "010", "100", "011", "110", "111", "101"]
+    code, out, _ = run(capsys, "verify", "--kind", "crt", "--components",
+                       "base:m=2,n=1;companion:q=2,n=3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] and payload["observed_length"] == 14
+    assert payload["recipe"]["components"][1]["kind"] == "companion"
+
+
+def test_stats_and_verify_print_the_same_json(capsys, monkeypatch):
+    flags = ("--kind", "linear", "--q", "3", "--n", "2")
+    assert run(capsys, "stats", *flags) == run(capsys, "verify", *flags)
+
+    from quasigray import cli
+    from quasigray.core import Counter
+    from quasigray.graycode import gray_counter
+
+    def broken(args):
+        base = gray_counter(2, 3)
+        return Counter(base.domain, base.next_tape, base.prev_tape, 9, base.start)
+
+    monkeypatch.setattr(cli, "_build_counter", broken)
+    code_stats, out_stats, _ = run(capsys, "stats", "--kind", "base", "--m", "2",
+                                   "--n", "3")
+    code_verify, out_verify, _ = run(capsys, "verify", "--kind", "base", "--m", "2",
+                                     "--n", "3")
+    assert (code_stats, code_verify) == (0, 1)
+    assert out_stats == out_verify and not json.loads(out_stats)["ok"]
+
+
+def test_decompose_linear_text_with_scales(capsys):
+    code, out, _ = run(capsys, "decompose", "--kind", "linear", "--q", "5",
+                       "--n", "2")
+    assert code == 0
+    assert out.splitlines() == ["# companion of z^2 + z + 2 over F_5: 4 operations",
+                                "addrow 1 2 4", "scale 2 3", "addrow 2 1 3",
+                                "scale 1 4"]

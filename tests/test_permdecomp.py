@@ -155,6 +155,18 @@ def test_cycle_isolation_preconditions():
         cycle_isolation_check(sigma, {0: 1, 1: 3, 3: 0}, 3)  # two shared
 
 
+def test_cycle_isolation_rejects_split_and_non_permutations():
+    split = {0: 1, 1: 0, 2: 3, 3: 4, 4: 2}  # a 2-cycle and a 3-cycle
+    five = {0: 5, 5: 6, 6: 7, 7: 8, 8: 0}
+    assert cycle_isolation_check(five, {0: 9, 9: 10, 10: 11, 11: 12, 12: 0}, 5)
+    with pytest.raises(ValueError, match="single 5-cycle"):
+        cycle_isolation_check(split, five, 5)
+    with pytest.raises(ValueError, match="single 5-cycle"):
+        cycle_isolation_check(five, split, 5)
+    with pytest.raises(ValueError, match="not a permutation of its support"):
+        cycle_isolation_check({0: 1, 1: 2}, {0: 3, 3: 0}, 2)
+
+
 @pytest.mark.parametrize("m,i,size", [(3, 5, 54), (3, 6, 96),
                                       (5, 5, 90), (5, 6, 160)])
 def test_decompose_boundary_sizes(m, i, size):
