@@ -193,7 +193,11 @@ def _table_rows(f) -> list[list[int]]:
 
 
 def _cmd_search(args) -> int:
-    radices = tuple(int(t) for t in args.radices.split(","))
+    try:
+        radices = tuple(int(t) for t in args.radices.split(","))
+    except ValueError:
+        raise ValueError("--radices needs three comma-separated integers, "
+                         f"got {args.radices!r}") from None
     tree = search_hierarchical(radices)
     if args.emit == "json":
         print(json.dumps(dat_to_json(tree) if tree is not None else None, indent=2))

@@ -270,7 +270,9 @@ def general_counter(m: int, n: int) -> Counter:
     from .linear import _FACTOR_LIMIT, Field, linear_counter, row_op_count
     from .permdecomp import min_width, odd_counter
 
-    if m < 2 or m % 2:
+    if m < 2:
+        raise ValueError("radix must be at least 2")
+    if m % 2:
         raise ValueError("even radix required; odd radices have their own construction")
     ell = (m & -m).bit_length() - 1
     o = m >> ell

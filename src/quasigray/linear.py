@@ -472,14 +472,17 @@ def decompose_elementary(a, field: Field) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _row_ops_cached(q: int, n: int) -> int:
+def _companion_ops(q: int, n: int) -> tuple[Poly, tuple]:
+    """The first primitive polynomial of degree n over F_q and the row
+    operations of its companion matrix, built once per (q, n)."""
     field = Field(q)
-    return len(decompose_elementary(companion_matrix(find_primitive(field, n)), field))
+    p = find_primitive(field, n)
+    return p, tuple(decompose_elementary(companion_matrix(p), field))
 
 
 def row_op_count(field: Field, n: int) -> int:
     """Length of the row-operation list for the degree-n companion matrix."""
-    return _row_ops_cached(field.q, n)
+    return len(_companion_ops(field.q, n)[1])
 
 
 def linear_counter(field: Field, n: int, r: int | None = None) -> Counter:
@@ -494,11 +497,9 @@ def linear_counter(field: Field, n: int, r: int | None = None) -> Counter:
     """
     if n < 1:
         raise ValueError("vector width must be at least 1")
-    p = find_primitive(field, n)
-    mat = companion_matrix(p)
-    steps = decompose_elementary(mat, field)
-    k = len(steps)
     q = field.q
+    p, steps = _companion_ops(q, n)
+    k = len(steps)
     r_min = 1
     while q ** r_min < k:
         r_min += 1

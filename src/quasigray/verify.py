@@ -4,6 +4,7 @@ claimed bounds, and the exhaustive search over hierarchical step trees."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -206,18 +207,28 @@ def search_hierarchical(radices, count_solutions: bool = False,
 
     The tree shape is fixed: the root reads cell 1, each root branch reads
     cell 2 or cell 3, and every leaf rewrites exactly the two cells on its
-    path. Enumeration order is deterministic: branch-variable vectors
-    lexicographically (cell 2 before cell 3), then the split of cell-1
-    output values between the two branch types, then leaf assignments
-    lexicographically. Partial trees are pruned as soon as they close a
-    cycle shorter than the domain. Returns the tree (or None); with
-    count_solutions also the number of distinct solutions.
+    path. Partial trees are pruned as soon as they close a cycle shorter
+    than the domain. Returns the tree (or None); with count_solutions also
+    the number of distinct solutions.
 
-    Two exact cuts keep the none-cases tractable. A branch type that never
-    occurs leaves one cell unread, hence never rewritten, so no full cycle
-    exists in that block. And in any solution the image fibers tile the
-    domain, which forces the branches reading cell 2 and those reading
-    cell 3 to use disjoint cell-1 outputs, one output value per branch.
+    Relabeling the values of cell 1 maps solutions to solutions, so the
+    branch vector (which cell each root branch reads) matters only through
+    k, the number of branches reading cell 2: the comb(m1, k) vectors with
+    that k have equally many solutions. The search visits one per k, the
+    pattern (1,)*k + (2,)*(m1-k) for k from m1-1 down to 1, and counts each
+    solution comb(m1, k) times. Each pattern is the lexicographically
+    smallest vector with its k and the patterns come in lexicographic
+    order, so the tree returned is the first one a search of every vector
+    in lexicographic order (cell 2 before cell 3) would find. Inside a
+    pattern the order is the split of cell-1 output values between the two
+    branch types, then leaf assignments lexicographically.
+
+    Two more exact cuts keep the none-cases tractable. A branch type that
+    never occurs (k = 0 or m1) leaves one cell unread, hence never
+    rewritten, so no full cycle exists there. And in any solution the image
+    fibers tile the domain, which forces the branches reading cell 2 and
+    those reading cell 3 to use disjoint cell-1 outputs, one output value
+    per branch.
     """
     radices = tuple(radices)
     if len(radices) != 3 or any(v < 2 for v in radices):
@@ -227,47 +238,32 @@ def search_hierarchical(radices, count_solutions: bool = False,
     if total > SEARCH_DOMAIN_LIMIT:
         raise BoundExceeded(f"domain size {total} exceeds {SEARCH_DOMAIN_LIMIT}")
 
+    def fiber(x1, b, val):
+        # ranks with x1 in cell 1 and val in cell b + 1, the other cell free
+        if b == 1:
+            return [x1 * m2 * m3 + val * m3 + t for t in range(m3)]
+        return [x1 * m2 * m3 + t * m3 + val for t in range(m2)]
+
     found = None
     count = 0
     nodes = 0
 
-    stop_all = False
-    for var_choice in itertools.product((1, 2), repeat=m1):
-        k1 = var_choice.count(1)
-        if k1 == 0 or k1 == m1:
-            continue  # one cell unread, so unwritten: no full cycle here
-        for a_set in itertools.combinations(range(m1), k1):
+    for k in range(m1 - 1, 0, -1):
+        var_choice = (1,) * k + (2,) * (m1 - k)
+        weight = math.comb(m1, k)
+        for a_set in itertools.combinations(range(m1), k):
             # a_set holds the cell-1 outputs reserved for branches reading
-            # cell 2; the rest go to branches reading cell 3
-            allowed = (None, a_set,
-                       tuple(a for a in range(m1) if a not in a_set))
-            # precompute each leaf's source fiber and every candidate image
-            # fiber, with the image as a bitmask for O(1) collision tests
-            srcs = []
-            cands = []
-            for v in range(m1):
-                b = var_choice[v]
-                other = m3 if b == 1 else m2
-                for u in range(radices[b]):
-                    if b == 1:
-                        src = [v * m2 * m3 + u * m3 + t for t in range(other)]
-                    else:
-                        src = [v * m2 * m3 + t * m3 + u for t in range(other)]
-                    options = []
-                    for a in allowed[b]:
-                        for c in range(radices[b]):
-                            if b == 1:
-                                dst = [a * m2 * m3 + c * m3 + t
-                                       for t in range(other)]
-                            else:
-                                dst = [a * m2 * m3 + t * m3 + c
-                                       for t in range(other)]
-                            mask = 0
-                            for d in dst:
-                                mask |= 1 << d
-                            options.append((dst, mask, a, c))
-                    srcs.append(src)
-                    cands.append(options)
+            # cell 2; the rest go to branches reading cell 3. Every leaf of
+            # one branch type may take the same image fibers, each with a
+            # bitmask for O(1) collision tests.
+            options = {1: [], 2: []}
+            for b, outs in ((1, a_set), (2, [a for a in range(m1) if a not in a_set])):
+                for a in outs:
+                    for c in range(radices[b]):
+                        dst = fiber(a, b, c)
+                        options[b].append((dst, sum(1 << d for d in dst), a, c))
+            leaves = [(fiber(v, b, u), options[b])
+                      for v, b in enumerate(var_choice) for u in range(radices[b])]
             # incremental path tracking: begin[x] is valid while x ends a
             # path, end[x] while x starts one; trivial paths to begin with
             begin = list(range(total))
@@ -278,15 +274,15 @@ def search_hierarchical(radices, count_solutions: bool = False,
 
             def try_leaf(li: int) -> bool:
                 nonlocal placed, used_mask, found, count, nodes
-                if li == len(srcs):
+                if li == len(leaves):
                     # no short cycle ever closed, so the last edge closed
                     # the full one: a single cycle over the whole domain
-                    count += 1
+                    count += weight
                     if found is None:
                         found = _build_tree(radices, var_choice, choices)
                     return not count_solutions
-                src = srcs[li]
-                for dst, dmask, a, c in cands[li]:
+                src, opts = leaves[li]
+                for dst, dmask, a, c in opts:
                     nodes += 1
                     if nodes > node_budget:
                         raise BoundExceeded(f"search exceeded {node_budget} nodes")
@@ -328,14 +324,9 @@ def search_hierarchical(radices, count_solutions: bool = False,
                 return False
 
             if try_leaf(0):
-                stop_all = True
-                break
-        if stop_all:
-            break
+                return found
 
-    if count_solutions:
-        return found, count
-    return found
+    return (found, count) if count_solutions else found
 
 
 def _build_tree(radices, var_choice, choices):

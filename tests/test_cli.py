@@ -207,6 +207,19 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_search_malformed_radices(capsys):
+    code, out, err = run(capsys, "search-hierarchical", "--radices", "2,x")
+    assert code == 2 and out == ""
+    assert "--radices needs three comma-separated integers, got '2,x'" in err
+
+
+def test_general_radix_below_two(capsys):
+    code, out, err = run(capsys, "gen", "--kind", "general", "--m", "0",
+                         "--n", "3")
+    assert code == 2 and out == ""
+    assert "radix must be at least 2" in err
+
+
 def test_gen_negative_limit(capsys):
     code, _, err = run(capsys, "gen", "--kind", "base", "--m", "2", "--n", "2",
                        "--limit", "-1")

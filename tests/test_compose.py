@@ -300,6 +300,12 @@ def test_general_counter_errors():
         general_counter(2, 3)
 
 
+@pytest.mark.parametrize("m", [-2, 0, 1])
+def test_general_counter_radix_below_two(m):
+    with pytest.raises(ValueError, match="radix must be at least 2"):
+        general_counter(m, 3)
+
+
 def test_general_counter_padded_pointer_recipes():
     # no clock width works at the minimal pointer, so the pointer is padded
     assert general_counter(12, 12).recipe["binary"] == {

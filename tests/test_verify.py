@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quasigray.core import (BoundExceeded, Counter, Domain, dat_eval,
-                            dat_validate)
+                            dat_to_json, dat_validate)
 from quasigray.graycode import gray_counter
 from quasigray.linear import Field, Scale, companion_counter, linear_counter
 from quasigray.permdecomp import (RFunction, decompose_indicator, make_alpha,
@@ -163,6 +163,33 @@ def test_search_count_deterministic():
     assert c1 == c2 == 4
     assert t1 == t2
     _walk_tree(t1, (2, 2, 3))
+
+
+def _branch(cell, leaves):
+    return {"query": cell,
+            "children": [{"assign": [[1, a], [cell, c]]} for a, c in leaves]}
+
+
+@pytest.mark.parametrize("radices,branches", [
+    ((2, 2, 3), [(2, [(1, 1), (1, 0)]), (3, [(0, 1), (0, 2), (0, 0)])]),
+    ((3, 2, 3), [(2, [(0, 1), (2, 0)]), (2, [(2, 1), (0, 0)]),
+                 (3, [(1, 1), (1, 2), (1, 0)])]),
+    ((2, 3, 4), [(2, [(1, 1), (1, 2), (1, 0)]),
+                 (3, [(0, 1), (0, 2), (0, 3), (0, 0)])]),
+])
+def test_search_returns_pinned_tree(radices, branches):
+    tree = search_hierarchical(radices)
+    assert dat_to_json(tree) == {
+        "query": 1, "children": [_branch(b, leaves) for b, leaves in branches]}
+
+
+@pytest.mark.parametrize("radices,count", [
+    ((2, 2, 5), 48), ((2, 3, 4), 24), ((3, 2, 3), 792),
+])
+def test_search_solution_counts(radices, count):
+    tree, c = search_hierarchical(radices, count_solutions=True)
+    assert c == count
+    assert tree == search_hierarchical(radices)
 
 
 def test_search_budget_and_domain_guard():
