@@ -10,14 +10,15 @@ from .core import Counter, Domain, OffsetTape, Tape
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
 from .graycode import (BaseGrayCode, gray_counter, gray_rank,  # noqa: F401
-                       gray_scan, gray_unrank)
+                       gray_scan_read, gray_unrank)
 
 
 @dataclass
 class StepList:
     """Bijective steps sigma_1..sigma_k over one domain. ell is the length
     of the cycle their composition traces through the intended start word.
-    Each step must offer apply_tape(tape) and inverse()."""
+    Each step must offer apply_tape(tape) and shifted(d, inverse=False),
+    the step or its inverse moved d coordinates up."""
 
     steps: list
     domain: Domain
@@ -33,9 +34,11 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
     step. One full pointer revolution applies the whole list once, so the
     cycle through <pointer start, start_inner> has length m^r * ell.
 
-    A step reads the r pointer cells once. gray_scan gives from them both
-    the rank, which picks the step, and the one pointer digit the Gray step
-    moves, which is the pointer's single write.
+    A step reads the r pointer cells once each, top down from cell r-1 to
+    cell 0. gray_scan_read gives from them both the rank, which picks the
+    step, and the one pointer digit the Gray step moves, which is the
+    pointer's single write. The steps and their inverses are shifted by r
+    once, here, so they run at absolute coordinates on the caller's tape.
     """
     k = len(steps.steps)
     m, r = pointer.m, pointer.r
@@ -43,24 +46,22 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
     if k_prime < k:
         raise ValueError(f"pointer cycle {k_prime} shorter than step list {k}")
     steps.domain.validate(start_inner)
-    fwd = steps.steps
-    inv = [s.inverse() for s in steps.steps]
-    cells = range(r)
+    fwd = [s.shifted(r) for s in steps.steps]
+    inv = [s.shifted(r, inverse=True) for s in steps.steps]
+    cells = range(r - 1, -1, -1)
 
     def next_fn(tape) -> None:
-        ptr = [tape.read(j) for j in cells]
-        j, up, _ = gray_scan(ptr, m)
+        j, up, g, _, _ = gray_scan_read(tape.read, cells, m)
         if j < k:
-            fwd[j].apply_tape(OffsetTape(tape, r))
-        tape.write(up, (ptr[up] + 1) % m)
+            fwd[j].apply_tape(tape)
+        tape.write(up, (g + 1) % m)
 
     def prev_fn(tape) -> None:
-        ptr = [tape.read(j) for j in cells]
-        j, _, down = gray_scan(ptr, m)
-        tape.write(down, (ptr[down] - 1) % m)
+        j, _, _, down, g = gray_scan_read(tape.read, cells, m)
+        tape.write(down, (g - 1) % m)
         j = (j - 1) % k_prime
         if j < k:
-            inv[j].apply_tape(OffsetTape(tape, r))
+            inv[j].apply_tape(tape)
 
     domain = Domain((m,) * r + steps.domain.radices)
     start = gray_unrank(0, m, r) + tuple(start_inner)

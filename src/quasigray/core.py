@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 
 class BoundExceeded(RuntimeError):
@@ -72,8 +72,9 @@ class Domain:
         return itertools.product(*(range(r) for r in self.radices))
 
 
-@dataclass(frozen=True)
-class StepStats:
+class StepStats(NamedTuple):
+    """One step's cost: distinct cells read and assignments executed."""
+
     reads: int
     writes: int
 
@@ -328,6 +329,11 @@ class Counter:
     length the construction promises through the start word; claimed_reads
     and claimed_writes bound per-step coordinate touches. None means no
     promise. Audits check all of them against observed behaviour.
+
+    next and prev raise ValueError on a word of the wrong length, but do
+    not check digit ranges per step: a digit out of range gives an
+    unspecified word. Domain.validate (or word_parse, which calls it) is
+    the boundary check for words from outside the program.
     """
 
     def __init__(self, domain: Domain, next_fn: Callable, prev_fn: Callable,
@@ -339,6 +345,7 @@ class Counter:
         if claimed_length < 1:
             raise ValueError("claimed_length must be positive")
         self.domain = domain
+        self._n = domain.n
         self.next_tape = next_fn
         self.prev_tape = prev_fn
         self.claimed_length = claimed_length
@@ -348,11 +355,15 @@ class Counter:
         self.recipe = recipe
 
     def next(self, word) -> tuple[tuple[int, ...], StepStats]:
+        if len(word) != self._n:
+            raise ValueError(f"expected {self._n} digits, got {len(word)}")
         tape = Tape(word)
         self.next_tape(tape)
         return tape.word(), tape.stats()
 
     def prev(self, word) -> tuple[tuple[int, ...], StepStats]:
+        if len(word) != self._n:
+            raise ValueError(f"expected {self._n} digits, got {len(word)}")
         tape = Tape(word)
         self.prev_tape(tape)
         return tape.word(), tape.stats()

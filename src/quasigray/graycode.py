@@ -9,8 +9,13 @@ Which coordinate is the carry rule of base-m counting: adding 1 to the rank
 increments the lowest b_j that is not m-1 and zeroes the ones below it, so
 in the Gray word only digit j moves, by +1. Subtracting 1 decrements the
 lowest b_j that is not 0, so only that digit moves, by -1. When every b_j is
-m-1 (or 0) the rank wraps and the top digit r-1 moves instead. gray_scan
-finds both digits in the same top-down pass that computes the rank.
+m-1 (or 0) the rank wraps and the top digit r-1 moves instead.
+
+gray_scan_read finds both digits in the same pass that computes the rank.
+It reads each pointer cell once, top down, from cell r-1 to cell 0, through
+a callable: tape.read in gray_counter and cycle_compose, list indexing in
+gray_scan. That read order is the query order of every materialized
+pointer-driven counter tree.
 """
 
 from __future__ import annotations
@@ -43,23 +48,38 @@ def gray_rank(word, m: int, r: int) -> int:
     return gray_scan(word, m)[0]
 
 
-def gray_scan(ptr, m: int) -> tuple[int, int, int]:
-    """(rank, up, down) of a Gray word whose digits the caller has read.
+def gray_scan_read(read, cells, m: int) -> tuple[int, int, int, int, int]:
+    """(rank, up, g_up, down, g_down) of the Gray word read(j) for j in cells.
 
-    up is the one digit a +1 rank step increments and down the one digit a
-    -1 step decrements; both are r-1 when the step wraps the rank.
+    cells are the pointer's cells, top digit first, e.g. range(r - 1, -1, -1);
+    each is read exactly once, in that order. up is the cell a +1 rank step
+    increments and down the cell a -1 step decrements, both the top cell
+    when the step wraps the rank; g_up and g_down are their current digits.
     """
     top = m - 1
-    up = down = len(ptr) - 1
-    b = rank = 0
+    up = down = cells[0]
+    # on a wrap every b_j is m-1 (up) or 0 (down), and so is the top digit
+    g_up = top
+    g_down = b = rank = 0
     # digits telescope: b_j = g_j + b_{j+1}, recovered from the top down
-    for j in range(up, -1, -1):
-        b = (ptr[j] + b) % m
+    for j in cells:
+        g = read(j)
+        b = (g + b) % m
         rank = rank * m + b
         if b != top:
             up = j
+            g_up = g
         if b:
             down = j
+            g_down = g
+    return rank, up, g_up, down, g_down
+
+
+def gray_scan(ptr, m: int) -> tuple[int, int, int]:
+    """(rank, up, down) of a Gray word whose digits the caller has read;
+    see gray_scan_read."""
+    rank, up, _, down, _ = gray_scan_read(ptr.__getitem__,
+                                          range(len(ptr) - 1, -1, -1), m)
     return rank, up, down
 
 
@@ -114,17 +134,15 @@ class BaseGrayCode:
 def gray_counter(m: int, r: int) -> Counter:
     """Instrumented counter for the full Gray cycle on Z_m^r."""
     code = BaseGrayCode(m, r)
-    cells = range(r)
+    cells = range(r - 1, -1, -1)
 
     def next_fn(tape) -> None:
-        w = [tape.read(j) for j in cells]
-        up = gray_scan(w, m)[1]
-        tape.write(up, (w[up] + 1) % m)
+        _, up, g, _, _ = gray_scan_read(tape.read, cells, m)
+        tape.write(up, (g + 1) % m)
 
     def prev_fn(tape) -> None:
-        w = [tape.read(j) for j in cells]
-        down = gray_scan(w, m)[2]
-        tape.write(down, (w[down] - 1) % m)
+        _, _, _, down, g = gray_scan_read(tape.read, cells, m)
+        tape.write(down, (g - 1) % m)
 
     return Counter(Domain.uniform(m, r), next_fn, prev_fn,
                    code.length, gray_unrank(0, m, r),

@@ -386,8 +386,13 @@ class Scale:
 
     apply = apply_word
 
+    def shifted(self, d: int, inverse: bool = False) -> "Scale":
+        """This operation, or its inverse, on row i + d."""
+        return Scale(self.field, self.i + d,
+                     self.field.inv(self.c) if inverse else self.c)
+
     def inverse(self) -> "Scale":
-        return Scale(self.field, self.i, self.field.inv(self.c))
+        return self.shifted(0, inverse=True)
 
     def matrix(self, n: int) -> list[list[int]]:
         mat = mat_identity(n)
@@ -416,8 +421,13 @@ class AddRow:
 
     apply = apply_word
 
+    def shifted(self, d: int, inverse: bool = False) -> "AddRow":
+        """This operation, or its inverse, on rows i + d and j + d."""
+        return AddRow(self.field, self.i + d, self.j + d,
+                      self.field.neg(self.c) if inverse else self.c)
+
     def inverse(self) -> "AddRow":
-        return AddRow(self.field, self.i, self.j, self.field.neg(self.c))
+        return self.shifted(0, inverse=True)
 
     def matrix(self, n: int) -> list[list[int]]:
         mat = mat_identity(n)

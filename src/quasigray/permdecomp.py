@@ -81,15 +81,28 @@ class RFunction:
         return self.table.get(tuple(args), 0)
 
     def apply_tape(self, tape) -> None:
-        args = tuple(tape.read(s) for s in self.sources)
-        cur = tape.read(self.target)
-        tape.write(self.target, (cur + self.table.get(args, 0)) % self.m)
+        read = tape.read
+        args = tuple([read(s) for s in self.sources])
+        target = self.target
+        tape.write(target, (read(target) + self.table.get(args, 0)) % self.m)
 
     apply = apply_word
 
+    def shifted(self, d: int, inverse: bool = False) -> "RFunction":
+        """This function, or its inverse, on coordinates d higher in a
+        domain d cells wider. A valid function's shift and inverse are
+        valid, so the copy is built without re-checking its table."""
+        out = RFunction.__new__(RFunction)
+        out.m = m = self.m
+        out.n = self.n + d
+        out.sources = tuple([s + d for s in self.sources])
+        out.target = self.target + d
+        out.table = ({k: m - v for k, v in self.table.items()} if inverse
+                     else self.table)
+        return out
+
     def inverse(self) -> "RFunction":
-        neg = {k: (self.m - v) % self.m for k, v in self.table.items()}
-        return RFunction(self.m, self.n, self.sources, self.target, neg)
+        return self.shifted(0, inverse=True)
 
     def __repr__(self) -> str:
         src = ",".join(f"x{s + 1}" for s in self.sources)
