@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from quasigray.compose import crt_compose, general_counter
-from quasigray.core import (Domain, StepStats, Tape, dat_count_nodes, dat_eval,
+from quasigray.core import (StepStats, Tape, dat_count_nodes, dat_eval,
                             dat_read_complexity, dat_write_complexity,
                             materialize)
 from quasigray.graycode import gray_counter, gray_scan, gray_scan_read
@@ -79,9 +79,10 @@ def _crt84():
                         companion_counter(Field(2), 3)])
 
 
-# (counter, next/prev tree shape as (nodes, depth, largest leaf)); the
-# shapes are those the materializer gave before steps ran at absolute
-# coordinates. odd(3,11) is the smallest odd counter (min_width(3) == 11).
+# (counter, (nodes, depth, largest leaf) of both its next and prev tree).
+# The shapes are pinned so that a change to how steps run on the tape
+# cannot change the trees. odd(3,11) is the smallest odd counter
+# (min_width(3) == 11).
 WHOLE_DOMAIN = {
     "odd(3,11)": (lambda: odd_counter(3, 11), (5554, 8, 2)),
     "linear(F2,5)": (lambda: linear_counter(Field(2), 5), (97, 6, 2)),
