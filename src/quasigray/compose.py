@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import Counter, Domain, OffsetTape, Tape
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
-from .graycode import (BaseGrayCode, gray_counter, gray_rank,  # noqa: F401
-                       gray_scan_read, gray_unrank)
+from .graycode import (BaseGrayCode, gray_rank, gray_scan_read,  # noqa: F401
+                       gray_unrank)
 
 
 @dataclass
@@ -161,16 +162,17 @@ class _MixedTape:
     virtual word: n_clock clock cells, then l bits per data cell (its
     residue mod 2^l, most significant bit first), then, when o > 1, one
     residue mod o per data cell. bits maps each bit coordinate to its
-    (physical cell, shift)."""
+    (physical cell, shift), and residue coordinate split + j is physical
+    cell odd_cell + j."""
 
-    __slots__ = ("base", "n_clock", "split", "bits", "n_bits", "o", "recombine")
+    __slots__ = ("base", "n_clock", "split", "bits", "odd_shift", "o", "recombine")
 
-    def __init__(self, base, n_clock, split, bits, o, recombine):
+    def __init__(self, base, n_clock, split, bits, odd_cell, o, recombine):
         self.base = base
         self.n_clock = n_clock
         self.split = split
         self.bits = bits
-        self.n_bits = split - n_clock
+        self.odd_shift = odd_cell - split
         self.o = o
         self.recombine = recombine
 
@@ -180,7 +182,7 @@ class _MixedTape:
         if v < self.split:
             cell, shift = self.bits[v]
             return self.base.read(cell) >> shift & 1
-        return self.base.read(v - self.n_bits) % self.o
+        return self.base.read(v + self.odd_shift) % self.o
 
     def write(self, v: int, val: int) -> None:
         if v < self.n_clock:
@@ -190,9 +192,26 @@ class _MixedTape:
             cur = self.base.read(cell)
             self.base.write(cell, self.recombine(cur & ~(1 << shift) | val << shift, cur))
         else:
-            cell = v - self.n_bits
+            cell = v + self.odd_shift
             cur = self.base.read(cell)
             self.base.write(cell, self.recombine(cur, val))
+
+
+def _residues(m: int, two_k: int, o: int, first: int, n_data: int):
+    """(bits, recombine) of _MixedTape for data cells first .. first +
+    n_data - 1, with m = two_k * o: the (cell, shift) of each bit of their
+    residues mod two_k, most significant first, and the function giving the
+    residue mod m that is a mod two_k and b mod o (neither argument needs
+    reducing first)."""
+    ell = two_k.bit_length() - 1
+    bits = tuple((first + j, ell - 1 - p) for j in range(n_data) for p in range(ell))
+    inv_o = pow(o, -1, two_k)
+    inv_t = pow(two_k, -1, o)
+
+    def recombine(a: int, b: int) -> int:
+        return (a * o * inv_o + b * two_k * inv_t) % m
+
+    return bits, recombine
 
 
 def _fuse_mixed(m: int, two_k: int, o: int, n_clock: int,
@@ -204,19 +223,12 @@ def _fuse_mixed(m: int, two_k: int, o: int, n_clock: int,
     cell i + l*d + j."""
     ell = two_k.bit_length() - 1
     n_data = (virtual.domain.n - n_clock) // (ell + (o > 1))
-    bits = (None,) * n_clock + tuple(
-        (n_clock + j, ell - 1 - p) for j in range(n_data) for p in range(ell))
+    bits, recombine = _residues(m, two_k, o, n_clock, n_data)
+    bits = (None,) * n_clock + bits
     split = len(bits)
-    inv_o = pow(o, -1, two_k)
-    inv_t = pow(two_k, -1, o)
-
-    def recombine(a: int, b: int) -> int:
-        # the residue mod m that is a mod 2^l and b mod o; neither argument
-        # needs reducing first
-        return (a * o * inv_o + b * two_k * inv_t) % m
 
     def view(tape) -> _MixedTape:
-        return _MixedTape(tape, n_clock, split, bits, o, recombine)
+        return _MixedTape(tape, n_clock, split, bits, n_clock, o, recombine)
 
     start = Tape((0,) * (n_clock + n_data))
     start_view = view(start)
@@ -229,6 +241,32 @@ def _fuse_mixed(m: int, two_k: int, o: int, n_clock: int,
                    claimed_reads=virtual.claimed_reads,
                    claimed_writes=virtual.claimed_writes,
                    recipe=recipe or virtual.recipe)
+
+
+@dataclass(frozen=True)
+class _ResidueStep:
+    """One whole step of a counter that lives on residues of radix-m data
+    cells, as a step of a pointer-driven list: run (its next_tape, or
+    prev_tape once inverted) on one _MixedTape. With bits it sees the bits
+    of the residues mod 2^l; with no bits, the residues mod o of cells
+    odd_cell onward."""
+
+    run: Callable
+    undo: Callable
+    bits: tuple
+    odd_cell: int
+    o: int
+    recombine: Callable
+
+    def apply_tape(self, tape) -> None:
+        self.run(_MixedTape(tape, 0, len(self.bits), self.bits, self.odd_cell,
+                            self.o, self.recombine))
+
+    def shifted(self, d: int, inverse: bool = False) -> "_ResidueStep":
+        """This step, or its inverse, on data cells d higher."""
+        run, undo = (self.undo, self.run) if inverse else (self.run, self.undo)
+        return _ResidueStep(run, undo, tuple([(c + d, s) for c, s in self.bits]),
+                            self.odd_cell + d, self.o, self.recombine)
 
 
 def stitch_radix(k: int, counter: Counter) -> Counter:
@@ -253,15 +291,19 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
 
 
 def general_counter(m: int, n: int) -> Counter:
-    """Counter over Z_m^n for even m that writes at most 3 cells per step.
+    """Counter over Z_m^n for even m = 2^l * o, o odd, that writes at most
+    3 cells per step.
 
     The data cells carry two independent counters at once: the bits of
-    their residues mod 2^l run a pointer-driven linear counter and their
-    odd residues run the odd-radix counter. A Gray clock on the leading
-    cells multiplexes the two, and the clock width is chosen to make the
-    data cycle lengths co-prime, so the whole thing is one cycle. Scan order
-    is deterministic: every clock width at the minimal pointer first, then
-    extra pointer padding.
+    their residues mod 2^l run a pointer-driven linear counter and, when
+    o > 1, their residues mod o run the odd-radix counter. A Gray pointer on
+    the leading cells drives the two as a two-step list: pointer rank 0
+    runs one whole binary step and rank 1 one whole odd step, each through
+    a residue view of the data cells, and every other rank only moves the
+    pointer. That is the crt product of the two parts with a Gray clock.
+    The clock width is chosen to make the data cycle lengths co-prime, so
+    the whole thing is one cycle. Scan order is deterministic: every clock
+    width at the minimal pointer first, then extra pointer padding.
 
     Inner widths whose 2^n_in - 1 is past the factoring limit cannot get a
     primitive polynomial, so they are skipped: on wide words the pointer
@@ -308,23 +350,31 @@ def general_counter(m: int, n: int) -> Counter:
     chosen = next((c for c in candidates() if math.gcd(2 ** c[2] - 1, o) == 1),
                   None)
     if chosen is None:
+        odd_need = f"the odd part needs {d_min} data cells and " if o > 1 else ""
         raise ValueError(
-            f"width {n} too small for radix {m}: the odd part needs "
-            f"{d_min} data cells and the binary part needs at least 3 bits")
+            f"width {n} too small for radix {m}: {odd_need}"
+            f"the binary part needs at least 3 bits")
 
     i, d, n_in, r = chosen
-    parts = [gray_counter(m, i), linear_counter(f2, n_in, r)]
-    if o > 1:
-        parts.append(odd_counter(o, d))
-    lengths = {"clock": m ** i, "binary": parts[1].claimed_length,
+    bits, recombine = _residues(m, 1 << ell, o, 0, d)
+    parts = [linear_counter(f2, n_in, r)] + ([odd_counter(o, d)] if o > 1 else [])
+    steps = [_ResidueStep(p.next_tape, p.prev_tape, b, 0, o, recombine)
+             for p, b in zip(parts, (bits, ()))]
+    start = Tape((0,) * d)
+    start_view = _MixedTape(start, 0, len(bits), bits, 0, o, recombine)
+    for v, x in enumerate([x for p in parts for x in p.start]):
+        start_view.write(v, x)
+    lengths = {"clock": m ** i, "binary": parts[0].claimed_length,
                "odd": o ** d if o > 1 else 1}
     recipe = {"kind": "general", "m": m, "n": n, "clock": i,
               "binary": {"bits": ell * d, "inner": n_in, "pointer": r},
               "odd": ({"radix": o, "width": d} if o > 1 else None),
               "lengths": lengths}
-    fused = _fuse_mixed(m, 1 << ell, o, i, crt_compose(parts), recipe=recipe)
-    # the r pointer bits fill the first ceil(r / l) data cells and a row
-    # operation touches at most two more
-    fused.claimed_reads = i + max([-(-r // ell) + 2]
-                                  + [p.claimed_reads for p in parts[2:]])
-    return fused
+    # the part lengths are co-prime, so the two-step list closes after their
+    # product. The r pointer bits fill the first ceil(r / l) data cells and a
+    # row operation touches at most two more
+    return cycle_compose(
+        StepList(steps, Domain.uniform(m, d), math.prod(p.claimed_length for p in parts)),
+        BaseGrayCode(m, i), start.word(),
+        claimed_reads=i + max([-(-r // ell) + 2] + [p.claimed_reads for p in parts[1:]]),
+        claimed_writes=1 + max(p.claimed_writes for p in parts), recipe=recipe)

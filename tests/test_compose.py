@@ -6,7 +6,7 @@ import pytest
 from quasigray.compose import (StepList, _fuse_mixed, crt_compose,
                                cycle_compose, general_counter,
                                multiplicative_order, stitch_radix)
-from quasigray.core import Domain, measure_counter
+from quasigray.core import Domain, StepStats, measure_counter
 from quasigray.graycode import BaseGrayCode, gray_counter, gray_rank, gray_unrank
 from quasigray.linear import (Field, companion_counter, companion_matrix,
                               decompose_elementary, find_primitive,
@@ -406,3 +406,105 @@ def test_general_counter_skips_inner_widths_past_factoring_limit():
         assert c.prev(nxt)[0] == w and c.next(prv)[0] == w
         for s in (st, sp):
             assert s.reads <= c.claimed_reads and s.writes <= c.claimed_writes
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (4, 2)])
+def test_general_counter_power_of_two_error_names_no_odd_part(m, n):
+    with pytest.raises(ValueError) as err:
+        general_counter(m, n)
+    msg = str(err.value)
+    assert msg == (f"width {n} too small for radix {m}: "
+                   "the binary part needs at least 3 bits")
+
+
+def test_general_counter_error_names_odd_part_width():
+    with pytest.raises(ValueError, match="the odd part needs 11 data cells and "
+                                         "the binary part needs at least 3 bits"):
+        general_counter(6, 11)
+
+
+# (m, n) -> (start, claimed_length, claimed_reads, claimed_writes, recipe),
+# the values of the crt_compose build these counters replaced
+GENERAL_CLAIMS = {
+    (4, 8): ((0,) * 7 + (1,), 65408, 6, 3, {
+        "kind": "general", "m": 4, "n": 8, "clock": 1,
+        "binary": {"bits": 14, "inner": 9, "pointer": 5}, "odd": None,
+        "lengths": {"clock": 4, "binary": 16352, "odd": 1}}),
+    (6, 12): ((0,) * 11 + (3,), 2108757888, 9, 3, {
+        "kind": "general", "m": 6, "n": 12, "clock": 1,
+        "binary": {"bits": 11, "inner": 5, "pointer": 6},
+        "odd": {"radix": 3, "width": 11},
+        "lengths": {"clock": 6, "binary": 1984, "odd": 177147}}),
+    (10, 14): ((0,) * 13 + (5,), 99218750000000, 9, 3, {
+        "kind": "general", "m": 10, "n": 14, "clock": 2,
+        "binary": {"bits": 12, "inner": 7, "pointer": 5},
+        "odd": {"radix": 5, "width": 12},
+        "lengths": {"clock": 100, "binary": 4064, "odd": 244140625}}),
+    (8, 18): ((0,) * 17 + (1,), 18014398509479936, 6, 3, {
+        "kind": "general", "m": 8, "n": 18, "clock": 1,
+        "binary": {"bits": 51, "inner": 43, "pointer": 8}, "odd": None,
+        "lengths": {"clock": 8, "binary": 2251799813684992, "odd": 1}}),
+}
+
+
+@pytest.mark.parametrize("mn", list(GENERAL_CLAIMS), ids=str)
+def test_general_counter_claims_pinned(mn):
+    c = general_counter(*mn)
+    assert (c.start, c.claimed_length, c.claimed_reads, c.claimed_writes,
+            c.recipe) == GENERAL_CLAIMS[mn]
+
+
+@pytest.mark.parametrize("m,n", [(4, 8), (6, 12), (10, 14)])
+def test_general_counter_is_crt_product_of_its_parts(m, n):
+    # the Gray pointer over the two residue steps steps exactly like the
+    # crt product of a Gray clock, the binary part and the odd part, seen
+    # through the split of each data cell into bits mod 2^l and a residue
+    # mod o; ranks that trigger no part only move the pointer
+    c = general_counter(m, n)
+    r = c.recipe
+    i, b, odd = r["clock"], r["binary"], r["odd"]
+    d = n - i
+    ell = b["bits"] // d
+    o = odd["radix"] if odd else 1
+    parts = [gray_counter(m, i), linear_counter(Field(2), b["inner"], b["pointer"])]
+    if odd:
+        parts.append(odd_counter(o, d))
+    virtual = crt_compose(parts)
+    shifts = range(ell - 1, -1, -1)
+
+    def split(w):
+        data = w[i:]
+        return (w[:i] + tuple(x >> s & 1 for x in data for s in shifts)
+                + (tuple(x % o for x in data) if odd else ()))
+
+    def join(v):
+        bits, res = v[i:i + ell * d], v[i + ell * d:]
+        return v[:i] + tuple(
+            next(x for x in range(m)
+                 if x % 2 ** ell == sum(bits[ell * j + p] << s
+                                        for p, s in enumerate(shifts))
+                 and (not odd or x % o == res[j]))
+            for j in range(d))
+
+    assert split(c.start) == virtual.start
+    n_steps = len(parts) - 1
+    size = m ** i
+    rng = random.Random(f"general {m},{n}")
+    quiet = loud = 0
+    for _ in range(1500):
+        w = tuple(rng.randrange(m) for _ in range(n))
+        assert join(split(w)) == w
+        nxt, st = c.next(w)
+        assert nxt == join(virtual.next(split(w))[0])
+        prv, sp = c.prev(w)
+        assert prv == join(virtual.prev(split(w))[0])
+        assert c.prev(nxt)[0] == w
+        rank = gray_rank(w[:i], m, i)
+        for s, j in ((st, rank), (sp, (rank - 1) % size)):
+            assert s.reads <= c.claimed_reads and s.writes <= c.claimed_writes
+            if j >= n_steps:
+                assert s == StepStats(i, 1)
+                quiet += 1
+            else:
+                loud += 1
+    assert quiet and loud

@@ -1,16 +1,18 @@
-"""Pointer-driven steps on the caller's tape: shifted primitives, the
-one-pass Gray scan, whole-domain agreement with the materialized trees,
-and the word-length check at the Counter boundary."""
+"""Pointer-driven steps on the caller's tape: shifted primitives and residue
+steps, the one-pass Gray scan, whole-domain agreement with the materialized
+trees, and the word-length check at the Counter boundary."""
 
 import itertools
+import math
 
 import pytest
 
-from quasigray.compose import crt_compose, general_counter
-from quasigray.core import (StepStats, Tape, dat_count_nodes, dat_eval,
+from quasigray.compose import (StepList, _residues, _ResidueStep, crt_compose,
+                               cycle_compose, general_counter)
+from quasigray.core import (Domain, StepStats, Tape, dat_count_nodes, dat_eval,
                             dat_read_complexity, dat_write_complexity,
                             materialize)
-from quasigray.graycode import gray_counter, gray_scan, gray_scan_read
+from quasigray.graycode import BaseGrayCode, gray_counter, gray_scan, gray_scan_read
 from quasigray.linear import AddRow, Field, Scale, companion_counter, linear_counter
 from quasigray.permdecomp import RFunction, odd_counter
 
@@ -137,3 +139,65 @@ def test_step_stats_is_a_light_value():
     assert st == StepStats(3, 2) and st != StepStats(2, 3)
     assert hash(st) == hash(StepStats(3, 2))
     assert not hasattr(st, "__dict__")
+
+
+def _residue_step(part, bits, o, recombine):
+    return _ResidueStep(part.next_tape, part.prev_tape, bits, 0, o, recombine)
+
+
+def _residue_steps(m):
+    # (data cells, l, o, [(part, step)]) for m = 2^l * o: residue steps over
+    # 3 (m = 6) or 2 (m = 4) radix-m data cells, a linear counter on the
+    # bits of their residues mod 2^l and, for m = 6, a Gray counter on
+    # their residues mod 3
+    if m == 6:
+        bits, recombine = _residues(6, 2, 3, 0, 3)
+        binary = linear_counter(Field(2), 2, 1)
+        odd = gray_counter(3, 3)
+        return 3, 1, 3, [(binary, _residue_step(binary, bits, 3, recombine)),
+                         (odd, _residue_step(odd, (), 3, recombine))]
+    bits, recombine = _residues(4, 4, 1, 0, 2)
+    binary = linear_counter(Field(2), 2, 2)
+    return 2, 2, 1, [(binary, _residue_step(binary, bits, 1, recombine))]
+
+
+@pytest.mark.parametrize("m", [6, 4])
+def test_residue_step_shifted_matches_unshifted(m):
+    n_data, ell, o, steps = _residue_steps(m)
+    shifts = range(ell - 1, -1, -1)
+
+    def bits_of(w):
+        return tuple(x >> s & 1 for x in w for s in shifts)
+
+    def odd_of(w):
+        return tuple(x % o for x in w)
+
+    for part, step in steps:
+        seen, other = (bits_of, odd_of) if step.bits else (odd_of, bits_of)
+        for w in itertools.product(range(m), repeat=n_data):
+            want, stats = _run(step, w)
+            # the part's whole next step on the residues the step shows it;
+            # the other residue of every cell stays
+            assert seen(want) == part.next(seen(w))[0]
+            assert other(want) == other(w)
+            for d in (1, 2):
+                moved = step.shifted(d)
+                back = step.shifted(d, inverse=True)
+                for prefix in itertools.product(range(m), repeat=d):
+                    got, got_stats = _run(moved, prefix + w)
+                    assert got == prefix + want and got_stats == stats
+                    assert _run(back, got)[0] == prefix + w
+
+
+@pytest.mark.parametrize("m", [6, 4])
+def test_residue_steps_under_cycle_compose_agree_with_trees(m):
+    n_data, _, _, steps = _residue_steps(m)
+    ell = math.lcm(*(part.claimed_length for part, _ in steps))
+    c = cycle_compose(StepList([s for _, s in steps], Domain.uniform(m, n_data), ell),
+                      BaseGrayCode(m, 1), (0,) * n_data)
+    tn = materialize(c.next_tape, c.domain)
+    tp = materialize(c.prev_tape, c.domain)
+    for w in c.domain.words():
+        nxt = c.next(w)
+        assert nxt == dat_eval(tn, w) and c.prev(w) == dat_eval(tp, w)
+        assert c.prev(nxt[0])[0] == w
