@@ -10,6 +10,7 @@ executed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,6 +44,12 @@ class Domain:
     @property
     def size(self) -> int:
         return math.prod(self.radices)
+
+    @functools.cached_property
+    def separator(self) -> str:
+        """Digit separator of the text form: none when every radix fits in
+        one decimal digit, else a comma."""
+        return "" if all(r <= 10 for r in self.radices) else ","
 
     def validate(self, word) -> None:
         if len(word) != self.n:
@@ -444,7 +451,7 @@ def word_parse(text: str, domain: Domain) -> tuple[int, ...]:
         tokens = [t.strip() for t in text.split(",")]
     elif domain.n == 1:
         tokens = [text]
-    elif all(r <= 10 for r in domain.radices):
+    elif not domain.separator:
         tokens = list(text)
     else:
         raise ValueError("radices above 10 need comma-separated digits")
@@ -459,6 +466,4 @@ def word_parse(text: str, domain: Domain) -> tuple[int, ...]:
 
 
 def word_format(word, domain: Domain) -> str:
-    if all(r <= 10 for r in domain.radices):
-        return "".join(str(d) for d in word)
-    return ",".join(str(d) for d in word)
+    return domain.separator.join(map(str, word))

@@ -4,6 +4,10 @@ A primitive polynomial's companion matrix cycles through every nonzero
 vector of F_q^n. Factoring the matrix into single-row operations and driving
 those with a Gray-code pointer gives a counter of length q^(n+r) - q^r that
 reads r+2 and writes 2 cells per step.
+
+The primitivity test has two paths. Over F_2 a polynomial is a Python int,
+bit i holding the coefficient of z^i, and residues are squared and shifted
+as ints; every other field uses coefficient lists and Field arithmetic.
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ def _pollard_rho(n: int) -> int:
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors, smallest first. Trial division handles the
     small part; Miller-Rabin plus Pollard rho split whatever is left."""
+    if n < 1:
+        raise ValueError(f"can only factor positive integers, got {n}")
     if n > _FACTOR_LIMIT:
         raise BoundExceeded(f"refusing to factor {n} > 2^48")
     out = []
@@ -256,11 +262,55 @@ def _residue_pow(field: Field, base: list[int], e: int, p) -> list[int]:
     return acc
 
 
+def _f2_is_primitive(bits: int, n: int, factors: list[int]) -> bool:
+    """Whether z generates the multiplicative group modulo the degree-n
+    polynomial p over F_2 packed in `bits`, given p(0) = 1 and the distinct
+    prime factors of 2^n - 1.
+
+    z^(2^n) = z (n squarings) stands in for z^(2^n - 1) = 1, since z is
+    invertible mod p; z^e for each maximal divisor e is square-and-multiply
+    from the top bit of e, where multiplying by z is a shift.
+    """
+
+    def reduce(x: int) -> int:
+        while (d := x.bit_length() - 1) >= n:
+            x ^= bits << (d - n)
+        return x
+
+    def square(x: int) -> int:
+        # reading x's binary digits in base 4 spreads bit i to bit 2i
+        return reduce(int(format(x, "b"), 4))
+
+    z = reduce(2)
+    x = z
+    for _ in range(n):
+        x = square(x)
+    if x != z:
+        return False
+    order = (1 << n) - 1
+    for rho in factors:
+        acc = 1
+        for digit in format(order // rho, "b"):
+            acc = square(acc)
+            if digit == "1":
+                acc = reduce(acc << 1)
+        if acc == 1:
+            return False
+    return True
+
+
+def _check_factorable(q: int, n: int) -> None:
+    if q ** n - 1 > _FACTOR_LIMIT:
+        raise BoundExceeded(
+            f"q^n - 1 = {q ** n - 1} exceeds the factoring limit 2^48")
+
+
 def is_primitive(p: Poly, field: Field | None = None) -> bool:
     """Whether z generates the full multiplicative group modulo p.
 
-    That forces p irreducible, so this single test suffices. Refuses
-    q^deg - 1 beyond the factoring limit.
+    That forces p irreducible, so this single test suffices. Over F_2 it
+    runs on the packed int form of p (`_f2_is_primitive`), elsewhere on
+    coefficient lists. Refuses q^deg - 1 beyond the factoring limit.
     """
     field = field or p.field
     if field != p.field:
@@ -270,12 +320,13 @@ def is_primitive(p: Poly, field: Field | None = None) -> bool:
         raise ValueError("degree must be at least 1")
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    size = field.q ** n
-    if size - 1 > _FACTOR_LIMIT:
-        raise BoundExceeded(f"q^n - 1 = {size - 1} exceeds the factoring limit 2^48")
+    _check_factorable(field.q, n)
     if p.coeffs[0] == 0:
         return False  # divisible by z, so z is not invertible mod p
-    order = size - 1
+    order = field.q ** n - 1
+    if field.q == 2:
+        bits = sum(c << j for j, c in enumerate(p.coeffs))
+        return _f2_is_primitive(bits, n, prime_factors(order))
     one = [1] + [0] * (n - 1)
     if n == 1:
         z = [field.neg(p.coeffs[0])]
@@ -291,17 +342,29 @@ def is_primitive(p: Poly, field: Field | None = None) -> bool:
 
 def find_primitive(field: Field, n: int) -> Poly:
     """First primitive monic polynomial of degree n, ordered by comparing
-    coefficient tuples from the leading coefficient down."""
+    coefficient tuples from the leading coefficient down.
+
+    Over F_2 the scan runs on packed ints (1 << n) | i in ascending i and
+    factors 2^n - 1 once; it skips p(0) = 0 and, for n >= 2, polynomials
+    with an even number of terms, which z + 1 divides.
+    """
     if n < 1:
         raise ValueError("degree must be at least 1")
     q = field.q
-    if q ** n - 1 > _FACTOR_LIMIT:
-        raise BoundExceeded(f"q^n - 1 exceeds the factoring limit 2^48")
-    for i in range(q ** n):
-        coeffs = tuple((i // q ** j) % q for j in range(n)) + (1,)
-        p = Poly(field, coeffs)
-        if is_primitive(p, field):
-            return p
+    _check_factorable(q, n)
+    if q == 2:
+        factors = prime_factors(2 ** n - 1)
+        for i in range(1, 2 ** n, 2):
+            if n > 1 and i.bit_count() % 2:
+                continue
+            if _f2_is_primitive(1 << n | i, n, factors):
+                return Poly(field, tuple(i >> j & 1 for j in range(n)) + (1,))
+    else:
+        for i in range(q ** n):
+            coeffs = tuple((i // q ** j) % q for j in range(n)) + (1,)
+            p = Poly(field, coeffs)
+            if is_primitive(p, field):
+                return p
     raise RuntimeError("no primitive polynomial found")  # cannot happen
 
 

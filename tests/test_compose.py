@@ -398,9 +398,18 @@ def test_general_counter_skips_inner_widths_past_factoring_limit():
     c = general_counter(8, 18)
     assert c.recipe["binary"] == {"bits": 51, "inner": 43, "pointer": 8}
     assert c.claimed_reads == 6
-    rng = random.Random(818)
-    for _ in range(2000):
-        w = tuple(rng.randrange(8) for _ in range(18))
+    _check_random_round_trips(c, random.Random(818))
+
+
+def test_general_counter_4_26_round_trips():
+    # 50 data bits over a 42-bit inner vector and an 8-cell pointer
+    _check_random_round_trips(general_counter(4, 26), random.Random(426))
+
+
+def _check_random_round_trips(c, rng, count=2000):
+    m, n = c.domain.radices[0], c.domain.n
+    for _ in range(count):
+        w = tuple(rng.randrange(m) for _ in range(n))
         nxt, st = c.next(w)
         prv, sp = c.prev(w)
         assert c.prev(nxt)[0] == w and c.next(prv)[0] == w
@@ -444,6 +453,12 @@ GENERAL_CLAIMS = {
         "kind": "general", "m": 8, "n": 18, "clock": 1,
         "binary": {"bits": 51, "inner": 43, "pointer": 8}, "odd": None,
         "lengths": {"clock": 8, "binary": 2251799813684992, "odd": 1}}),
+    # built with the coefficient-list primitive search, before it was
+    # fast enough for tier-1
+    (4, 26): ((0,) * 25 + (1,), 4503599627369472, 7, 3, {
+        "kind": "general", "m": 4, "n": 26, "clock": 1,
+        "binary": {"bits": 50, "inner": 42, "pointer": 8}, "odd": None,
+        "lengths": {"clock": 4, "binary": 1125899906842368, "odd": 1}}),
 }
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasigray.core import BoundExceeded, Tape, measure_counter
 from quasigray.linear import (AddRow, Field, Poly, Scale, _F2_MODULI,
+                              _f2_is_primitive, _residue_pow,
                               companion_counter, companion_matrix,
                               decompose_elementary, find_primitive,
                               is_primitive, linear_counter, mat_identity,
@@ -28,6 +29,12 @@ def test_prime_factors_beyond_trial_division():
 def test_prime_factors_refuses_huge():
     with pytest.raises(BoundExceeded):
         prime_factors(2 ** 48 + 1)
+
+
+@pytest.mark.parametrize("n", [0, -6])
+def test_prime_factors_rejects_nonpositive(n):
+    with pytest.raises(ValueError, match="positive"):
+        prime_factors(n)
 
 
 @given(st.integers(2, 10 ** 6))
@@ -153,6 +160,68 @@ def test_find_primitive_is_first_in_scan_order():
     for i in range(i_found):
         coeffs = tuple((i // 2 ** j) % 2 for j in range(4)) + (1,)
         assert not is_primitive(Poly(f, coeffs))
+
+
+def _generic_f2_is_primitive(p: Poly) -> bool:
+    """The coefficient-list route: z^(2^n - 1) = 1 and no maximal divisor
+    of the order sends z to 1."""
+    f, n = p.field, p.degree
+    order = 2 ** n - 1
+    one = [1] + [0] * (n - 1)
+    z = [f.neg(p.coeffs[0])] if n == 1 else [0, 1] + [0] * (n - 2)
+    return (_residue_pow(f, z, order, p.coeffs) == one
+            and all(_residue_pow(f, z, order // rho, p.coeffs) != one
+                    for rho in prime_factors(order)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_packed_f2_test_agrees_with_coefficient_lists(n):
+    f = Field(2)
+    factors = prime_factors(2 ** n - 1)
+    hits = 0
+    for i in range(2 ** n):
+        p = Poly(f, tuple(i >> j & 1 for j in range(n)) + (1,))
+        expected = _generic_f2_is_primitive(p)
+        assert is_primitive(p) == expected, str(p)
+        if i & 1:  # the packed predicate takes p(0) = 1 as given
+            assert _f2_is_primitive(1 << n | i, n, factors) == expected, str(p)
+        hits += expected
+    assert hits > 0
+
+
+# the first primitive polynomial over F_2 of each degree 1..24, as found by
+# the coefficient-list scan
+F2_PRIMITIVE = [
+    "z + 1", "z^2 + z + 1", "z^3 + z + 1", "z^4 + z + 1", "z^5 + z^2 + 1",
+    "z^6 + z + 1", "z^7 + z + 1", "z^8 + z^4 + z^3 + z^2 + 1",
+    "z^9 + z^4 + 1", "z^10 + z^3 + 1", "z^11 + z^2 + 1",
+    "z^12 + z^6 + z^4 + z + 1", "z^13 + z^4 + z^3 + z + 1",
+    "z^14 + z^5 + z^3 + z + 1", "z^15 + z + 1", "z^16 + z^5 + z^3 + z^2 + 1",
+    "z^17 + z^3 + 1", "z^18 + z^5 + z^2 + z + 1", "z^19 + z^5 + z^2 + z + 1",
+    "z^20 + z^3 + 1", "z^21 + z^2 + 1", "z^22 + z + 1", "z^23 + z^5 + 1",
+    "z^24 + z^4 + z^3 + z + 1",
+]
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_find_primitive_f2_pinned(n):
+    p = find_primitive(Field(2), n)
+    assert str(p) == F2_PRIMITIVE[n - 1]
+    assert is_primitive(p)
+
+
+def test_find_primitive_f2_at_factoring_limit():
+    assert (str(find_primitive(Field(2), 48))
+            == "z^48 + z^7 + z^5 + z^4 + z^2 + z + 1")
+
+
+@pytest.mark.parametrize("q,n", [(2, 49), (4, 25), (3, 31)])
+def test_primitive_search_refuses_past_factoring_limit(q, n):
+    f = Field(q)
+    with pytest.raises(BoundExceeded, match="factoring limit"):
+        find_primitive(f, n)
+    with pytest.raises(BoundExceeded, match="factoring limit"):
+        is_primitive(Poly(f, (1,) * (n + 1)))
 
 
 def test_companion_matrix_frozen():
