@@ -14,6 +14,10 @@ from .graycode import (BaseGrayCode, gray_rank, gray_scan_read,  # noqa: F401
                        gray_unrank)
 
 
+# most pointer words a cycle_compose table stores
+_TABLE_BOUND = 1 << 12
+
+
 @dataclass
 class StepList:
     """Bijective steps sigma_1..sigma_k over one domain. ell is the length
@@ -36,10 +40,15 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
     cycle through <pointer start, start_inner> has length m^r * ell.
 
     A step reads the r pointer cells once each, top down from cell r-1 to
-    cell 0. gray_scan_read gives from them both the rank, which picks the
-    step, and the one pointer digit the Gray step moves, which is the
-    pointer's single write. The steps and their inverses are shifted by r
-    once, here, so they run at absolute coordinates on the caller's tape.
+    cell 0, with one read_cells call, and looks the pointer word up in a
+    table filled on first use. An entry holds the step to apply, the one
+    pointer digit the Gray step moves and its new value (the pointer's
+    single write), both for next and for prev; gray_scan_read computes it
+    on a miss. The table keeps at most _TABLE_BOUND entries: past that,
+    entries are computed on every step and not stored, so memory stays
+    bounded however wide the pointer. The steps are shifted by r once,
+    here, so they run at absolute coordinates on the caller's tape; an
+    inverse is shifted the first time an entry or a prev step needs it.
     """
     k = len(steps.steps)
     m, r = pointer.m, pointer.r
@@ -48,21 +57,42 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
         raise ValueError(f"pointer cycle {k_prime} shorter than step list {k}")
     steps.domain.validate(start_inner)
     fwd = [s.shifted(r) for s in steps.steps]
-    inv = [s.shifted(r, inverse=True) for s in steps.steps]
+    inv = [None] * k
     cells = range(r - 1, -1, -1)
+    table = {}
+
+    def inverse(j):
+        s = inv[j]
+        if s is None:
+            s = inv[j] = steps.steps[j].shifted(r, inverse=True)
+        return s
+
+    def entry(key, for_prev=True):
+        # key holds cells r-1 .. 0, so cell j is key[r - 1 - j]
+        j, up, g_up, down, g_down = gray_scan_read(key[::-1].__getitem__, cells, m)
+        jp = (j - 1) % k_prime
+        store = len(table) < _TABLE_BOUND
+        # an entry that is not stored builds an inverse only for prev, so
+        # a long next walk does not shift every inverse in the list
+        e = (fwd[j] if j < k else None, up, (g_up + 1) % m, down, (g_down - 1) % m,
+             inverse(jp) if jp < k and (store or for_prev) else None)
+        if store:
+            table[key] = e
+        return e
 
     def next_fn(tape) -> None:
-        j, up, g, _, _ = gray_scan_read(tape.read, cells, m)
-        if j < k:
-            fwd[j].apply_tape(tape)
-        tape.write(up, (g + 1) % m)
+        key = tape.read_cells(cells)
+        step, up, g, _, _, _ = table.get(key) or entry(key, False)
+        if step is not None:
+            step.apply_tape(tape)
+        tape.write(up, g)
 
     def prev_fn(tape) -> None:
-        j, _, _, down, g = gray_scan_read(tape.read, cells, m)
-        tape.write(down, (g - 1) % m)
-        j = (j - 1) % k_prime
-        if j < k:
-            inv[j].apply_tape(tape)
+        key = tape.read_cells(cells)
+        _, _, _, down, g, step = table.get(key) or entry(key)
+        tape.write(down, g)
+        if step is not None:
+            step.apply_tape(tape)
 
     domain = Domain((m,) * r + steps.domain.radices)
     start = gray_unrank(0, m, r) + tuple(start_inner)
@@ -116,14 +146,14 @@ def crt_compose(components: list[Counter], *, recipe=None) -> Counter:
     clock_cells = range(n1)
 
     def next_fn(tape) -> None:
-        idx = trigger.get(tuple([tape.read(j) for j in clock_cells]))
+        idx = trigger.get(tape.read_cells(clock_cells))
         if idx is not None:
             components[idx].next_tape(OffsetTape(tape, offsets[idx]))
         clock.next_tape(tape)
 
     def prev_fn(tape) -> None:
         clock.prev_tape(tape)
-        idx = trigger.get(tuple([tape.read(j) for j in clock_cells]))
+        idx = trigger.get(tape.read_cells(clock_cells))
         if idx is not None:
             components[idx].prev_tape(OffsetTape(tape, offsets[idx]))
 
@@ -183,6 +213,9 @@ class _MixedTape:
             cell, shift = self.bits[v]
             return self.base.read(cell) >> shift & 1
         return self.base.read(v + self.odd_shift) % self.o
+
+    def read_cells(self, cells) -> tuple:
+        return tuple(map(self.read, cells))
 
     def write(self, v: int, val: int) -> None:
         if v < self.n_clock:

@@ -86,12 +86,18 @@ class StepStats(NamedTuple):
     writes: int
 
 
+_new_tuple = tuple.__new__  # StepStats without the NamedTuple __new__ call
+
+
 class Tape:
     """One step's view of a word.
 
     Reading a coordinate counts once no matter how often it is re-read, and
     reading back a value the step itself wrote is free. Every executed
     assignment counts as a write, including rewrites of the same value.
+
+    Every tape class offers read_cells(cells), the tuple of read(i) for i in
+    cells, read in that order.
     """
 
     __slots__ = ("cells", "reads", "written", "writes")
@@ -107,6 +113,14 @@ class Tape:
             self.reads.add(i)
         return self.cells[i]
 
+    def read_cells(self, cells) -> tuple:
+        if self.writes:
+            return tuple(map(self.read, cells))
+        # nothing written yet, so every cell counts as read
+        self.reads.update(cells)
+        c = self.cells
+        return tuple([c[i] for i in cells])
+
     def write(self, i: int, v: int) -> None:
         self.cells[i] = v
         self.written.add(i)
@@ -116,7 +130,7 @@ class Tape:
         return tuple(self.cells)
 
     def stats(self) -> StepStats:
-        return StepStats(len(self.reads), self.writes)
+        return _new_tuple(StepStats, (len(self.reads), self.writes))
 
 
 def apply_word(step, word) -> tuple[int, ...]:
@@ -138,6 +152,9 @@ class OffsetTape:
 
     def read(self, i: int) -> int:
         return self.base.read(i + self.offset)
+
+    def read_cells(self, cells) -> tuple:
+        return tuple(map(self.read, cells))
 
     def write(self, i: int, v: int) -> None:
         self.base.write(i + self.offset, v)
@@ -205,7 +222,7 @@ def dat_eval(tree, word) -> tuple[tuple[int, ...], StepStats]:
     for coord, value in node.assignments:
         cells[coord] = value
         writes += 1
-    return tuple(cells), StepStats(reads, writes)
+    return tuple(cells), _new_tuple(StepStats, (reads, writes))
 
 
 def dat_read_complexity(tree) -> int:
@@ -295,6 +312,9 @@ class _ProbeTape:
             return self.known[i]
         raise _BranchOn(i)
 
+    def read_cells(self, cells) -> tuple:
+        return tuple(map(self.read, cells))
+
     def write(self, i: int, v: int) -> None:
         self.written[i] = v
         self.assigns.append((i, v))
@@ -366,14 +386,14 @@ class Counter:
             raise ValueError(f"expected {self._n} digits, got {len(word)}")
         tape = Tape(word)
         self.next_tape(tape)
-        return tape.word(), tape.stats()
+        return tuple(tape.cells), _new_tuple(StepStats, (len(tape.reads), tape.writes))
 
     def prev(self, word) -> tuple[tuple[int, ...], StepStats]:
         if len(word) != self._n:
             raise ValueError(f"expected {self._n} digits, got {len(word)}")
         tape = Tape(word)
         self.prev_tape(tape)
-        return tape.word(), tape.stats()
+        return tuple(tape.cells), _new_tuple(StepStats, (len(tape.reads), tape.writes))
 
     def __repr__(self) -> str:
         kind = (self.recipe or {}).get("kind", "?")

@@ -1,19 +1,26 @@
 """Pointer-driven steps on the caller's tape: shifted primitives and residue
-steps, the one-pass Gray scan, whole-domain agreement with the materialized
-trees, and the word-length check at the Counter boundary."""
+steps, the one-pass Gray scan, bulk reads on every tape class, the pointer
+table and its bound, whole-domain agreement with the materialized trees,
+and the word-length check at the Counter boundary."""
 
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 
-from quasigray.compose import (StepList, _residues, _ResidueStep, crt_compose,
-                               cycle_compose, general_counter)
-from quasigray.core import (Domain, StepStats, Tape, dat_count_nodes, dat_eval,
+from quasigray.compose import (_TABLE_BOUND, StepList, _MixedTape, _residues,
+                               _ResidueStep, crt_compose, cycle_compose,
+                               general_counter)
+from quasigray.core import (Domain, OffsetTape, StepStats, Tape, _BranchOn,
+                            _ProbeTape, apply_word, dat_count_nodes, dat_eval,
                             dat_read_complexity, dat_write_complexity,
                             materialize)
-from quasigray.graycode import BaseGrayCode, gray_counter, gray_scan, gray_scan_read
-from quasigray.linear import AddRow, Field, Scale, companion_counter, linear_counter
+from quasigray.graycode import (BaseGrayCode, gray_counter, gray_rank, gray_scan,
+                                gray_scan_read, gray_unrank)
+from quasigray.linear import (AddRow, Field, Scale, _companion_ops, companion_counter,
+                              linear_counter)
 from quasigray.permdecomp import RFunction, odd_counter
 
 
@@ -201,3 +208,128 @@ def test_residue_steps_under_cycle_compose_agree_with_trees(m):
         nxt = c.next(w)
         assert nxt == dat_eval(tn, w) and c.prev(w) == dat_eval(tp, w)
         assert c.prev(nxt[0])[0] == w
+
+
+WORD = (4, 1, 5, 0, 3, 2)
+CELL_ORDERS = [(), (3,), (5, 4, 3, 2, 1, 0), (2, 0, 2, 4), range(5, 0, -2)]
+
+
+def _mixed(tape):
+    # radix-6 cells 0..2 seen as 3 bits (residues mod 2), then 3 residues mod 3
+    bits, recombine = _residues(6, 2, 3, 0, 3)
+    return _MixedTape(tape, 0, len(bits), bits, 0, 3, recombine)
+
+
+@pytest.mark.parametrize("cells", CELL_ORDERS, ids=repr)
+@pytest.mark.parametrize("written", [None, 2], ids=["fresh", "after-write"])
+@pytest.mark.parametrize("view", ["tape", "offset", "mixed"])
+def test_read_cells_matches_per_cell_reads(view, written, cells):
+    def make():
+        base = Tape(WORD)
+        if written is not None:
+            base.write(written, 1)  # reading it back afterwards is free
+        if view == "offset":
+            return base, OffsetTape(base, 1)
+        return base, (_mixed(base) if view == "mixed" else base)
+
+    if view == "offset":
+        cells = [c for c in cells if c < 5]
+    base, tape = make()
+    ref_base, ref = make()
+    got = tape.read_cells(cells)
+    assert type(got) is tuple
+    assert got == tuple(ref.read(c) for c in cells)
+    assert base.reads == ref_base.reads and base.written == ref_base.written
+    assert base.writes == ref_base.writes == (written is not None)
+    assert base.word() == ref_base.word()
+
+
+def test_read_cells_on_probe_tape_raises_at_first_unknown_cell():
+    probe = _ProbeTape({0: 2, 3: 1})
+    probe.write(5, 4)
+    assert probe.read_cells((5, 3, 0, 3)) == (4, 1, 2, 1)
+    for cells, first in [((3, 1, 2), 1), ((2, 1), 2), ((0, 5, 4, 1), 4)]:
+        with pytest.raises(_BranchOn) as exc:
+            probe.read_cells(cells)
+        assert exc.value.coord == first
+    assert probe.assigns == [(5, 4)]
+
+
+def test_steps_past_the_pointer_table_bound():
+    # 2^14 pointer words against a table of 2^12: 5,000 distinct pointer
+    # ranks, every rank that runs a step or its inverse among them
+    q, n, r = 2, 4, 14
+    c = linear_counter(Field(q), n, r)
+    ops = _companion_ops(q, n)[1]
+    k, size = len(ops), q ** r
+    rng = random.Random(9)
+    ranks = list(range(k + 1)) + rng.sample(range(k + 1, size), 5000 - k - 1)
+    rng.shuffle(ranks)
+    for rank in ranks:
+        data = tuple(rng.randrange(q) for _ in range(n))
+        w = gray_unrank(rank, q, r) + data
+        nxt, st_n = c.next(w)
+        assert gray_rank(nxt[:r], q, r) == (rank + 1) % size
+        assert nxt[r:] == (apply_word(ops[rank], data) if rank < k else data)
+        prv, st_p = c.prev(w)
+        back = (rank - 1) % size
+        assert gray_rank(prv[:r], q, r) == back
+        assert prv[r:] == (apply_word(ops[back].inverse(), data) if back < k else data)
+        assert c.prev(nxt)[0] == w and c.next(prv)[0] == w
+        for st in (st_n, st_p):
+            assert st.reads <= c.claimed_reads and st.writes <= c.claimed_writes
+
+
+def test_inverses_are_shifted_once_and_only_when_needed():
+    shifted_inverses = []
+
+    class Idle:
+        def __init__(self, idx):
+            self.idx = idx
+
+        def apply_tape(self, tape):
+            pass
+
+        def shifted(self, d, inverse=False):
+            if inverse:
+                shifted_inverses.append(self.idx)
+            return self
+
+    k, r = 6000, 13
+    c = cycle_compose(StepList([Idle(i) for i in range(k)], Domain((2,)), 1),
+                      BaseGrayCode(2, r), (0,))
+    assert shifted_inverses == []
+    w = c.start
+    for _ in range(2 ** r):
+        w, _ = c.next(w)
+    assert w == c.start
+    # a next walk shifts inverses only for the entries the table stores
+    assert 0 < len(shifted_inverses) <= _TABLE_BOUND < k
+    for _ in range(2 ** r):
+        w, _ = c.prev(w)
+    assert sorted(shifted_inverses) == list(range(k))
+
+
+def test_pointer_table_memory_stays_bounded():
+    # 100k distinct pointer words; storing an entry for each would take ~30 MB
+    c = linear_counter(Field(2), 4, r=20)
+    w = c.start
+    tracemalloc.start()
+    try:
+        for _ in range(100_000):
+            w, _ = c.next(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_step_results_are_step_stats():
+    c = linear_counter(Field(2), 3)
+    tape = Tape(c.start)
+    c.next_tape(tape)
+    tree = materialize(c.next_tape, c.domain)
+    for st in (c.next(c.start)[1], c.prev(c.start)[1], tape.stats(),
+               dat_eval(tree, c.start)[1]):
+        assert type(st) is StepStats
+        assert st == StepStats(st.reads, st.writes)
