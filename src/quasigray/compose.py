@@ -14,7 +14,7 @@ from .graycode import (BaseGrayCode, gray_rank, gray_scan_read,  # noqa: F401
                        gray_unrank)
 
 
-# most pointer words a cycle_compose table stores
+# widest pointer, in words, that cycle_compose steps through a table
 _TABLE_BOUND = 1 << 12
 
 
@@ -40,15 +40,14 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
     cycle through <pointer start, start_inner> has length m^r * ell.
 
     A step reads the r pointer cells once each, top down from cell r-1 to
-    cell 0, with one read_cells call, and looks the pointer word up in a
-    table filled on first use. An entry holds the step to apply, the one
-    pointer digit the Gray step moves and its new value (the pointer's
-    single write), both for next and for prev; gray_scan_read computes it
-    on a miss. The table keeps at most _TABLE_BOUND entries: past that,
-    entries are computed on every step and not stored, so memory stays
-    bounded however wide the pointer. The steps are shifted by r once,
-    here, so they run at absolute coordinates on the caller's tape; an
-    inverse is shifted the first time an entry or a prev step needs it.
+    cell 0. gray_scan_read gives from them both the rank, which picks the
+    step, and the one pointer digit the Gray step moves, which is the
+    pointer's single write. A pointer of at most _TABLE_BOUND words is read
+    with one read_cells call, in the same order, and its word is looked up
+    in a table filled on first use, so gray_scan_read runs once per word; a
+    wider pointer builds no table and scans on every step. The steps are
+    shifted by r once, here, so they run at absolute coordinates on the
+    caller's tape; an inverse is shifted the first time prev needs it.
     """
     k = len(steps.steps)
     m, r = pointer.m, pointer.r
@@ -59,40 +58,52 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
     fwd = [s.shifted(r) for s in steps.steps]
     inv = [None] * k
     cells = range(r - 1, -1, -1)
-    table = {}
 
     def inverse(j):
-        s = inv[j]
-        if s is None:
-            s = inv[j] = steps.steps[j].shifted(r, inverse=True)
+        s = inv[j] = steps.steps[j].shifted(r, inverse=True)
         return s
 
-    def entry(key, for_prev=True):
-        # key holds cells r-1 .. 0, so cell j is key[r - 1 - j]
-        j, up, g_up, down, g_down = gray_scan_read(key[::-1].__getitem__, cells, m)
-        jp = (j - 1) % k_prime
-        store = len(table) < _TABLE_BOUND
-        # an entry that is not stored builds an inverse only for prev, so
-        # a long next walk does not shift every inverse in the list
-        e = (fwd[j] if j < k else None, up, (g_up + 1) % m, down, (g_down - 1) % m,
-             inverse(jp) if jp < k and (store or for_prev) else None)
-        if store:
-            table[key] = e
-        return e
+    if m ** r > _TABLE_BOUND:
+        def next_fn(tape) -> None:
+            j, up, g, _, _ = gray_scan_read(tape.read, cells, m)
+            if j < k:
+                fwd[j].apply_tape(tape)
+            tape.write(up, (g + 1) % m)
 
-    def next_fn(tape) -> None:
-        key = tape.read_cells(cells)
-        step, up, g, _, _, _ = table.get(key) or entry(key, False)
-        if step is not None:
-            step.apply_tape(tape)
-        tape.write(up, g)
+        def prev_fn(tape) -> None:
+            j, _, _, down, g = gray_scan_read(tape.read, cells, m)
+            tape.write(down, (g - 1) % m)
+            j = (j - 1) % k_prime
+            if j < k:
+                s = inv[j]
+                (inverse(j) if s is None else s).apply_tape(tape)
+    else:
+        # pointer word -> (next step or None, up cell, new up digit,
+        #                  down cell, new down digit, prev step index or -1)
+        table = {}
 
-    def prev_fn(tape) -> None:
-        key = tape.read_cells(cells)
-        _, _, _, down, g, step = table.get(key) or entry(key)
-        tape.write(down, g)
-        if step is not None:
-            step.apply_tape(tape)
+        def entry(key):
+            # key holds cells r-1 .. 0, so cell j is key[r - 1 - j]
+            j, up, g_up, down, g_down = gray_scan_read(key[::-1].__getitem__, cells, m)
+            jp = (j - 1) % k_prime
+            e = table[key] = (fwd[j] if j < k else None, up, (g_up + 1) % m,
+                              down, (g_down - 1) % m, jp if jp < k else -1)
+            return e
+
+        def next_fn(tape) -> None:
+            key = tape.read_cells(cells)
+            step, up, g, _, _, _ = table.get(key) or entry(key)
+            if step is not None:
+                step.apply_tape(tape)
+            tape.write(up, g)
+
+        def prev_fn(tape) -> None:
+            key = tape.read_cells(cells)
+            _, _, _, down, g, j = table.get(key) or entry(key)
+            tape.write(down, g)
+            if j >= 0:
+                s = inv[j]
+                (inverse(j) if s is None else s).apply_tape(tape)
 
     domain = Domain((m,) * r + steps.domain.radices)
     start = gray_unrank(0, m, r) + tuple(start_inner)

@@ -13,11 +13,12 @@ m-1 (or 0) the rank wraps and the top digit r-1 moves instead.
 
 gray_scan_read finds both digits in the same pass that computes the rank.
 It reads each pointer cell once, top down, from cell r-1 to cell 0, through
-a callable: tape.read in gray_counter, list indexing in gray_scan and in
-cycle_compose. cycle_compose reads the pointer word first, in the same
-order, with one tape.read_cells call, and runs gray_scan_read on that word
-only when its pointer table misses, not on every step. That read order is
-the query order of every materialized pointer-driven counter tree.
+a callable: tape.read in gray_counter and in cycle_compose over a wide
+pointer, list indexing in gray_scan. Over a pointer of at most
+compose._TABLE_BOUND words, cycle_compose reads the pointer word first, in
+the same order, with one tape.read_cells call, and runs gray_scan_read on
+that word only the first time it sees it, not on every step. That read
+order is the query order of every materialized pointer-driven counter tree.
 """
 
 from __future__ import annotations

@@ -6,13 +6,12 @@ and the word-length check at the Counter boundary."""
 import itertools
 import math
 import random
-import tracemalloc
 
 import pytest
 
-from quasigray.compose import (_TABLE_BOUND, StepList, _MixedTape, _residues,
-                               _ResidueStep, crt_compose, cycle_compose,
-                               general_counter)
+from quasigray import compose
+from quasigray.compose import (StepList, _MixedTape, _residues, _ResidueStep,
+                               crt_compose, cycle_compose, general_counter)
 from quasigray.core import (Domain, OffsetTape, StepStats, Tape, _BranchOn,
                             _ProbeTape, apply_word, dat_count_nodes, dat_eval,
                             dat_read_complexity, dat_write_complexity,
@@ -255,15 +254,17 @@ def test_read_cells_on_probe_tape_raises_at_first_unknown_cell():
     assert probe.assigns == [(5, 4)]
 
 
-def test_steps_past_the_pointer_table_bound():
-    # 2^14 pointer words against a table of 2^12: 5,000 distinct pointer
-    # ranks, every rank that runs a step or its inverse among them
-    q, n, r = 2, 4, 14
+@pytest.mark.parametrize("r", [12, 14], ids=["table", "past-bound"])
+def test_steps_either_side_of_the_pointer_table_bound(r):
+    # 2^12 pointer words fill the table exactly; 2^14 are past its bound.
+    # Up to 5,000 distinct pointer ranks, every rank that runs a step or its
+    # inverse among them
+    q, n = 2, 4
     c = linear_counter(Field(q), n, r)
     ops = _companion_ops(q, n)[1]
     k, size = len(ops), q ** r
     rng = random.Random(9)
-    ranks = list(range(k + 1)) + rng.sample(range(k + 1, size), 5000 - k - 1)
+    ranks = list(range(k + 1)) + rng.sample(range(k + 1, size), min(size, 5000) - k - 1)
     rng.shuffle(ranks)
     for rank in ranks:
         data = tuple(rng.randrange(q) for _ in range(n))
@@ -280,48 +281,56 @@ def test_steps_past_the_pointer_table_bound():
             assert st.reads <= c.claimed_reads and st.writes <= c.claimed_writes
 
 
-def test_inverses_are_shifted_once_and_only_when_needed():
+class _Idle:
+    """A step that changes nothing and logs the inverses shifted from it."""
+
+    def __init__(self, idx, log):
+        self.idx, self.log = idx, log
+
+    def apply_tape(self, tape):
+        pass
+
+    def shifted(self, d, inverse=False):
+        if inverse:
+            self.log.append(self.idx)
+        return self
+
+
+@pytest.mark.parametrize("r", [12, 13], ids=["table", "past-bound"])
+def test_inverses_are_shifted_once_and_only_for_prev(r):
     shifted_inverses = []
-
-    class Idle:
-        def __init__(self, idx):
-            self.idx = idx
-
-        def apply_tape(self, tape):
-            pass
-
-        def shifted(self, d, inverse=False):
-            if inverse:
-                shifted_inverses.append(self.idx)
-            return self
-
-    k, r = 6000, 13
-    c = cycle_compose(StepList([Idle(i) for i in range(k)], Domain((2,)), 1),
-                      BaseGrayCode(2, r), (0,))
-    assert shifted_inverses == []
+    k = 2 ** r - 100
+    c = cycle_compose(StepList([_Idle(i, shifted_inverses) for i in range(k)],
+                               Domain((2,)), 1), BaseGrayCode(2, r), (0,))
     w = c.start
     for _ in range(2 ** r):
         w, _ = c.next(w)
-    assert w == c.start
-    # a next walk shifts inverses only for the entries the table stores
-    assert 0 < len(shifted_inverses) <= _TABLE_BOUND < k
-    for _ in range(2 ** r):
+    assert w == c.start and shifted_inverses == []
+    for _ in range(2 * 2 ** r):
         w, _ = c.prev(w)
     assert sorted(shifted_inverses) == list(range(k))
 
 
-def test_pointer_table_memory_stays_bounded():
-    # 100k distinct pointer words; storing an entry for each would take ~30 MB
-    c = linear_counter(Field(2), 4, r=20)
+@pytest.mark.parametrize("r,scans_per_word", [(6, 1), (7, 2)], ids=["table", "past-bound"])
+def test_only_pointers_within_the_bound_build_a_table(monkeypatch, r, scans_per_word):
+    # with the bound lowered to 64 words, a 2^6-word pointer scans each word
+    # once, on its first step; a 2^7-word pointer scans on every step
+    scans = []
+
+    def counting_scan(read, cells, m):
+        scans.append(1)
+        return gray_scan_read(read, cells, m)
+
+    monkeypatch.setattr(compose, "_TABLE_BOUND", 64)
+    monkeypatch.setattr(compose, "gray_scan_read", counting_scan)
+    c = cycle_compose(StepList([_Idle(i, []) for i in range(50)], Domain((2,)), 1),
+                      BaseGrayCode(2, r), (0,))
     w = c.start
-    tracemalloc.start()
-    try:
-        for _ in range(100_000):
-            w, _ = c.next(w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+    for _ in range(2 ** r):
+        w, _ = c.next(w)
+    for _ in range(2 ** r):
+        w, _ = c.prev(w)
+    assert w == c.start and len(scans) == scans_per_word * 2 ** r
 
 
 def test_step_results_are_step_stats():
