@@ -80,13 +80,28 @@ class Domain:
 
 
 class StepStats(NamedTuple):
-    """One step's cost: distinct cells read and assignments executed."""
+    """One step's cost: distinct cells read and assignments executed.
+
+    Steps of equal cost return one shared instance, made on first use;
+    compare costs with ==.
+    """
 
     reads: int
     writes: int
 
 
-_new_tuple = tuple.__new__  # StepStats without the NamedTuple __new__ call
+class _Costs(dict):
+    """(reads, writes) -> the StepStats every step of that cost returns,
+    made on first use. A step then allocates no cost: the cyclic collector
+    never untracks a tuple subclass, so every cost a caller kept would add
+    to its work."""
+
+    def __missing__(self, key: tuple[int, int]) -> StepStats:
+        st = self[key] = tuple.__new__(StepStats, key)
+        return st
+
+
+_STATS = _Costs()
 
 
 class Tape:
@@ -130,7 +145,7 @@ class Tape:
         return tuple(self.cells)
 
     def stats(self) -> StepStats:
-        return _new_tuple(StepStats, (len(self.reads), self.writes))
+        return _STATS[len(self.reads), self.writes]
 
 
 def apply_word(step, word) -> tuple[int, ...]:
@@ -222,7 +237,7 @@ def dat_eval(tree, word) -> tuple[tuple[int, ...], StepStats]:
     for coord, value in node.assignments:
         cells[coord] = value
         writes += 1
-    return tuple(cells), _new_tuple(StepStats, (reads, writes))
+    return tuple(cells), _STATS[reads, writes]
 
 
 def dat_read_complexity(tree) -> int:
@@ -386,14 +401,14 @@ class Counter:
             raise ValueError(f"expected {self._n} digits, got {len(word)}")
         tape = Tape(word)
         self.next_tape(tape)
-        return tuple(tape.cells), _new_tuple(StepStats, (len(tape.reads), tape.writes))
+        return tuple(tape.cells), _STATS[len(tape.reads), tape.writes]
 
     def prev(self, word) -> tuple[tuple[int, ...], StepStats]:
         if len(word) != self._n:
             raise ValueError(f"expected {self._n} digits, got {len(word)}")
         tape = Tape(word)
         self.prev_tape(tape)
-        return tuple(tape.cells), _new_tuple(StepStats, (len(tape.reads), tape.writes))
+        return tuple(tape.cells), _STATS[len(tape.reads), tape.writes]
 
     def __repr__(self) -> str:
         kind = (self.recipe or {}).get("kind", "?")

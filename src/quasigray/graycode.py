@@ -11,14 +11,20 @@ in the Gray word only digit j moves, by +1. Subtracting 1 decrements the
 lowest b_j that is not 0, so only that digit moves, by -1. When every b_j is
 m-1 (or 0) the rank wraps and the top digit r-1 moves instead.
 
+gray_counter reads its whole word, top down from cell r-1 to cell 0, with
+one tape.read_cells call, then finds the digit to move from the bottom up
+(_gray_move): b_0 is the digit sum mod m, and b_{j+1} is b_j less digit
+j, mod m. The walk stops at the first b_j that is not m-1 (or 0), after
+about 1 + 1/(m-1) cells on average. gray_next and gray_prev share it.
+
 gray_scan_read finds both digits in the same pass that computes the rank.
-It reads each pointer cell once, top down, from cell r-1 to cell 0, through
-a callable: tape.read in gray_counter and in cycle_compose over a wide
-pointer, list indexing in gray_scan. Over a pointer of at most
-compose._TABLE_BOUND words, cycle_compose reads the pointer word first, in
-the same order, with one tape.read_cells call, and runs gray_scan_read on
-that word only the first time it sees it, not on every step. That read
-order is the query order of every materialized pointer-driven counter tree.
+It reads each pointer cell once, top down, through a callable: tape.read
+in cycle_compose over a wide pointer, list indexing in gray_scan. Over a
+pointer of at most compose._TABLE_BOUND words, cycle_compose reads the
+pointer word first, in the same order, with one tape.read_cells call, and
+runs gray_scan_read on that word only the first time it sees it, not on
+every step. That top-down read order is the query order of every
+materialized base and pointer-driven counter tree.
 """
 
 from __future__ import annotations
@@ -86,16 +92,31 @@ def gray_scan(ptr, m: int) -> tuple[int, int, int]:
     return rank, up, down
 
 
+def _gray_move(digits, m: int, stop: int) -> int:
+    """Index in digits, a Gray word listed top cell first, of the digit a
+    step moves: the lowest cell j whose b_j is not stop, else the top cell.
+
+    stop is m - 1 for a +1 rank step and 0 for a -1 step. b_0 is the digit
+    sum mod m and b_{j+1} is b_j less digit j, mod m, so each cell the walk
+    passes costs one subtraction.
+    """
+    s = sum(digits)
+    i = len(digits) - 1  # cell 0
+    while i and s % m == stop:
+        s -= digits[i]
+        i -= 1
+    return i
+
+
 def _gray_step(word, m: int, r: int, delta: int) -> tuple[int, ...]:
     if m < 2 or r < 1:
         raise ValueError("need m >= 2 and r >= 1")
     if len(word) != r:
         raise ValueError(f"expected {r} digits, got {len(word)}")
-    w = [x % m for x in word]  # digits count mod m, as in gray_rank
-    _, up, down = gray_scan(w, m)
-    j = up if delta > 0 else down
-    w[j] = (w[j] + delta) % m
-    return tuple(w)
+    w = [x % m for x in reversed(word)]  # digits count mod m, as in gray_rank
+    i = _gray_move(w, m, m - 1 if delta > 0 else 0)
+    w[i] = (w[i] + delta) % m
+    return tuple(reversed(w))
 
 
 def gray_next(word, m: int, r: int) -> tuple[int, ...]:
@@ -135,17 +156,24 @@ class BaseGrayCode:
 
 
 def gray_counter(m: int, r: int) -> Counter:
-    """Instrumented counter for the full Gray cycle on Z_m^r."""
+    """Instrumented counter for the full Gray cycle on Z_m^r.
+
+    A step reads all r cells with one read_cells call, top down from cell
+    r-1 to cell 0, and writes the one digit _gray_move picks.
+    """
     code = BaseGrayCode(m, r)
     cells = range(r - 1, -1, -1)
+    top = m - 1
 
     def next_fn(tape) -> None:
-        _, up, g, _, _ = gray_scan_read(tape.read, cells, m)
-        tape.write(up, (g + 1) % m)
+        w = tape.read_cells(cells)
+        i = _gray_move(w, m, top)
+        tape.write(r - 1 - i, (w[i] + 1) % m)
 
     def prev_fn(tape) -> None:
-        _, _, _, down, g = gray_scan_read(tape.read, cells, m)
-        tape.write(down, (g - 1) % m)
+        w = tape.read_cells(cells)
+        i = _gray_move(w, m, 0)
+        tape.write(r - 1 - i, (w[i] - 1) % m)
 
     return Counter(Domain.uniform(m, r), next_fn, prev_fn,
                    code.length, gray_unrank(0, m, r),

@@ -228,3 +228,23 @@ def test_word_format_parse_roundtrip(data):
     d = Domain(radices)
     word = tuple(data.draw(st.integers(0, r - 1)) for r in radices)
     assert word_parse(word_format(word, d), d) == word
+
+
+def test_equal_costs_are_one_shared_value():
+    c = gray_counter(3, 2)
+    tree = materialize(c.next_tape, c.domain)
+    tape = Tape(c.start)
+    c.prev_tape(tape)
+    costs = [c.next(c.start)[1], c.prev(c.start)[1], tape.stats(),
+             dat_eval(tree, c.start)[1], c.next((2, 2))[1]]
+    assert all(type(st) is StepStats for st in costs)
+    assert costs[0] == StepStats(2, 1)
+    assert all(st is costs[0] for st in costs)
+
+
+def test_large_cost_is_exact():
+    c = gray_counter(2, 70)
+    w, st = c.next(c.start)
+    assert st == StepStats(70, 1) and type(st) is StepStats
+    assert c.prev(w) == (c.start, StepStats(70, 1))
+    assert c.prev(w)[1] is st

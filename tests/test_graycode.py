@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from quasigray.core import Domain, materialize, measure_counter
+from quasigray.core import Domain, StepStats, Tape, materialize, measure_counter
 from quasigray.core import dat_read_complexity, dat_write_complexity
 from quasigray.graycode import (BaseGrayCode, gray_counter, gray_next,
                                 gray_prev, gray_rank, gray_scan, gray_unrank)
@@ -128,3 +128,39 @@ def test_gray_next_prev_length_error():
         gray_prev((0,), 3, 2)
     with pytest.raises(ValueError):
         BaseGrayCode(3, 2).next((0, 0, 0))
+
+
+class _RecordingTape(Tape):
+    """Tape that logs every cell read, in order, bulk reads included."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, word):
+        super().__init__(word)
+        self.order = []
+
+    def read(self, i):
+        self.order.append(i)
+        return super().read(i)
+
+    def read_cells(self, cells):
+        return tuple(map(self.read, cells))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("r", range(1, 6))
+def test_bottom_up_step_exhaustive(m, r):
+    c = gray_counter(m, r)
+    size = m ** r
+    cost = StepStats(r, 1)
+    top_down = list(range(r - 1, -1, -1))
+    for w in Domain.uniform(m, r).words():
+        nxt, prv = gray_next(w, m, r), gray_prev(w, m, r)
+        assert c.next(w) == (nxt, cost) and c.prev(w) == (prv, cost)
+        rank = gray_rank(w, m, r)
+        assert gray_rank(nxt, m, r) == (rank + 1) % size
+        assert gray_rank(prv, m, r) == (rank - 1) % size
+        for step, want in ((c.next_tape, nxt), (c.prev_tape, prv)):
+            tape = _RecordingTape(w)
+            step(tape)
+            assert tape.order == top_down and tape.word() == want

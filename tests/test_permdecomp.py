@@ -217,6 +217,10 @@ def test_plan_size_growth(m):
 def test_min_width_frozen():
     assert min_width(3) == 11
     assert min_width(5) == 10
+    # the widths the README lists for the odd counter
+    want = {7: 10, **{m: 9 for m in range(9, 50, 2)},
+            **{m: 8 for m in range(51, 102, 2)}}
+    assert {m: min_width(m) for m in want} == want
 
 
 def test_odd_counter_full_domain():
