@@ -20,7 +20,10 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+
 DEFAULT_STEP_CAP = 2 ** 27
+# words gen formats before one write to stdout
+GEN_CHUNK = 1024
 
 
 def _step_cap(args) -> int | None:
@@ -114,9 +117,14 @@ def _cmd_gen(args) -> int:
     capped = cap is not None and limit > cap
     emit = cap if capped else limit
     step = counter.prev if args.dir == "prev" else counter.next
-    for _ in range(emit):
-        print(word_format(w, counter.domain))
-        w, _stats = step(w)
+    write = sys.stdout.write
+    for lo in range(0, emit, GEN_CHUNK):
+        lines = []
+        for _ in range(min(GEN_CHUNK, emit - lo)):
+            lines.append(word_format(w, counter.domain))
+            w, _stats = step(w)
+        lines.append("")
+        write("\n".join(lines))
     if capped:
         print(f"stopped after {emit} of {limit} words; raise QGC_MAX_STEPS "
               f"or pass --unbounded", file=sys.stderr)

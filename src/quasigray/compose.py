@@ -4,10 +4,11 @@ products, and the radix view that ties mixed constructions together."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Counter, Domain, OffsetTape, Tape
+from .core import Counter, Domain, OffsetTape, Tape, tape_step
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
 from .graycode import (BaseGrayCode, gray_rank, gray_scan_read,  # noqa: F401
@@ -23,11 +24,72 @@ class StepList:
     """Bijective steps sigma_1..sigma_k over one domain. ell is the length
     of the cycle their composition traces through the intended start word.
     Each step must offer apply_tape(tape) and shifted(d, inverse=False),
-    the step or its inverse moved d coordinates up."""
+    the step or its inverse moved d coordinates up. A step that reads and
+    writes the same cells on every word may also offer word_fn(), a
+    function that does what apply_tape does to a list of digits, in place;
+    cycle_compose's word path then runs it."""
 
     steps: list
     domain: Domain
     ell: int
+
+
+def _word_step(tape_fn, move, r: int, radices: tuple):
+    """The word path of tape_fn, a cycle_compose step over a pointer of r
+    cells: a function of a word giving what tape_step(tape_fn, word) gives.
+
+    Its table maps a pointer word, cells 0 .. r-1, to (the list form of
+    the data step or None, the pointer cell it writes, the digit written,
+    the step's cost), or to () when the data step has no word_fn and every
+    step on that pointer word runs on a Tape. An entry is filled on the
+    first word in range with that pointer word: tape_fn runs once on it on
+    a Tape, move(pointer cells r-1 .. 0) gives the data step and pointer
+    write that run made, and the cost it observed becomes the entry's. The
+    step's cost is fixed by the pointer word, since each data step reads
+    and writes fixed cells. A word with a digit out of range runs on a Tape
+    and stores nothing, so the table holds at most one entry per pointer
+    word.
+    """
+    table = {}
+
+    def fill(word, key):
+        out = tape_step(tape_fn, word)
+        if min(word) < 0 or not all(map(operator.lt, word, radices)):
+            return out
+        step, cell, g = move(key[::-1])
+        f = None
+        if step is not None:
+            word_fn = getattr(step, "word_fn", None)
+            if word_fn is None:
+                table[key] = ()
+                return out
+            f = word_fn()
+        cells = list(word)
+        if f is not None:
+            f(cells)
+        cells[cell] = g
+        if tuple(cells) != out[0]:
+            raise RuntimeError(
+                f"word form of {step!r} gives {tuple(cells)} on {tuple(word)}, "
+                f"its Tape run {out[0]}")
+        table[key] = (f, cell, g, out[1])
+        return out
+
+    def word_step(word):
+        key = tuple(word[:r])
+        e = table.get(key)
+        if e:
+            f, cell, g, cost = e
+            cells = list(word)
+            if f is not None:
+                f(cells)
+            cells[cell] = g
+            return tuple(cells), cost
+        if e is None:
+            return fill(word, key)
+        return tape_step(tape_fn, word)
+
+    return word_step
 
 
 def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
@@ -45,9 +107,20 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
     pointer's single write. A pointer of at most _TABLE_BOUND words is read
     with one read_cells call, in the same order, and its word is looked up
     in a table filled on first use, so gray_scan_read runs once per word; a
-    wider pointer builds no table and scans on every step. The steps are
-    shifted by r once, here, so they run at absolute coordinates on the
-    caller's tape; an inverse is shifted the first time prev needs it.
+    wider pointer builds no table and scans on every step. The table holds
+    pointer words only: a key with a digit out of range is decoded but not
+    stored. The steps are shifted by r once, here, so they run at absolute
+    coordinates on the caller's tape; an inverse is shifted the first time
+    prev needs it.
+
+    That is the Tape path, which audits and materialize run. Within the
+    bound, Counter.next and prev take a word path (_word_step): the word
+    is copied to a list, its pointer cells are looked up in a second table,
+    filled from one Tape run per pointer word, whose entry holds the data
+    step's word_fn closure, the pointer write and the cost that run
+    observed. A data step with no word_fn (a _ResidueStep) runs on a Tape
+    every time; the ranks that only move the pointer need none. A pointer
+    past the bound has no word path.
     """
     k = len(steps.steps)
     m, r = pointer.m, pointer.r
@@ -58,6 +131,7 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
     fwd = [s.shifted(r) for s in steps.steps]
     inv = [None] * k
     cells = range(r - 1, -1, -1)
+    radices = (m,) * r + steps.domain.radices
 
     def inverse(j):
         s = inv[j] = steps.steps[j].shifted(r, inverse=True)
@@ -86,8 +160,10 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
             # key holds cells r-1 .. 0, so cell j is key[r - 1 - j]
             j, up, g_up, down, g_down = gray_scan_read(key[::-1].__getitem__, cells, m)
             jp = (j - 1) % k_prime
-            e = table[key] = (fwd[j] if j < k else None, up, (g_up + 1) % m,
-                              down, (g_down - 1) % m, jp if jp < k else -1)
+            e = (fwd[j] if j < k else None, up, (g_up + 1) % m,
+                 down, (g_down - 1) % m, jp if jp < k else -1)
+            if 0 <= min(key) and max(key) < m:
+                table[key] = e  # a digit out of range is no pointer word
             return e
 
         def next_fn(tape) -> None:
@@ -105,9 +181,19 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
                 s = inv[j]
                 (inverse(j) if s is None else s).apply_tape(tape)
 
-    domain = Domain((m,) * r + steps.domain.radices)
+        def next_move(key):
+            step, up, g, _, _, _ = table[key]
+            return step, up, g
+
+        def prev_move(key):
+            _, _, _, down, g, j = table[key]
+            return (inv[j] if j >= 0 else None), down, g
+
+        next_fn.word_step = _word_step(next_fn, next_move, r, radices)
+        prev_fn.word_step = _word_step(prev_fn, prev_move, r, radices)
+
     start = gray_unrank(0, m, r) + tuple(start_inner)
-    return Counter(domain, next_fn, prev_fn, k_prime * steps.ell, start,
+    return Counter(Domain(radices), next_fn, prev_fn, k_prime * steps.ell, start,
                    claimed_reads=claimed_reads, claimed_writes=claimed_writes,
                    recipe=recipe)
 

@@ -5,7 +5,8 @@ functions (next and prev) over a fixed mixed-radix domain, together with the
 cycle length and the per-step read/write bounds the construction promises.
 Steps run against Tape objects so the promises can be checked empirically:
 a tape records which coordinates were read and how many assignments were
-executed.
+executed. Counter.next and prev may instead take a word path that returns
+costs observed earlier on a tape (see Counter); audits never do.
 """
 
 from __future__ import annotations
@@ -146,6 +147,14 @@ class Tape:
 
     def stats(self) -> StepStats:
         return _STATS[len(self.reads), self.writes]
+
+
+def tape_step(fn, word) -> tuple[tuple[int, ...], StepStats]:
+    """(word, cost) of one run of the tape step function fn on a fresh
+    Tape over word: the observed form of a counter step."""
+    tape = Tape(word)
+    fn(tape)
+    return tuple(tape.cells), _STATS[len(tape.reads), tape.writes]
 
 
 def apply_word(step, word) -> tuple[int, ...]:
@@ -372,10 +381,19 @@ class Counter:
     and claimed_writes bound per-step coordinate touches. None means no
     promise. Audits check all of them against observed behaviour.
 
-    next and prev raise ValueError on a word of the wrong length, but do
-    not check digit ranges per step: a digit out of range gives an
-    unspecified word. Domain.validate (or word_parse, which calls it) is
-    the boundary check for words from outside the program.
+    next and prev take one of two paths. A step function may carry a
+    word_step attribute, a function of a word that returns the same
+    (word, StepStats) as a Tape run, without one: cycle_compose and
+    gray_counter give theirs one. next and prev call it when it is there
+    (the word path) and otherwise run the step on a Tape (the Tape path,
+    tape_step). measure_counter, and so audit, and materialize always take
+    the Tape path, so what they report is observed on a Tape.
+
+    next and prev take a tuple or a list and raise ValueError on a word of
+    the wrong length, but do not check digit ranges per step: a digit out
+    of range gives an unspecified word. Domain.validate (or word_parse,
+    which calls it) is the boundary check for words from outside the
+    program.
     """
 
     def __init__(self, domain: Domain, next_fn: Callable, prev_fn: Callable,
@@ -390,6 +408,10 @@ class Counter:
         self._n = domain.n
         self.next_tape = next_fn
         self.prev_tape = prev_fn
+        self._next_word = (getattr(next_fn, "word_step", None)
+                           or functools.partial(tape_step, next_fn))
+        self._prev_word = (getattr(prev_fn, "word_step", None)
+                           or functools.partial(tape_step, prev_fn))
         self.claimed_length = claimed_length
         self.start = tuple(start)
         self.claimed_reads = claimed_reads
@@ -399,16 +421,12 @@ class Counter:
     def next(self, word) -> tuple[tuple[int, ...], StepStats]:
         if len(word) != self._n:
             raise ValueError(f"expected {self._n} digits, got {len(word)}")
-        tape = Tape(word)
-        self.next_tape(tape)
-        return tuple(tape.cells), _STATS[len(tape.reads), tape.writes]
+        return self._next_word(word)
 
     def prev(self, word) -> tuple[tuple[int, ...], StepStats]:
         if len(word) != self._n:
             raise ValueError(f"expected {self._n} digits, got {len(word)}")
-        tape = Tape(word)
-        self.prev_tape(tape)
-        return tuple(tape.cells), _STATS[len(tape.reads), tape.writes]
+        return self._prev_word(word)
 
     def __repr__(self) -> str:
         kind = (self.recipe or {}).get("kind", "?")
@@ -438,7 +456,9 @@ def measure_counter(counter: Counter, max_steps: Optional[int] = None,
                     direction: str = "next",
                     track_visited: Optional[bool] = None) -> OrbitReport:
     """Walk the counter until it returns to start, revisits a word, or runs
-    out of budget. max_steps defaults to the claimed length."""
+    out of budget. max_steps defaults to the claimed length. Every step
+    runs on a Tape (tape_step), so the costs are observed, never taken
+    from a word path."""
     if direction not in ("next", "prev"):
         raise ValueError("direction must be 'next' or 'prev'")
     domain = counter.domain
@@ -446,7 +466,7 @@ def measure_counter(counter: Counter, max_steps: Optional[int] = None,
         max_steps = counter.claimed_length
     if track_visited is None:
         track_visited = domain.size <= TRACK_LIMIT
-    step = counter.next if direction == "next" else counter.prev
+    fn = counter.next_tape if direction == "next" else counter.prev_tape
     start = counter.start
     visited = {domain.rank(start)} if track_visited else None
     w = start
@@ -455,7 +475,7 @@ def measure_counter(counter: Counter, max_steps: Optional[int] = None,
     closed = False
     steps = 0
     while steps < max_steps:
-        w, st = step(w)
+        w, st = tape_step(fn, w)
         steps += 1
         if st.reads > max_reads:
             max_reads = st.reads

@@ -16,6 +16,9 @@ one tape.read_cells call, then finds the digit to move from the bottom up
 (_gray_move): b_0 is the digit sum mod m, and b_{j+1} is b_j less digit
 j, mod m. The walk stops at the first b_j that is not m-1 (or 0), after
 about 1 + 1/(m-1) cells on average. gray_next and gray_prev share it.
+That is its Tape path, which audits and materialize run. Counter.next and
+prev take its word path instead: the same _gray_move on a plain list,
+returning the cost every step has, r reads and 1 write.
 
 gray_scan_read finds both digits in the same pass that computes the rank.
 It reads each pointer cell once, top down, through a callable: tape.read
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Counter, Domain
+from .core import _STATS, Counter, Domain
 
 
 def _base_digits(i: int, m: int, r: int) -> list[int]:
@@ -158,12 +161,15 @@ class BaseGrayCode:
 def gray_counter(m: int, r: int) -> Counter:
     """Instrumented counter for the full Gray cycle on Z_m^r.
 
-    A step reads all r cells with one read_cells call, top down from cell
-    r-1 to cell 0, and writes the one digit _gray_move picks.
+    On the Tape path a step reads all r cells with one read_cells call, top
+    down from cell r-1 to cell 0, and writes the one digit _gray_move
+    picks. The word path (Counter.next and prev) moves the same digit of a
+    plain list and returns StepStats(r, 1), the cost of every Tape step.
     """
     code = BaseGrayCode(m, r)
     cells = range(r - 1, -1, -1)
     top = m - 1
+    cost = _STATS[r, 1]
 
     def next_fn(tape) -> None:
         w = tape.read_cells(cells)
@@ -175,6 +181,20 @@ def gray_counter(m: int, r: int) -> Counter:
         i = _gray_move(w, m, 0)
         tape.write(r - 1 - i, (w[i] - 1) % m)
 
+    def next_word(word):
+        cells = list(word)
+        j = r - 1 - _gray_move(word[::-1], m, top)
+        cells[j] = (cells[j] + 1) % m
+        return tuple(cells), cost
+
+    def prev_word(word):
+        cells = list(word)
+        j = r - 1 - _gray_move(word[::-1], m, 0)
+        cells[j] = (cells[j] - 1) % m
+        return tuple(cells), cost
+
+    next_fn.word_step = next_word
+    prev_fn.word_step = prev_word
     return Counter(Domain.uniform(m, r), next_fn, prev_fn,
                    code.length, gray_unrank(0, m, r),
                    claimed_reads=r, claimed_writes=1,

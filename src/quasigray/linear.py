@@ -16,6 +16,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .compose import StepList, cycle_compose
 from .core import BoundExceeded, Counter, Domain, apply_word
@@ -158,7 +159,9 @@ class Field:
         if self.modulus is None:
             return a * b % self.q
         acc = 0
-        while b:
+        # b > 0, not b: a negative b (an out-of-range digit) would never
+        # shift down to 0
+        while b > 0:
             if b & 1:
                 acc ^= a
             b >>= 1
@@ -432,6 +435,16 @@ def mat_inverse(field: Field, a) -> list[list[int]]:
     return [row[n:] for row in work]
 
 
+def _times(field: Field, k: int) -> Callable[[int], int]:
+    """x -> field.mul(k, x) for any int x, from a table of the q products
+    when x is a field element."""
+    q, mul = field.q, field.mul
+    if field.modulus is None:
+        return lambda x: k * x % q
+    row = [mul(k, x) for x in range(q)]
+    return lambda x: row[x] if 0 <= x < q else mul(k, x)
+
+
 @dataclass(frozen=True)
 class Scale:
     """Row operation x_i <- c * x_i."""
@@ -448,6 +461,15 @@ class Scale:
         tape.write(self.i, self.field.mul(self.c, tape.read(self.i)))
 
     apply = apply_word
+
+    def word_fn(self) -> Callable[[list], None]:
+        """apply_tape on a plain list of digits, changed in place: the same
+        arithmetic on any digits, with nothing counted."""
+        i, times = self.i, _times(self.field, self.c)
+
+        def f(c: list) -> None:
+            c[i] = times(c[i])
+        return f
 
     def shifted(self, d: int, inverse: bool = False) -> "Scale":
         """This operation, or its inverse, on row i + d."""
@@ -483,6 +505,22 @@ class AddRow:
         tape.write(self.i, self.field.add(tape.read(self.i), v))
 
     apply = apply_word
+
+    def word_fn(self) -> Callable[[list], None]:
+        """apply_tape on a plain list of digits, changed in place: the same
+        arithmetic on any digits, with nothing counted."""
+        i, j, q = self.i, self.j, self.field.q
+        if self.field.modulus is None:
+            k = self.c
+
+            def f(c: list) -> None:
+                c[i] = (c[i] + k * c[j]) % q
+        else:
+            times = _times(self.field, self.c)
+
+            def f(c: list) -> None:
+                c[i] ^= times(c[j])
+        return f
 
     def shifted(self, d: int, inverse: bool = False) -> "AddRow":
         """This operation, or its inverse, on rows i + d and j + d."""

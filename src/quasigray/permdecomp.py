@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -87,6 +88,25 @@ class RFunction:
         tape.write(target, (read(target) + self.table.get(args, 0)) % self.m)
 
     apply = apply_word
+
+    def word_fn(self) -> Callable[[list], None]:
+        """apply_tape on a plain list of digits, changed in place: the same
+        arithmetic on any digits, with nothing counted."""
+        get, m, t, src = self.table.get, self.m, self.target, self.sources
+        if len(src) == 1:
+            (a,) = src
+
+            def f(c: list) -> None:
+                c[t] = (c[t] + get((c[a],), 0)) % m
+        elif len(src) == 2:
+            a, b = src
+
+            def f(c: list) -> None:
+                c[t] = (c[t] + get((c[a], c[b]), 0)) % m
+        else:
+            def f(c: list) -> None:
+                c[t] = (c[t] + get(tuple([c[s] for s in src]), 0)) % m
+        return f
 
     def shifted(self, d: int, inverse: bool = False) -> "RFunction":
         """This function, or its inverse, on coordinates d higher in a

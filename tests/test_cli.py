@@ -1,9 +1,12 @@
 import io
 import json
+import sys
 
 import pytest
 
+from quasigray import cli
 from quasigray.cli import main
+from quasigray.core import word_format, word_parse
 
 
 def run(capsys, *argv):
@@ -55,6 +58,60 @@ def test_gen_unbounded_overrides_cap(capsys, monkeypatch):
                        "--unbounded")
     assert code == 0
     assert len(out.splitlines()) == 16
+
+
+# the gen runs of the tests above, and longer, comma-separated and empty ones
+GEN_RUNS = [
+    ["gen", "--kind", "base", "--m", "3", "--n", "2", "--limit", "4"],
+    ["gen", "--kind", "base", "--m", "2", "--n", "3"],
+    ["gen", "--kind", "base", "--m", "3", "--n", "2", "--dir", "prev", "--limit", "3"],
+    ["gen", "--kind", "base", "--m", "3", "--n", "2", "--start", "21", "--limit", "2"],
+    ["gen", "--kind", "crt", "--components", "base:m=2,n=1;base:m=3,n=1",
+     "--limit", "7"],
+    ["gen", "--kind", "companion", "--q", "2", "--n", "3"],
+    ["gen", "--kind", "base", "--m", "12", "--n", "2", "--dir", "prev"],
+    ["gen", "--kind", "odd", "--m", "3", "--n", "11", "--limit", "3000"],
+    ["gen", "--kind", "base", "--m", "3", "--n", "2", "--limit", "0"],
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, cli.GEN_CHUNK])
+@pytest.mark.parametrize("argv", GEN_RUNS, ids=" ".join)
+def test_gen_writes_the_bytes_of_one_line_per_word(capsys, monkeypatch, argv, chunk):
+    monkeypatch.setattr(cli, "GEN_CHUNK", chunk)
+    code, out, err = run(capsys, *argv)
+    args = cli._build_parser().parse_args(argv)
+    counter = cli._build_counter(args)
+    w = word_parse(args.start, counter.domain) if args.start else counter.start
+    step = counter.prev if args.dir == "prev" else counter.next
+    want = []
+    for _ in range(counter.claimed_length if args.limit is None else args.limit):
+        want.append(word_format(w, counter.domain) + "\n")
+        w, _ = step(w)
+    assert code == 0 and err == "" and out == "".join(want)
+
+
+def test_gen_cap_message_follows_every_word(monkeypatch):
+    monkeypatch.setenv("QGC_MAX_STEPS", "5")
+    monkeypatch.setattr(cli, "GEN_CHUNK", 2)
+    both = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", both)
+    monkeypatch.setattr(sys, "stderr", both)
+    code = main(["gen", "--kind", "base", "--m", "2", "--n", "4"])
+    lines = both.getvalue().splitlines()
+    assert code == 3 and len(lines) == 6
+    assert lines[:5] == ["0000", "1000", "1100", "0100", "0110"]
+    assert lines[5].startswith("stopped after 5 of 16")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_gen_into_a_closed_pipe_exits_0(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["gen", "--kind", "base", "--m", "3", "--n", "4"]) == 0
 
 
 def test_step_stdin_roundtrip(capsys, monkeypatch):

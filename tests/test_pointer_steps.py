@@ -1,7 +1,8 @@
 """Pointer-driven steps on the caller's tape: shifted primitives and residue
 steps, the one-pass Gray scan, bulk reads on every tape class, the pointer
 table and its bound, whole-domain agreement with the materialized trees,
-and the word-length check at the Counter boundary."""
+the word path against the Tape path, and the input contract at the Counter
+boundary."""
 
 import itertools
 import math
@@ -15,12 +16,13 @@ from quasigray.compose import (StepList, _MixedTape, _residues, _ResidueStep,
 from quasigray.core import (Domain, OffsetTape, StepStats, Tape, _BranchOn,
                             _ProbeTape, apply_word, dat_count_nodes, dat_eval,
                             dat_read_complexity, dat_write_complexity,
-                            materialize)
+                            materialize, measure_counter, tape_step)
 from quasigray.graycode import (BaseGrayCode, gray_counter, gray_rank, gray_scan,
                                 gray_scan_read, gray_unrank)
 from quasigray.linear import (AddRow, Field, Scale, _companion_ops, companion_counter,
                               linear_counter)
 from quasigray.permdecomp import RFunction, odd_counter
+from quasigray.verify import audit
 
 
 def _rfunctions(m):
@@ -342,3 +344,186 @@ def test_step_results_are_step_stats():
                dat_eval(tree, c.start)[1]):
         assert type(st) is StepStats
         assert st == StepStats(st.reads, st.writes)
+
+
+def _closed_over(fn, name):
+    """The variable name that the closure fn holds."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def _tables(c):
+    """The Tape path's pointer table and the word path's two tables."""
+    return (_closed_over(c.next_tape, "table"), _closed_over(c._next_word, "table"),
+            _closed_over(c._prev_word, "table"))
+
+
+def _has_word_path(c):
+    return (getattr(c.next_tape, "word_step", None) is not None
+            and getattr(c.prev_tape, "word_step", None) is not None)
+
+
+def _pointer_words(c):
+    """m^r for the Gray pointer (or clock) on the first r cells of c."""
+    rec = c.recipe
+    r = rec.get("clock") or rec.get("pointer") or rec.get("r")
+    return c.domain.radices[0] ** r
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001
+        return type(e)
+
+
+@pytest.mark.parametrize("m,prim", PRIMITIVES, ids=repr)
+def test_word_fn_matches_apply_tape(m, prim):
+    # every word of digits -1 .. m+1, in range and out of it, for the
+    # primitive over 3 cells and its inverse moved one cell up
+    for p, n in ((prim, 3), (prim.shifted(1, inverse=True), 4)):
+        f = p.word_fn()
+        for w in itertools.product(range(-1, m + 2), repeat=n):
+            cells = list(w)
+            f(cells)
+            assert tuple(cells) == apply_word(p, w)
+
+
+@pytest.mark.parametrize("label", list(WHOLE_DOMAIN))
+def test_word_path_matches_tape_path_on_every_word(label):
+    c = WHOLE_DOMAIN[label][0]()
+    for w in c.domain.words():
+        for step, fn in ((c.next, c.next_tape), (c.prev, c.prev_tape)):
+            word, cost = step(w)
+            want, want_cost = tape_step(fn, w)
+            assert word == want and cost is want_cost
+    if label == "crt(84)":
+        assert not _has_word_path(c)
+        return
+    assert _has_word_path(c)
+    if label.startswith("base"):
+        return
+    # one entry per pointer word. Only the general counter's residue step
+    # (rank 0; its odd part is 1) has no word form and runs on a Tape: its
+    # other ranks only move the pointer and take the word path
+    for table in _tables(c)[1:]:
+        assert len(table) == _pointer_words(c)
+        tape_only = [e for e in table.values() if not e]
+        pointer_only = [e for e in table.values() if e and e[0] is None]
+        if label.startswith("general"):
+            assert len(tape_only) == 1 and len(pointer_only) == len(table) - 1
+        else:
+            assert not tape_only
+
+
+class _Liar:
+    """A step whose word form adds 1 where its tape form adds 2."""
+
+    def __init__(self, d=0):
+        self.d = d
+
+    def apply_tape(self, tape):
+        tape.write(self.d, (tape.read(self.d) + 2) % 5)
+
+    def shifted(self, d, inverse=False):
+        return _Liar(self.d + d)
+
+    def word_fn(self):
+        d = self.d
+
+        def f(cells):
+            cells[d] = (cells[d] + 1) % 5
+        return f
+
+
+def test_word_form_that_disagrees_with_its_tape_run_raises():
+    c = cycle_compose(StepList([_Liar()], Domain((5,)), 5), BaseGrayCode(2, 1), (0,))
+    with pytest.raises(RuntimeError, match="word form"):
+        c.next(c.start)
+
+
+@pytest.mark.parametrize("kind", ["past-bound", "no-word-form"])
+def test_steps_without_a_word_path_match_the_tape_path(kind):
+    rng = random.Random(11)
+    if kind == "past-bound":
+        c = linear_counter(Field(2), 4, 14)
+        assert not _has_word_path(c)
+        words = [tuple(rng.randrange(2) for _ in range(18)) for _ in range(3000)]
+    else:
+        c = cycle_compose(StepList([_Idle(i, []) for i in range(50)], Domain((3,)), 1),
+                          BaseGrayCode(2, 6), (0,))
+        words = list(c.domain.words())
+    for w in words:
+        for step, fn in ((c.next, c.next_tape), (c.prev, c.prev_tape)):
+            word, cost = step(w)
+            want, want_cost = tape_step(fn, w)
+            assert word == want and cost is want_cost
+    if kind == "no-word-form":
+        # the 50 ranks that run an _Idle step are Tape-only entries
+        for table in _tables(c)[1:]:
+            assert sum(1 for e in table.values() if not e) == 50
+
+
+def test_audit_observes_costs_on_a_tape():
+    c = linear_counter(Field(2), 5)
+    want = audit(linear_counter(Field(2), 5))
+    cheap = StepStats(0, 0)
+    c._next_word = lambda w: (tape_step(c.next_tape, w)[0], cheap)
+    c._prev_word = lambda w: (tape_step(c.prev_tape, w)[0], cheap)
+    assert c.next(c.start)[1] == cheap and c.prev(c.start)[1] == cheap
+    got = audit(c)
+    assert got.to_json() == want.to_json() and got.ok
+    assert (got.max_reads, got.max_writes) == (c.claimed_reads, c.claimed_writes)
+    back = measure_counter(c, direction="prev")
+    assert (back.max_reads, back.max_writes) == (got.max_reads, got.max_writes)
+
+
+def test_out_of_range_pointer_words_store_no_entry():
+    # odd(3,13) has a 6-cell pointer, 729 words. 10k words whose pointer
+    # has a digit out of range, stepped on both paths, leave each table at
+    # 729 entries or fewer
+    c = odd_counter(3, 13)
+    r = c.recipe["pointer"]
+    rng = random.Random(5)
+    for _ in range(10_000):
+        ptr = [rng.randrange(3) for _ in range(r)]
+        ptr[rng.randrange(r)] = rng.choice([-2, -1, 3, 4, 7])
+        w = tuple(ptr) + tuple(rng.randrange(3) for _ in range(13 - r))
+        for step, fn in ((c.next, c.next_tape), (c.prev, c.prev_tape)):
+            assert step(w) == tape_step(fn, w)
+    for w in itertools.islice(c.domain.words(), 0, None, 997):
+        c.next(w)
+        c.prev(w)
+    assert all(0 < len(t) <= 3 ** r for t in _tables(c))
+
+
+CONTRACT = {
+    "odd(3,11)": lambda: odd_counter(3, 11),
+    "linear(F2,5)": lambda: linear_counter(Field(2), 5),
+    "linear(F4,2)": lambda: linear_counter(Field(4), 2),
+    "base(3,4)": lambda: gray_counter(3, 4),
+    "general(4,6)": lambda: general_counter(4, 6),
+    "past-bound": lambda: linear_counter(Field(2), 4, 14),
+}
+
+
+@pytest.mark.parametrize("label", list(CONTRACT))
+def test_lists_and_out_of_range_digits_on_both_paths(label):
+    # a word with digits out of range gives the same word, or raises the
+    # same exception type, on the word path as on the Tape path, whether it
+    # comes as a list or a tuple
+    c = CONTRACT[label]()
+    radices = c.domain.radices
+    rng = random.Random(7)
+    for _ in range(2000):
+        w = [rng.randrange(b) for b in radices]
+        for _ in range(rng.randrange(1, 3)):
+            i = rng.randrange(len(w))
+            w[i] = rng.choice([-1, -3, radices[i], radices[i] + 2])
+        v = [rng.randrange(b) for b in radices]
+        for step, fn in ((c.next, c.next_tape), (c.prev, c.prev_tape)):
+            got = _outcome(step, w)
+            assert got == _outcome(tape_step, fn, w) == _outcome(step, tuple(w))
+            assert type(got[0]) is tuple and len(got[0]) == len(w)
+            assert step(v) == step(tuple(v)) == tape_step(fn, v)
+    if _has_word_path(c) and c.recipe["kind"] != "base":
+        assert all(len(t) <= _pointer_words(c) for t in _tables(c))
