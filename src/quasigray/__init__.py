@@ -10,8 +10,8 @@ from .core import (Assign, BoundExceeded, Counter, Domain, OrbitReport, Query,
                    dat_read_complexity, dat_to_json, dat_validate,
                    dat_write_complexity, materialize, measure_counter,
                    word_format, word_parse)
-from .graycode import (BaseGrayCode, gray_counter, gray_next, gray_prev,
-                       gray_rank, gray_unrank)
+from .graycode import (gray_counter, gray_next, gray_prev, gray_rank,
+                       gray_unrank)
 from .linear import (AddRow, Field, Poly, Scale, companion_counter,
                      companion_matrix, decompose_elementary, find_primitive,
                      is_primitive, linear_counter, prime_factors)

@@ -30,12 +30,15 @@ def _step_cap(args) -> int | None:
     if getattr(args, "unbounded", False):
         return None
     env = os.environ.get("QGC_MAX_STEPS")
-    if env is not None:
+    if env is None:
+        return DEFAULT_STEP_CAP
+    try:
         cap = int(env)
-        if cap < 1:
-            raise ValueError("QGC_MAX_STEPS must be positive")
-        return cap
-    return DEFAULT_STEP_CAP
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"QGC_MAX_STEPS must be a positive integer, got {env!r}")
+    return cap
 
 
 # kind -> (constructor, required settings, optional settings); the

@@ -1,5 +1,6 @@
-"""Composition engines: pointer-driven step lists, co-prime counter
-products, and the radix view that ties mixed constructions together."""
+"""Composition engines: step lists driven by a Gray pointer over Z_m^r
+(cycle_compose), co-prime counter products (crt_compose), and the residue
+view (_MixedTape) that general and stitch counters step their parts on."""
 
 from __future__ import annotations
 
@@ -11,8 +12,7 @@ from typing import Callable
 from .core import Counter, Domain, OffsetTape, Tape, tape_step
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
-from .graycode import (BaseGrayCode, gray_rank, gray_scan_read,  # noqa: F401
-                       gray_unrank)
+from .graycode import gray_rank, gray_scan_read, gray_unrank  # noqa: F401
 
 
 # widest pointer, in words, that cycle_compose steps through a table
@@ -92,9 +92,9 @@ def _word_step(tape_fn, move, r: int, radices: tuple):
     return word_step
 
 
-def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
+def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
                   claimed_reads=None, claimed_writes=None, recipe=None) -> Counter:
-    """Drive a step list with a Gray-code pointer.
+    """Drive a step list with a Gray-code pointer over Z_m^r.
 
     The pointer's rank selects which step to apply to the inner word (ranks
     past the end of the list do nothing), then the pointer advances one Gray
@@ -122,9 +122,9 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
     every time; the ranks that only move the pointer need none. A pointer
     past the bound has no word path.
     """
+    pointer_start = gray_unrank(0, m, r)  # checks m and r
     k = len(steps.steps)
-    m, r = pointer.m, pointer.r
-    k_prime = pointer.length
+    k_prime = m ** r
     if k_prime < k:
         raise ValueError(f"pointer cycle {k_prime} shorter than step list {k}")
     steps.domain.validate(start_inner)
@@ -137,7 +137,7 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
         s = inv[j] = steps.steps[j].shifted(r, inverse=True)
         return s
 
-    if m ** r > _TABLE_BOUND:
+    if k_prime > _TABLE_BOUND:
         def next_fn(tape) -> None:
             j, up, g, _, _ = gray_scan_read(tape.read, cells, m)
             if j < k:
@@ -192,7 +192,7 @@ def cycle_compose(steps: StepList, pointer: BaseGrayCode, start_inner, *,
         next_fn.word_step = _word_step(next_fn, next_move, r, radices)
         prev_fn.word_step = _word_step(prev_fn, prev_move, r, radices)
 
-    start = gray_unrank(0, m, r) + tuple(start_inner)
+    start = pointer_start + tuple(start_inner)
     return Counter(Domain(radices), next_fn, prev_fn, k_prime * steps.ell, start,
                    claimed_reads=claimed_reads, claimed_writes=claimed_writes,
                    recipe=recipe)
@@ -286,26 +286,22 @@ def multiplicative_order(o: int, base: int = 2) -> int:
 class _MixedTape:
     """Shows radix-m data cells, m = 2^l * o with o odd, through their
     residues so sub-counters can work on virtual coordinates. Layout of the
-    virtual word: n_clock clock cells, then l bits per data cell (its
-    residue mod 2^l, most significant bit first), then, when o > 1, one
-    residue mod o per data cell. bits maps each bit coordinate to its
-    (physical cell, shift), and residue coordinate split + j is physical
-    cell odd_cell + j."""
+    virtual word: l bits per data cell (its residue mod 2^l, most
+    significant bit first), then, when o > 1, one residue mod o per data
+    cell. bits maps each bit coordinate to its (physical cell, shift), and
+    residue coordinate len(bits) + j is physical cell odd_cell + j."""
 
-    __slots__ = ("base", "n_clock", "split", "bits", "odd_shift", "o", "recombine")
+    __slots__ = ("base", "split", "bits", "odd_shift", "o", "recombine")
 
-    def __init__(self, base, n_clock, split, bits, odd_cell, o, recombine):
+    def __init__(self, base, bits, odd_cell, o, recombine):
         self.base = base
-        self.n_clock = n_clock
-        self.split = split
+        self.split = len(bits)
         self.bits = bits
-        self.odd_shift = odd_cell - split
+        self.odd_shift = odd_cell - self.split
         self.o = o
         self.recombine = recombine
 
     def read(self, v: int) -> int:
-        if v < self.n_clock:
-            return self.base.read(v)
         if v < self.split:
             cell, shift = self.bits[v]
             return self.base.read(cell) >> shift & 1
@@ -315,9 +311,7 @@ class _MixedTape:
         return tuple(map(self.read, cells))
 
     def write(self, v: int, val: int) -> None:
-        if v < self.n_clock:
-            self.base.write(v, val)
-        elif v < self.split:
+        if v < self.split:
             cell, shift = self.bits[v]
             cur = self.base.read(cell)
             self.base.write(cell, self.recombine(cur & ~(1 << shift) | val << shift, cur))
@@ -327,14 +321,14 @@ class _MixedTape:
             self.base.write(cell, self.recombine(cur, val))
 
 
-def _residues(m: int, two_k: int, o: int, first: int, n_data: int):
-    """(bits, recombine) of _MixedTape for data cells first .. first +
-    n_data - 1, with m = two_k * o: the (cell, shift) of each bit of their
-    residues mod two_k, most significant first, and the function giving the
-    residue mod m that is a mod two_k and b mod o (neither argument needs
-    reducing first)."""
+def _residues(m: int, two_k: int, o: int, n_data: int):
+    """(bits, recombine) of _MixedTape for data cells 0 .. n_data - 1, with
+    m = two_k * o: the (cell, shift) of each bit of their residues mod
+    two_k, most significant first, and the function giving the residue mod
+    m that is a mod two_k and b mod o (neither argument needs reducing
+    first)."""
     ell = two_k.bit_length() - 1
-    bits = tuple((first + j, ell - 1 - p) for j in range(n_data) for p in range(ell))
+    bits = tuple((j, ell - 1 - p) for j in range(n_data) for p in range(ell))
     inv_o = pow(o, -1, two_k)
     inv_t = pow(two_k, -1, o)
 
@@ -344,42 +338,23 @@ def _residues(m: int, two_k: int, o: int, first: int, n_data: int):
     return bits, recombine
 
 
-def _fuse_mixed(m: int, two_k: int, o: int, n_clock: int,
-                virtual: Counter, recipe=None) -> Counter:
-    """Fold a counter over Z_m^i x Z_2^(l*d) [x Z_o^d] onto Z_m^(i+d), where
-    two_k = 2^l and m = 2^l * o. Data cell j is the one whose residue mod
-    2^l has the bits of virtual cells i + l*j .. i + l*j + l - 1, most
-    significant first, and (when o > 1) whose residue mod o is virtual
-    cell i + l*d + j."""
-    ell = two_k.bit_length() - 1
-    n_data = (virtual.domain.n - n_clock) // (ell + (o > 1))
-    bits, recombine = _residues(m, two_k, o, n_clock, n_data)
-    bits = (None,) * n_clock + bits
-    split = len(bits)
-
-    def view(tape) -> _MixedTape:
-        return _MixedTape(tape, n_clock, split, bits, n_clock, o, recombine)
-
-    start = Tape((0,) * (n_clock + n_data))
-    start_view = view(start)
-    for v, x in enumerate(virtual.start):
-        start_view.write(v, x)
-    return Counter(Domain.uniform(m, n_clock + n_data),
-                   lambda tape: virtual.next_tape(view(tape)),
-                   lambda tape: virtual.prev_tape(view(tape)),
-                   virtual.claimed_length, start.word(),
-                   claimed_reads=virtual.claimed_reads,
-                   claimed_writes=virtual.claimed_writes,
-                   recipe=recipe or virtual.recipe)
+def _residue_word(virtual, n_data: int, bits, o: int, recombine) -> tuple:
+    """The word of n_data data cells that a _MixedTape over them, laid out
+    by bits, o and recombine, shows as virtual."""
+    tape = Tape((0,) * n_data)
+    view = _MixedTape(tape, bits, 0, o, recombine)
+    for v, x in enumerate(virtual):
+        view.write(v, x)
+    return tape.word()
 
 
 @dataclass(frozen=True)
 class _ResidueStep:
     """One whole step of a counter that lives on residues of radix-m data
-    cells, as a step of a pointer-driven list: run (its next_tape, or
-    prev_tape once inverted) on one _MixedTape. With bits it sees the bits
-    of the residues mod 2^l; with no bits, the residues mod o of cells
-    odd_cell onward."""
+    cells: run (its next_tape, or prev_tape once inverted) on one
+    _MixedTape, as a step of general_counter's pointer-driven list or as a
+    stitch_radix step. With bits it sees the bits of the residues mod 2^l;
+    with no bits, the residues mod o of cells odd_cell onward."""
 
     run: Callable
     undo: Callable
@@ -389,8 +364,7 @@ class _ResidueStep:
     recombine: Callable
 
     def apply_tape(self, tape) -> None:
-        self.run(_MixedTape(tape, 0, len(self.bits), self.bits, self.odd_cell,
-                            self.o, self.recombine))
+        self.run(_MixedTape(tape, self.bits, self.odd_cell, self.o, self.recombine))
 
     def shifted(self, d: int, inverse: bool = False) -> "_ResidueStep":
         """This step, or its inverse, on data cells d higher."""
@@ -401,8 +375,9 @@ class _ResidueStep:
 
 def stitch_radix(k: int, counter: Counter) -> Counter:
     """View a counter over bits as one over radix-2^k cells of k bits each,
-    the first bit of a cell its most significant. This is _fuse_mixed with
-    no clock and odd part 1.
+    the first bit of a cell its most significant. A step is one
+    _ResidueStep over the bits of every cell, odd part 1: the inner
+    counter's whole step through a _MixedTape.
 
     Reads and writes then count per cell: touching any bit of a cell
     touches the cell once.
@@ -416,8 +391,16 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
         raise ValueError("inner counter must be over bits")
     if inner.n % k:
         raise ValueError(f"width {inner.n} is not divisible by block size {k}")
-    return _fuse_mixed(2 ** k, 2 ** k, 1, 0, counter,
-                       recipe={"kind": "stitch", "block": k, "inner": counter.recipe})
+    n_data = inner.n // k
+    bits, recombine = _residues(2 ** k, 2 ** k, 1, n_data)
+    step = _ResidueStep(counter.next_tape, counter.prev_tape, bits, 0, 1, recombine)
+    back = step.shifted(0, inverse=True)
+    return Counter(Domain.uniform(2 ** k, n_data), step.apply_tape, back.apply_tape,
+                   counter.claimed_length,
+                   _residue_word(counter.start, n_data, bits, 1, recombine),
+                   claimed_reads=counter.claimed_reads,
+                   claimed_writes=counter.claimed_writes,
+                   recipe={"kind": "stitch", "block": k, "inner": counter.recipe})
 
 
 def general_counter(m: int, n: int) -> Counter:
@@ -486,14 +469,11 @@ def general_counter(m: int, n: int) -> Counter:
             f"the binary part needs at least 3 bits")
 
     i, d, n_in, r = chosen
-    bits, recombine = _residues(m, 1 << ell, o, 0, d)
+    bits, recombine = _residues(m, 1 << ell, o, d)
     parts = [linear_counter(f2, n_in, r)] + ([odd_counter(o, d)] if o > 1 else [])
     steps = [_ResidueStep(p.next_tape, p.prev_tape, b, 0, o, recombine)
              for p, b in zip(parts, (bits, ()))]
-    start = Tape((0,) * d)
-    start_view = _MixedTape(start, 0, len(bits), bits, 0, o, recombine)
-    for v, x in enumerate([x for p in parts for x in p.start]):
-        start_view.write(v, x)
+    start = _residue_word([x for p in parts for x in p.start], d, bits, o, recombine)
     lengths = {"clock": m ** i, "binary": parts[0].claimed_length,
                "odd": o ** d if o > 1 else 1}
     recipe = {"kind": "general", "m": m, "n": n, "clock": i,
@@ -505,6 +485,6 @@ def general_counter(m: int, n: int) -> Counter:
     # row operation touches at most two more
     return cycle_compose(
         StepList(steps, Domain.uniform(m, d), math.prod(p.claimed_length for p in parts)),
-        BaseGrayCode(m, i), start.word(),
+        m, i, start,
         claimed_reads=i + max([-(-r // ell) + 2] + [p.claimed_reads for p in parts[1:]]),
         claimed_writes=1 + max(p.claimed_writes for p in parts), recipe=recipe)

@@ -1,5 +1,9 @@
 """Cyclic m-ary Gray codes with closed-form rank and unrank.
 
+The code over Z_m^r is named by the pair (m, r) alone: every function
+below takes it as two arguments, and so does compose.cycle_compose for its
+pointer.
+
 The word of rank i has digit j equal to b_j - b_{j+1} (mod m), where the b_j
 are the base-m digits of i, least significant first. Consecutive ranks then
 differ in exactly one coordinate and that coordinate increases by 1 mod m,
@@ -31,8 +35,6 @@ materialized base and pointer-driven counter tree.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import _STATS, Counter, Domain
 
@@ -130,34 +132,6 @@ def gray_prev(word, m: int, r: int) -> tuple[int, ...]:
     return _gray_step(word, m, r, -1)
 
 
-@dataclass(frozen=True)
-class BaseGrayCode:
-    """The length-m^r cyclic Gray code over Z_m^r."""
-
-    m: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2 or self.r < 1:
-            raise ValueError("need m >= 2 and r >= 1")
-
-    @property
-    def length(self) -> int:
-        return self.m ** self.r
-
-    def unrank(self, i: int) -> tuple[int, ...]:
-        return gray_unrank(i, self.m, self.r)
-
-    def rank(self, word) -> int:
-        return gray_rank(word, self.m, self.r)
-
-    def next(self, word) -> tuple[int, ...]:
-        return gray_next(word, self.m, self.r)
-
-    def prev(self, word) -> tuple[int, ...]:
-        return gray_prev(word, self.m, self.r)
-
-
 def gray_counter(m: int, r: int) -> Counter:
     """Instrumented counter for the full Gray cycle on Z_m^r.
 
@@ -166,36 +140,30 @@ def gray_counter(m: int, r: int) -> Counter:
     picks. The word path (Counter.next and prev) moves the same digit of a
     plain list and returns StepStats(r, 1), the cost of every Tape step.
     """
-    code = BaseGrayCode(m, r)
-    cells = range(r - 1, -1, -1)
-    top = m - 1
-    cost = _STATS[r, 1]
-
-    def next_fn(tape) -> None:
-        w = tape.read_cells(cells)
-        i = _gray_move(w, m, top)
-        tape.write(r - 1 - i, (w[i] + 1) % m)
-
-    def prev_fn(tape) -> None:
-        w = tape.read_cells(cells)
-        i = _gray_move(w, m, 0)
-        tape.write(r - 1 - i, (w[i] - 1) % m)
-
-    def next_word(word):
-        cells = list(word)
-        j = r - 1 - _gray_move(word[::-1], m, top)
-        cells[j] = (cells[j] + 1) % m
-        return tuple(cells), cost
-
-    def prev_word(word):
-        cells = list(word)
-        j = r - 1 - _gray_move(word[::-1], m, 0)
-        cells[j] = (cells[j] - 1) % m
-        return tuple(cells), cost
-
-    next_fn.word_step = next_word
-    prev_fn.word_step = prev_word
-    return Counter(Domain.uniform(m, r), next_fn, prev_fn,
-                   code.length, gray_unrank(0, m, r),
+    start = gray_unrank(0, m, r)  # checks m and r
+    return Counter(Domain.uniform(m, r), _gray_tape_step(m, r, m - 1, 1),
+                   _gray_tape_step(m, r, 0, -1), m ** r, start,
                    claimed_reads=r, claimed_writes=1,
                    recipe={"kind": "base", "m": m, "n": r})
+
+
+def _gray_tape_step(m: int, r: int, stop: int, delta: int):
+    """gray_counter's step in one direction (stop m - 1 and delta +1 for
+    next, 0 and -1 for prev): a tape step function whose word_step
+    attribute is its word path."""
+    cells = range(r - 1, -1, -1)
+    cost = _STATS[r, 1]
+
+    def tape_fn(tape) -> None:
+        w = tape.read_cells(cells)
+        i = _gray_move(w, m, stop)
+        tape.write(r - 1 - i, (w[i] + delta) % m)
+
+    def word_step(word):
+        w = list(word)
+        j = r - 1 - _gray_move(word[::-1], m, stop)
+        w[j] = (w[j] + delta) % m
+        return tuple(w), cost
+
+    tape_fn.word_step = word_step
+    return tape_fn

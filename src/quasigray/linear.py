@@ -20,7 +20,6 @@ from typing import Callable
 
 from .compose import StepList, cycle_compose
 from .core import BoundExceeded, Counter, Domain, apply_word
-from .graycode import BaseGrayCode
 
 # One irreducible modulus over F_2 per extension degree, bit i holding the
 # coefficient of z^i. Degree 16 is as far as the field table goes.
@@ -619,7 +618,7 @@ def linear_counter(field: Field, n: int, r: int | None = None) -> Counter:
     elif q ** r < k:
         raise ValueError(f"pointer width {r} cannot index {k} row operations")
     sl = StepList(steps, Domain.uniform(q, n), q ** n - 1)
-    return cycle_compose(sl, BaseGrayCode(q, r), (0,) * (n - 1) + (1,),
+    return cycle_compose(sl, q, r, (0,) * (n - 1) + (1,),
                          claimed_reads=r + 2, claimed_writes=2,
                          recipe={"kind": "linear", "q": q, "n": n, "r": r,
                                  "polynomial": str(p), "row_ops": k})

@@ -18,7 +18,6 @@ import numpy as np
 
 from .compose import StepList, cycle_compose
 from .core import Counter, Domain, apply_word, materialize
-from .graycode import BaseGrayCode
 
 
 class RFunction:
@@ -329,7 +328,7 @@ def odd_counter(m: int, n: int) -> Counter:
         if m ** r >= plan_size(m, n_inner):
             plan = build_plan(m, n_inner)
             sl = StepList(plan.steps, Domain.uniform(m, n_inner), m ** n_inner)
-            return cycle_compose(sl, BaseGrayCode(m, r), (0,) * n_inner,
+            return cycle_compose(sl, m, r, (0,) * n_inner,
                                  claimed_reads=r + 3, claimed_writes=2,
                                  recipe={"kind": "odd", "m": m, "n": n,
                                          "pointer": r, "two_functions": plan.k})

@@ -13,7 +13,8 @@ import pytest
 
 from quasigray.compose import crt_compose, general_counter
 from quasigray.core import Domain, dat_eval, dat_validate
-from quasigray.graycode import BaseGrayCode, gray_counter
+from quasigray.graycode import (gray_counter, gray_next, gray_prev, gray_rank,
+                                gray_unrank)
 from quasigray.linear import (AddRow, Field, Scale, companion_counter,
                               companion_matrix, decompose_elementary,
                               find_primitive, linear_counter, mat_identity,
@@ -35,13 +36,13 @@ def _base_grid():
 def test_criterion_01_base_gray_cycles():
     checked = 0
     for m, r in _base_grid():
-        code = BaseGrayCode(m, r)
         length = m ** r
-        prev_w = code.unrank(0)
-        assert code.rank(prev_w) == 0
+        prev_w = gray_unrank(0, m, r)
+        assert gray_rank(prev_w, m, r) == 0
         for i in list(range(1, length)) + [0]:
-            w = code.unrank(i)
-            assert code.rank(w) == i
+            w = gray_unrank(i, m, r)
+            assert gray_rank(w, m, r) == i
+            assert gray_next(prev_w, m, r) == w and gray_prev(w, m, r) == prev_w
             diffs = [j for j in range(r) if w[j] != prev_w[j]]
             assert len(diffs) == 1
             j = diffs[0]

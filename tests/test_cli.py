@@ -168,6 +168,17 @@ def test_verify_cap_refuses_long_orbits(capsys, monkeypatch):
     assert "QGC_MAX_STEPS" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "2.5", "0"])
+@pytest.mark.parametrize("command", ["gen", "stats"])
+def test_step_cap_rejects_values_that_are_not_positive_integers(capsys, monkeypatch,
+                                                                 command, value):
+    monkeypatch.setenv("QGC_MAX_STEPS", value)
+    code, out, err = run(capsys, command, "--kind", "base", "--m", "2", "--n", "4")
+    assert code == 2 and out == ""
+    assert err == (f"error: QGC_MAX_STEPS must be a positive integer, "
+                   f"got {value!r}\n")
+
+
 def test_stats_odd_counter(capsys):
     code, out, _ = run(capsys, "stats", "--kind", "odd", "--m", "3", "--n", "11")
     assert code == 0

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from quasigray.compose import (StepList, _fuse_mixed, crt_compose,
-                               cycle_compose, general_counter,
-                               multiplicative_order, stitch_radix)
+from quasigray.compose import (StepList, crt_compose, cycle_compose,
+                               general_counter, multiplicative_order,
+                               stitch_radix)
 from quasigray.core import Domain, StepStats, measure_counter
-from quasigray.graycode import BaseGrayCode, gray_counter, gray_rank, gray_unrank
+from quasigray.graycode import gray_counter, gray_rank, gray_unrank
 from quasigray.linear import (Field, companion_counter, companion_matrix,
                               decompose_elementary, find_primitive,
                               linear_counter, mat_vec)
@@ -24,7 +24,7 @@ def _companion_steps(n):
 
 def test_cycle_compose_one_revolution_applies_list():
     f, mat, sl = _companion_steps(3)
-    c = cycle_compose(sl, BaseGrayCode(2, 3), (0, 0, 1))
+    c = cycle_compose(sl, 2, 3, (0, 0, 1))
     assert c.claimed_length == 8 * 7
     w = c.start
     inner = [w[3:]]
@@ -39,7 +39,7 @@ def test_cycle_compose_one_revolution_applies_list():
 
 def test_cycle_compose_orbit_and_prev():
     _, _, sl = _companion_steps(3)
-    c = cycle_compose(sl, BaseGrayCode(2, 3), (0, 0, 1))
+    c = cycle_compose(sl, 2, 3, (0, 0, 1))
     rep = measure_counter(c)
     assert rep.closed and rep.distinct and rep.observed_length == 56
     w = c.start
@@ -53,7 +53,10 @@ def test_cycle_compose_orbit_and_prev():
 def test_cycle_compose_pointer_too_short():
     _, _, sl = _companion_steps(3)
     with pytest.raises(ValueError):
-        cycle_compose(sl, BaseGrayCode(2, 2), (0, 0, 1))
+        cycle_compose(sl, 2, 2, (0, 0, 1))
+    for m, r in ((1, 2), (2, 0)):
+        with pytest.raises(ValueError, match="need m >= 2 and r >= 1"):
+            cycle_compose(sl, m, r, (0, 0, 1))
 
 
 def _plus_one_step():
@@ -63,7 +66,7 @@ def _plus_one_step():
 
 def test_cycle_compose_single_step_list():
     sl = StepList([_plus_one_step()], Domain.uniform(3, 1), 3)
-    c = cycle_compose(sl, BaseGrayCode(3, 1), (0,))
+    c = cycle_compose(sl, 3, 1, (0,))
     assert c.domain == Domain.uniform(3, 2)
     rep = measure_counter(c)
     assert rep.closed and rep.distinct and rep.observed_length == 9
@@ -73,7 +76,7 @@ def test_cycle_compose_identity_padding():
     # one real step under a 4-word pointer: the other 3 ranks only move
     # the pointer
     sl = StepList([_plus_one_step()], Domain.uniform(3, 1), 3)
-    c = cycle_compose(sl, BaseGrayCode(2, 2), (0,))
+    c = cycle_compose(sl, 2, 2, (0,))
     assert c.claimed_length == 4 * 3
     w = c.start
     idle = 0
@@ -89,7 +92,7 @@ def test_cycle_compose_identity_padding():
 def test_cycle_compose_projection_counts():
     # every inner word meets every pointer word along the cycle
     _, _, sl = _companion_steps(3)
-    c = cycle_compose(sl, BaseGrayCode(2, 3), (0, 0, 1))
+    c = cycle_compose(sl, 2, 3, (0, 0, 1))
     from collections import Counter as Bag
     ptr, inner = Bag(), Bag()
     w = c.start
@@ -217,30 +220,6 @@ def test_multiplicative_order():
         multiplicative_order(6)
     with pytest.raises(ValueError):
         multiplicative_order(0)
-
-
-def test_fuse_mixed_full_enumeration():
-    # radix 6 = 2 * 3: one physical word carries a binary counter on the
-    # low bits and a ternary counter on the odd residues
-    clock = gray_counter(6, 1)
-    binary = linear_counter(Field(2), 3, 3)  # 56 over Z_2^6
-    odd = gray_counter(3, 6)  # 729
-    virtual = crt_compose([clock, binary, odd])
-    fused = _fuse_mixed(6, 2, 3, 1, virtual)
-    assert fused.domain == Domain.uniform(6, 7)
-    assert fused.claimed_length == 6 * 56 * 729 == 244944
-    rep = measure_counter(fused, track_visited=True)
-    assert rep.closed and rep.distinct
-    assert rep.observed_length == 244944
-    assert rep.max_reads <= 7
-    assert rep.max_writes <= 3
-    missing = [i for i in range(fused.domain.size) if i not in rep.visited_ranks]
-    assert len(missing) == 6 ** 7 - 244944 == 34992
-    # never visited: exactly the words whose binary view shows the zero
-    # vector, meaning the last three data cells are even
-    for i in missing[::701]:
-        w = fused.domain.unrank(i)
-        assert all(x % 2 == 0 for x in w[4:])
 
 
 def test_general_counter_recipe_even_radix_with_odd_part():

@@ -3,8 +3,8 @@ from hypothesis import given, strategies as st
 
 from quasigray.core import Domain, StepStats, Tape, materialize, measure_counter
 from quasigray.core import dat_read_complexity, dat_write_complexity
-from quasigray.graycode import (BaseGrayCode, gray_counter, gray_next,
-                                gray_prev, gray_rank, gray_scan, gray_unrank)
+from quasigray.graycode import (gray_counter, gray_next, gray_prev, gray_rank,
+                                gray_scan, gray_unrank)
 
 
 def test_unrank_frozen_values():
@@ -72,13 +72,14 @@ def test_next_prev_inverse(m, r, data):
 
 
 def test_base_gray_code_object():
-    code = BaseGrayCode(3, 2)
-    assert code.length == 9
-    assert code.next((0, 0)) == (1, 0)
-    assert code.prev((0, 0)) == (0, 2)
-    assert code.rank((0, 2)) == 8
-    with pytest.raises(ValueError):
-        BaseGrayCode(1, 2)
+    assert gray_unrank(8, 3, 2) == (0, 2)  # the last of 9 words
+    with pytest.raises(ValueError, match="out of range"):
+        gray_unrank(9, 3, 2)
+    assert gray_next((0, 0), 3, 2) == (1, 0)
+    assert gray_prev((0, 0), 3, 2) == (0, 2)
+    assert gray_rank((0, 2), 3, 2) == 8
+    with pytest.raises(ValueError, match="need m >= 2 and r >= 1"):
+        gray_unrank(0, 1, 2)
 
 
 @pytest.mark.parametrize("m,r", [(2, 4), (3, 3), (5, 2), (6, 2)])
@@ -126,8 +127,6 @@ def test_gray_next_prev_length_error():
         gray_next((0, 0, 0), 3, 2)
     with pytest.raises(ValueError):
         gray_prev((0,), 3, 2)
-    with pytest.raises(ValueError):
-        BaseGrayCode(3, 2).next((0, 0, 0))
 
 
 class _RecordingTape(Tape):

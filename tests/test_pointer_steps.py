@@ -12,13 +12,14 @@ import pytest
 
 from quasigray import compose
 from quasigray.compose import (StepList, _MixedTape, _residues, _ResidueStep,
-                               crt_compose, cycle_compose, general_counter)
+                               crt_compose, cycle_compose, general_counter,
+                               stitch_radix)
 from quasigray.core import (Domain, OffsetTape, StepStats, Tape, _BranchOn,
                             _ProbeTape, apply_word, dat_count_nodes, dat_eval,
                             dat_read_complexity, dat_write_complexity,
                             materialize, measure_counter, tape_step)
-from quasigray.graycode import (BaseGrayCode, gray_counter, gray_rank, gray_scan,
-                                gray_scan_read, gray_unrank)
+from quasigray.graycode import (gray_counter, gray_rank, gray_scan, gray_scan_read,
+                                gray_unrank)
 from quasigray.linear import (AddRow, Field, Scale, _companion_ops, companion_counter,
                               linear_counter)
 from quasigray.permdecomp import RFunction, odd_counter
@@ -100,6 +101,8 @@ WHOLE_DOMAIN = {
     "base(3,4)": (lambda: gray_counter(3, 4), (121, 4, 1)),
     "general(4,6)": (lambda: general_counter(4, 6), (305, 5, 3)),
     "crt(84)": (_crt84, (24, 5, 4)),
+    "stitch(2,linear(F2,3,3))": (lambda: stitch_radix(2, linear_counter(Field(2), 3, 3)),
+                                 (61, 3, 2)),
 }
 
 
@@ -159,12 +162,12 @@ def _residue_steps(m):
     # bits of their residues mod 2^l and, for m = 6, a Gray counter on
     # their residues mod 3
     if m == 6:
-        bits, recombine = _residues(6, 2, 3, 0, 3)
+        bits, recombine = _residues(6, 2, 3, 3)
         binary = linear_counter(Field(2), 2, 1)
         odd = gray_counter(3, 3)
         return 3, 1, 3, [(binary, _residue_step(binary, bits, 3, recombine)),
                          (odd, _residue_step(odd, (), 3, recombine))]
-    bits, recombine = _residues(4, 4, 1, 0, 2)
+    bits, recombine = _residues(4, 4, 1, 2)
     binary = linear_counter(Field(2), 2, 2)
     return 2, 2, 1, [(binary, _residue_step(binary, bits, 1, recombine))]
 
@@ -202,7 +205,7 @@ def test_residue_steps_under_cycle_compose_agree_with_trees(m):
     n_data, _, _, steps = _residue_steps(m)
     ell = math.lcm(*(part.claimed_length for part, _ in steps))
     c = cycle_compose(StepList([s for _, s in steps], Domain.uniform(m, n_data), ell),
-                      BaseGrayCode(m, 1), (0,) * n_data)
+                      m, 1, (0,) * n_data)
     tn = materialize(c.next_tape, c.domain)
     tp = materialize(c.prev_tape, c.domain)
     for w in c.domain.words():
@@ -217,8 +220,8 @@ CELL_ORDERS = [(), (3,), (5, 4, 3, 2, 1, 0), (2, 0, 2, 4), range(5, 0, -2)]
 
 def _mixed(tape):
     # radix-6 cells 0..2 seen as 3 bits (residues mod 2), then 3 residues mod 3
-    bits, recombine = _residues(6, 2, 3, 0, 3)
-    return _MixedTape(tape, 0, len(bits), bits, 0, 3, recombine)
+    bits, recombine = _residues(6, 2, 3, 3)
+    return _MixedTape(tape, bits, 0, 3, recombine)
 
 
 @pytest.mark.parametrize("cells", CELL_ORDERS, ids=repr)
@@ -303,7 +306,7 @@ def test_inverses_are_shifted_once_and_only_for_prev(r):
     shifted_inverses = []
     k = 2 ** r - 100
     c = cycle_compose(StepList([_Idle(i, shifted_inverses) for i in range(k)],
-                               Domain((2,)), 1), BaseGrayCode(2, r), (0,))
+                               Domain((2,)), 1), 2, r, (0,))
     w = c.start
     for _ in range(2 ** r):
         w, _ = c.next(w)
@@ -326,7 +329,7 @@ def test_only_pointers_within_the_bound_build_a_table(monkeypatch, r, scans_per_
     monkeypatch.setattr(compose, "_TABLE_BOUND", 64)
     monkeypatch.setattr(compose, "gray_scan_read", counting_scan)
     c = cycle_compose(StepList([_Idle(i, []) for i in range(50)], Domain((2,)), 1),
-                      BaseGrayCode(2, r), (0,))
+                      2, r, (0,))
     w = c.start
     for _ in range(2 ** r):
         w, _ = c.next(w)
@@ -396,7 +399,7 @@ def test_word_path_matches_tape_path_on_every_word(label):
             word, cost = step(w)
             want, want_cost = tape_step(fn, w)
             assert word == want and cost is want_cost
-    if label == "crt(84)":
+    if label in ("crt(84)", "stitch(2,linear(F2,3,3))"):
         assert not _has_word_path(c)
         return
     assert _has_word_path(c)
@@ -436,7 +439,7 @@ class _Liar:
 
 
 def test_word_form_that_disagrees_with_its_tape_run_raises():
-    c = cycle_compose(StepList([_Liar()], Domain((5,)), 5), BaseGrayCode(2, 1), (0,))
+    c = cycle_compose(StepList([_Liar()], Domain((5,)), 5), 2, 1, (0,))
     with pytest.raises(RuntimeError, match="word form"):
         c.next(c.start)
 
@@ -450,7 +453,7 @@ def test_steps_without_a_word_path_match_the_tape_path(kind):
         words = [tuple(rng.randrange(2) for _ in range(18)) for _ in range(3000)]
     else:
         c = cycle_compose(StepList([_Idle(i, []) for i in range(50)], Domain((3,)), 1),
-                          BaseGrayCode(2, 6), (0,))
+                          2, 6, (0,))
         words = list(c.domain.words())
     for w in words:
         for step, fn in ((c.next, c.next_tape), (c.prev, c.prev_tape)):
