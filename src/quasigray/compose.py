@@ -1,9 +1,13 @@
 """Composition engines: step lists driven by a Gray pointer over Z_m^r
 (cycle_compose), co-prime counter products (crt_compose), and the residue
-view (_MixedTape) that general and stitch counters step their parts on."""
+view (_MixedTape) that general and stitch counters step their parts on.
+Each engine's steps run on a Tape; their word paths (_word_step,
+_residue_word_step and crt_compose's word_path) give the same words and
+costs on plain words."""
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -27,11 +31,16 @@ class StepList:
     the step or its inverse moved d coordinates up. A step that reads and
     writes the same cells on every word may also offer word_fn(), a
     function that does what apply_tape does to a list of digits, in place;
-    cycle_compose's word path then runs it."""
+    cycle_compose's word path then runs it. A _ResidueStep offers none:
+    cycle_compose gives it a word path of its own where it can."""
 
     steps: list
     domain: Domain
     ell: int
+
+
+def _in_range(word, radices) -> bool:
+    return min(word) >= 0 and all(map(operator.lt, word, radices))
 
 
 def _word_step(tape_fn, move, r: int, radices: tuple):
@@ -40,21 +49,29 @@ def _word_step(tape_fn, move, r: int, radices: tuple):
 
     Its table maps a pointer word, cells 0 .. r-1, to (the list form of
     the data step or None, the pointer cell it writes, the digit written,
-    the step's cost), or to () when the data step has no word_fn and every
-    step on that pointer word runs on a Tape. An entry is filled on the
-    first word in range with that pointer word: tape_fn runs once on it on
-    a Tape, move(pointer cells r-1 .. 0) gives the data step and pointer
-    write that run made, and the cost it observed becomes the entry's. The
-    step's cost is fixed by the pointer word, since each data step reads
-    and writes fixed cells. A word with a digit out of range runs on a Tape
-    and stores nothing, so the table holds at most one entry per pointer
-    word.
+    the step's cost), or to () when the data step has no word_fn. An entry
+    is filled on the first word in range with that pointer word: tape_fn
+    runs once on it on a Tape, move(pointer cells r-1 .. 0) gives the data
+    step and pointer write that run made, and the cost it observed becomes
+    the entry's. The step's cost is fixed by the pointer word, since each
+    data step reads and writes fixed cells. A word with a digit out of
+    range runs on a Tape and stores nothing, so the table holds at most one
+    entry per pointer word.
+
+    A () entry hands the word to keyed[pointer word]: the word path of a
+    bit-view _ResidueStep (_residue_word_step), whose cost is fixed by the
+    inner counter's pointer bits instead, or else the Tape path.
+
+    The function's entry attribute gives the table entry of a word's
+    pointer word, filled from that word if new, and its width attribute is
+    r; _residue_word_step reads an inner counter's steps through them.
     """
     table = {}
+    keyed = {}
 
     def fill(word, key):
         out = tape_step(tape_fn, word)
-        if min(word) < 0 or not all(map(operator.lt, word, radices)):
+        if not _in_range(word, radices):
             return out
         step, cell, g = move(key[::-1])
         f = None
@@ -62,6 +79,8 @@ def _word_step(tape_fn, move, r: int, radices: tuple):
             word_fn = getattr(step, "word_fn", None)
             if word_fn is None:
                 table[key] = ()
+                keyed[key] = (_residue_word_step(step, tape_fn, radices, cell, g)
+                              or functools.partial(tape_step, tape_fn))
                 return out
             f = word_fn()
         cells = list(word)
@@ -87,7 +106,103 @@ def _word_step(tape_fn, move, r: int, radices: tuple):
             return tuple(cells), cost
         if e is None:
             return fill(word, key)
-        return tape_step(tape_fn, word)
+        return keyed[key](word)
+
+    def entry(word):
+        key = tuple(word[:r])
+        if key not in table:
+            fill(word, key)
+        return table.get(key, ())
+
+    word_step.entry = entry
+    word_step.width = r
+    return word_step
+
+
+def _residue_word_step(step, tape_fn, radices: tuple, cell=None, g=0):
+    """The word path of tape_fn, a step that runs step, a _ResidueStep,
+    on the word's data cells and then, when cell is given, writes g to
+    pointer cell cell; None when step is no bit-view _ResidueStep or its
+    inner counter has no word path.
+
+    The inner counter's word path (a cycle_compose counter's) steps fixed
+    virtual bits on each of its pointer words, so which physical cells a
+    step touches, and so its cost, are fixed by the inner pointer bits.
+    The table maps those bits, read from the physical word, to the inner
+    entry's closure, pointer bit and digit, the virtual bits the inner step
+    reads and writes (seen on one Tape run of the inner step), and the cost
+    of one Tape run of tape_fn on the first in-range word with those bits.
+    The word of that run is checked against the word form: the touched
+    bits are read from the physical list, stepped as a virtual list and
+    written back through recombine. A word with a digit out of range runs
+    on a Tape and stores nothing.
+
+    Odd residue steps (no bits) get no word path. A prototype of one made
+    no walk faster than the bit view already had, and its many small table
+    entries, filled during long walks, fragmented the allocator's arenas:
+    the peak memory of a run of several general counters rose by a tenth.
+    """
+    inner = getattr(step.run, "word_step", None) if isinstance(step, _ResidueStep) else None
+    entry = getattr(inner, "entry", None)
+    if entry is None or not step.bits:
+        return None
+    bits, recombine, run = step.bits, step.recombine, step.run
+    width = inner.width
+    key_bits = bits[:width]
+    pad = (0,) * (len(bits) - width)
+    # inner pointer bits -> (closure or None, virtual pointer bit, its new
+    #                        value, (bit, cell, shift) of each data bit read,
+    #                        (bit, cell, shift) of each bit written, cost),
+    #                        or () when the inner step has no word form
+    table = {}
+
+    def form(word, key, e):
+        f, v_cell, v_g, reads, writes, _ = e
+        v = [*key, *pad]
+        for j, c, s in reads:
+            v[j] = word[c] >> s & 1
+        if f is not None:
+            f(v)
+        v[v_cell] = v_g
+        cells = list(word)
+        for j, c, s in writes:
+            cur = cells[c]
+            cells[c] = recombine(cur & ~(1 << s) | v[j] << s, cur)
+        if cell is not None:
+            cells[cell] = g
+        return tuple(cells)
+
+    def fill(word, key):
+        out = tape_step(tape_fn, word)
+        if not _in_range(word, radices):
+            return out
+        virtual = [word[c] >> s & 1 for c, s in bits]
+        e = entry(virtual)
+        if not e:
+            table[key] = ()
+            return out
+        tape = Tape(virtual)
+        run(tape)
+        touched = sorted((tape.reads | tape.written) - set(range(width)))
+        e = table[key] = (e[0], e[1], e[2],
+                          tuple([(j, *bits[j]) for j in touched]),
+                          tuple([(j, *bits[j]) for j in sorted(tape.written)]),
+                          out[1])
+        got = form(word, key, e)
+        if got != out[0]:
+            raise RuntimeError(
+                f"word form of {step!r} gives {got} on {tuple(word)}, "
+                f"its Tape run {out[0]}")
+        return out
+
+    def word_step(word):
+        key = tuple([word[c] >> s & 1 for c, s in key_bits])
+        e = table.get(key)
+        if e is None:
+            return fill(word, key)
+        if not e or not _in_range(word, radices):
+            return tape_step(tape_fn, word)
+        return form(word, key, e), e[5]
 
     return word_step
 
@@ -118,9 +233,11 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     is copied to a list, its pointer cells are looked up in a second table,
     filled from one Tape run per pointer word, whose entry holds the data
     step's word_fn closure, the pointer write and the cost that run
-    observed. A data step with no word_fn (a _ResidueStep) runs on a Tape
-    every time; the ranks that only move the pointer need none. A pointer
-    past the bound has no word path.
+    observed; the ranks that only move the pointer need no closure. A data
+    step with no word_fn is a _ResidueStep. Its cost varies with the data
+    cells, so a bit-view one takes its own word path keyed by the inner
+    counter's pointer bits (_residue_word_step), and an odd one runs on a
+    Tape every time. A pointer past the bound has no word path.
     """
     pointer_start = gray_unrank(0, m, r)  # checks m and r
     k = len(steps.steps)
@@ -207,6 +324,13 @@ def crt_compose(components: list[Counter], *, recipe=None) -> Counter:
     product of all lengths. Lengths of components 2..r must be pairwise
     co-prime and the first component must be long enough to give each of the
     others its own trigger word.
+
+    A step runs on a Tape for audits and materialize. When the clock has at
+    most _TABLE_BOUND words, Counter.next and prev take a word path keyed
+    by the clock word: on other words the clock's new word and the cost of
+    one Tape run come from a table, and a trigger word runs its
+    component's own word path on its slice, with the product's cost
+    observed once per (clock word, component cost). See word_path below.
     """
     if len(components) < 2:
         raise ValueError("need at least two components")
@@ -255,6 +379,73 @@ def crt_compose(components: list[Counter], *, recipe=None) -> Counter:
             components[idx].prev_tape(OffsetTape(tape, offsets[idx]))
 
     radices = tuple(x for c in components for x in c.domain.radices)
+    spans = [(lo, lo + c.domain.n) for lo, c in zip(offsets, components)]
+
+    def word_path(tape_fn, forward: bool):
+        """The word path of tape_fn, next_fn when forward, else prev_fn.
+
+        table maps a clock word to (the clock word a step leaves, the cost
+        of one Tape run of tape_fn, or None on a trigger word, the index
+        of the component it triggers, or 0). A trigger word runs that
+        component's own word path (Counter.next or prev) on its slice, and
+        costs maps (clock word, the component's cost) to the cost of one
+        Tape run of the first word with that pair. Each Tape run's word is
+        checked against the word form. A clock word with a digit out of
+        range stores nothing, and a trigger step on a word with a digit
+        out of range runs on a Tape.
+        """
+        steps = [c.next if forward else c.prev for c in components]
+        table = {}
+        costs = {}
+
+        def triggered(word, ck, new_ck, idx):
+            if not _in_range(word, radices):
+                return tape_step(tape_fn, word)
+            lo, hi = spans[idx]
+            part, c = steps[idx](word[lo:hi])
+            got = (*new_ck, *word[n1:lo], *part, *word[hi:])
+            cost = costs.get((ck, c))
+            if cost is None:
+                out = tape_step(tape_fn, word)
+                if got != out[0]:
+                    raise RuntimeError(
+                        f"word form of crt component {idx} gives {got} on "
+                        f"{tuple(word)}, its Tape run {out[0]}")
+                cost = costs[ck, c] = out[1]
+            return got, cost
+
+        def fill(word, ck):
+            out = tape_step(tape_fn, word)
+            if not _in_range(ck, clock.domain.radices):
+                return out
+            new_ck = out[0][:n1]
+            idx = trigger.get(ck if forward else new_ck, 0)
+            if idx:
+                table[ck] = (new_ck, None, idx)
+                return triggered(word, ck, new_ck, idx)
+            got = (*new_ck, *word[n1:])
+            if got != out[0]:
+                raise RuntimeError(
+                    f"word form of the crt clock gives {got} on {tuple(word)}, "
+                    f"its Tape run {out[0]}")
+            table[ck] = (new_ck, out[1], 0)
+            return out
+
+        def word_step(word):
+            ck = tuple(word[:n1])
+            e = table.get(ck)
+            if e is None:
+                return fill(word, ck)
+            new_ck, cost, idx = e
+            if not idx:
+                return (*new_ck, *word[n1:]), cost
+            return triggered(word, ck, new_ck, idx)
+
+        return word_step
+
+    if clock.domain.size <= _TABLE_BOUND:
+        next_fn.word_step = word_path(next_fn, True)
+        prev_fn.word_step = word_path(prev_fn, False)
     start = tuple(x for c in components for x in c.start)
     reads = writes = None
     if all(c.claimed_reads is not None for c in components[1:]):
@@ -380,7 +571,10 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
     counter's whole step through a _MixedTape.
 
     Reads and writes then count per cell: touching any bit of a cell
-    touches the cell once.
+    touches the cell once. When the inner counter has a word path keyed by
+    its pointer (a cycle_compose counter within its table bound), so does
+    this one, keyed by the inner pointer bits (_residue_word_step);
+    otherwise next and prev run on a Tape.
     """
     if k < 1:
         raise ValueError("block size must be at least 1")
@@ -393,10 +587,14 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
         raise ValueError(f"width {inner.n} is not divisible by block size {k}")
     n_data = inner.n // k
     bits, recombine = _residues(2 ** k, 2 ** k, 1, n_data)
+    domain = Domain.uniform(2 ** k, n_data)
     step = _ResidueStep(counter.next_tape, counter.prev_tape, bits, 0, 1, recombine)
-    back = step.shifted(0, inverse=True)
-    return Counter(Domain.uniform(2 ** k, n_data), step.apply_tape, back.apply_tape,
-                   counter.claimed_length,
+    fns = []
+    for s in (step, step.shifted(0, inverse=True)):
+        fn = functools.partial(_ResidueStep.apply_tape, s)
+        fn.word_step = _residue_word_step(s, fn, domain.radices)
+        fns.append(fn)
+    return Counter(domain, *fns, counter.claimed_length,
                    _residue_word(counter.start, n_data, bits, 1, recombine),
                    claimed_reads=counter.claimed_reads,
                    claimed_writes=counter.claimed_writes,
@@ -422,6 +620,9 @@ def general_counter(m: int, n: int) -> Counter:
     primitive polynomial, so they are skipped: on wide words the pointer
     takes the bits the inner vector cannot, and the claimed reads grow with
     it.
+
+    Counter.next and prev run the pointer-only ranks and the binary step
+    on plain words (see cycle_compose); the odd step runs on a Tape.
     """
     from .linear import _FACTOR_LIMIT, Field, linear_counter, row_op_count
     from .permdecomp import min_width, odd_counter

@@ -52,6 +52,12 @@ class Domain:
         one decimal digit, else a comma."""
         return "" if all(r <= 10 for r in self.radices) else ","
 
+    @functools.cached_property
+    def template(self) -> str:
+        """The text form of a word as a %-format: one %d per digit, joined
+        by the separator."""
+        return self.separator.join(["%d"] * self.n)
+
     def validate(self, word) -> None:
         if len(word) != self.n:
             raise ValueError(f"expected {self.n} digits, got {len(word)}")
@@ -383,11 +389,16 @@ class Counter:
 
     next and prev take one of two paths. A step function may carry a
     word_step attribute, a function of a word that returns the same
-    (word, StepStats) as a Tape run, without one: cycle_compose and
-    gray_counter give theirs one. next and prev call it when it is there
-    (the word path) and otherwise run the step on a Tape (the Tape path,
-    tape_step). measure_counter, and so audit, and materialize always take
-    the Tape path, so what they report is observed on a Tape.
+    (word, StepStats) as a Tape run, without one: gray_counter,
+    cycle_compose (within its pointer table bound), stitch_radix over such
+    a counter, and crt_compose (within its clock bound) give theirs one.
+    Its costs were each observed on one Tape run for the same key. next
+    and prev call it when it is there (the word path) and otherwise run
+    the step on a Tape (the Tape path, tape_step). A word path may itself
+    take the Tape path for some steps: a general counter's odd step does,
+    since a word path for it gained no speed and fragmented memory.
+    measure_counter, and so audit, and materialize always take the Tape
+    path, so what they report is observed on a Tape.
 
     next and prev take a tuple or a list and raise ValueError on a word of
     the wrong length, but do not check digit ranges per step: a digit out
@@ -521,4 +532,4 @@ def word_parse(text: str, domain: Domain) -> tuple[int, ...]:
 
 
 def word_format(word, domain: Domain) -> str:
-    return domain.separator.join(map(str, word))
+    return domain.template % tuple(word)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -193,6 +194,47 @@ def test_gen_crt_components(capsys):
                        "base:m=2,n=1;base:m=3,n=1", "--limit", "7")
     assert code == 0
     assert out.splitlines() == ["00", "11", "01", "12", "02", "10", "00"]
+
+
+_CRT_BIG = ["--kind", "crt", "--components",
+            "base:m=6,n=2;linear:q=2,n=5;odd:m=3,n=11"]
+
+# sha256 of the output of `gen --limit 5000` from the start word, one counter
+# of each kind, pinned from a version that ran every crt, general and stitch
+# step on a Tape and formatted words with str.join
+GEN_SHA256 = [
+    (["--kind", "base", "--m", "3", "--n", "10"],
+     "6a68dcb1ffacfe8c0f3c13872f3cc48f8302b0fb386d3224fc263a58f41660b4"),
+    (["--kind", "linear", "--q", "2", "--n", "10"],
+     "c81a2835a610769297ad60445e461b9b3bd9a1e002a28afa30b0fa8abc2786f8"),
+    (["--kind", "odd", "--m", "3", "--n", "11"],
+     "5d30ea500ce7487dfbfa9fca69a7e22ea00b4b7c32672b5d8d67eaef0fe7cc78"),
+    (["--kind", "companion", "--q", "2", "--n", "13"],
+     "eccf5505416adac1345b4e54a68197567ae809f64a24f0b2f4f9f1e2491b030d"),
+    (["--kind", "general", "--m", "6", "--n", "12"],
+     "07c97bc498996c366b713b01f037763e88324e73e44370a2a27cb9ee1af75571"),
+    (["--kind", "general", "--m", "6", "--n", "12", "--dir", "prev"],
+     "4e22491a04882c3b3d561301c71661c7abaec48688ebddde1d6f226dcf97eb00"),
+    (["--kind", "general", "--m", "4", "--n", "8"],
+     "12095fa2ef0031da6c2c656028bcf7e39b833a12370e56443636cdb77b697922"),
+    (["--kind", "general", "--m", "4", "--n", "8", "--dir", "prev"],
+     "16a5749c0a319a5d3493fb78ffe467bdd082c97bf817cbba459df63e2bef5b33"),
+    (["--kind", "general", "--m", "12", "--n", "12"],
+     "96324c4418960b472696f7788abcddd72690c8af957ea9f7b33400fca12f9a44"),
+    (_CRT_BIG,
+     "e5d23c64bbc031eafbe6191789f06f1e3f0810148290e962d6644ce4c949cc26"),
+    (_CRT_BIG + ["--dir", "prev"],
+     "bec8f3ffbe6212f42f3270b3e4714a6561dd57782317248560a160cc869d57b6"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GEN_SHA256,
+                         ids=[" ".join(a[1:]) for a, _ in GEN_SHA256])
+def test_gen_output_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, "gen", *argv, "--limit", "5000")
+    assert code == 0 and err == ""
+    assert out.count("\n") == 5000
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_decompose_linear_text(capsys):

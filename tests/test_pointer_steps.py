@@ -14,7 +14,7 @@ from quasigray import compose
 from quasigray.compose import (StepList, _MixedTape, _residues, _ResidueStep,
                                crt_compose, cycle_compose, general_counter,
                                stitch_radix)
-from quasigray.core import (Domain, OffsetTape, StepStats, Tape, _BranchOn,
+from quasigray.core import (Counter, Domain, OffsetTape, StepStats, Tape, _BranchOn,
                             _ProbeTape, apply_word, dat_count_nodes, dat_eval,
                             dat_read_complexity, dat_write_complexity,
                             materialize, measure_counter, tape_step)
@@ -355,9 +355,11 @@ def _closed_over(fn, name):
 
 
 def _tables(c):
-    """The Tape path's pointer table and the word path's two tables."""
-    return (_closed_over(c.next_tape, "table"), _closed_over(c._next_word, "table"),
-            _closed_over(c._prev_word, "table"))
+    """The tables of c that hold one entry per key at most: the Tape
+    path's pointer table, where c has one, and the word path's two tables
+    (keyed by pointer word, clock word or inner pointer bits)."""
+    return [_closed_over(f, "table") for f in (c.next_tape, c._next_word, c._prev_word)
+            if "table" in getattr(f, "__code__", _tables.__code__).co_freevars]
 
 
 def _has_word_path(c):
@@ -366,8 +368,14 @@ def _has_word_path(c):
 
 
 def _pointer_words(c):
-    """m^r for the Gray pointer (or clock) on the first r cells of c."""
+    """How many keys each table of c can hold: m^r for the Gray pointer (or
+    clock) on the first r cells of c, the clock's words for a crt product,
+    the inner pointer's bit words for a stitch counter."""
     rec = c.recipe
+    if rec["kind"] == "crt":
+        return _closed_over(c.next_tape, "clock").domain.size
+    if rec["kind"] == "stitch":
+        return 2 ** rec["inner"]["r"]
     r = rec.get("clock") or rec.get("pointer") or rec.get("r")
     return c.domain.radices[0] ** r
 
@@ -399,42 +407,59 @@ def test_word_path_matches_tape_path_on_every_word(label):
             word, cost = step(w)
             want, want_cost = tape_step(fn, w)
             assert word == want and cost is want_cost
-    if label in ("crt(84)", "stitch(2,linear(F2,3,3))"):
-        assert not _has_word_path(c)
-        return
     assert _has_word_path(c)
     if label.startswith("base"):
         return
-    # one entry per pointer word. Only the general counter's residue step
-    # (rank 0; its odd part is 1) has no word form and runs on a Tape: its
-    # other ranks only move the pointer and take the word path
-    for table in _tables(c)[1:]:
-        assert len(table) == _pointer_words(c)
+    # every word was stepped, so each table holds one entry per key
+    tables = _tables(c)
+    assert [len(t) for t in tables] == [_pointer_words(c)] * len(tables)
+    if label.startswith("crt"):
+        # 2 of the 4 clock words trigger a component each way; each pairs
+        # with the one cost its component's steps all have
+        for fn in (c._next_word, c._prev_word):
+            triggers = [e for e in _closed_over(fn, "table").values() if e[2]]
+            assert len(triggers) == 2 and all(e[1] is None for e in triggers)
+            assert len(_closed_over(_closed_over(fn, "triggered"), "costs")) == 2
+        return
+    if label.startswith("stitch"):
+        # every inner pointer word has a word form
+        assert all(all(t.values()) for t in tables)
+        return
+    # Only the general counter's residue step (rank 0; its odd part is 1)
+    # has no fixed cost: its entry is () and its word goes to the residue
+    # step's own word path, one entry per inner pointer word. The other
+    # ranks only move the pointer
+    for fn in (c._next_word, c._prev_word):
+        table, keyed = _closed_over(fn, "table"), _closed_over(fn, "keyed")
         tape_only = [e for e in table.values() if not e]
         pointer_only = [e for e in table.values() if e and e[0] is None]
         if label.startswith("general"):
             assert len(tape_only) == 1 and len(pointer_only) == len(table) - 1
+            (residue,) = keyed.values()
+            inner = _closed_over(residue, "table")
+            assert len(inner) == 2 ** c.recipe["binary"]["pointer"]
+            assert all(inner.values())
         else:
-            assert not tape_only
+            assert not tape_only and not keyed
 
 
 class _Liar:
-    """A step whose word form adds 1 where its tape form adds 2."""
+    """A step whose word form adds 1 where its tape form adds 2, mod q."""
 
-    def __init__(self, d=0):
-        self.d = d
+    def __init__(self, d=0, q=5):
+        self.d, self.q = d, q
 
     def apply_tape(self, tape):
-        tape.write(self.d, (tape.read(self.d) + 2) % 5)
+        tape.write(self.d, (tape.read(self.d) + 2) % self.q)
 
     def shifted(self, d, inverse=False):
-        return _Liar(self.d + d)
+        return _Liar(self.d + d, self.q)
 
     def word_fn(self):
-        d = self.d
+        d, q = self.d, self.q
 
         def f(cells):
-            cells[d] = (cells[d] + 1) % 5
+            cells[d] = (cells[d] + 1) % q
         return f
 
 
@@ -442,6 +467,64 @@ def test_word_form_that_disagrees_with_its_tape_run_raises():
     c = cycle_compose(StepList([_Liar()], Domain((5,)), 5), 2, 1, (0,))
     with pytest.raises(RuntimeError, match="word form"):
         c.next(c.start)
+
+
+def test_residue_step_over_a_lying_inner_counter_raises():
+    # the inner counter's rank-0 step lies on bits; stitched in blocks of 2,
+    # the first step on a word with inner pointer bit 0 raises, both ways
+    inner = cycle_compose(StepList([_Liar(q=2)], Domain((2, 2, 2)), 1), 2, 1, (0, 0, 1))
+    for step in ("next", "prev"):
+        c = stitch_radix(2, inner)
+        with pytest.raises(RuntimeError, match="word form"):
+            getattr(c, step)((0, 1) if step == "next" else (2, 1))
+
+
+def _lying_counter():
+    """A Counter over Z_5 whose Tape steps add 2 and whose word path adds 1."""
+    def tape_fn(delta):
+        def fn(tape):
+            tape.write(0, (tape.read(0) + 2 * delta) % 5)
+        fn.word_step = lambda w: (((w[0] + delta) % 5,), StepStats(1, 1))
+        return fn
+
+    return Counter(Domain((5,)), tape_fn(1), tape_fn(-1), 5, (0,),
+                   claimed_reads=1, claimed_writes=1)
+
+
+def test_crt_component_whose_word_path_lies_raises():
+    # the clock word 0 triggers the component: next leaves it, prev enters it
+    for step, w in (("next", (0, 0)), ("prev", (1, 0))):
+        c = crt_compose([gray_counter(2, 1), _lying_counter()])
+        assert c.next_tape.word_step is not None
+        with pytest.raises(RuntimeError, match="word form"):
+            getattr(c, step)(w)
+
+
+# counters too big for WHOLE_DOMAIN, checked on seeded words
+BIG = {
+    "general(6,12)": lambda: general_counter(6, 12),
+    "general(12,12)": lambda: general_counter(12, 12),
+    "general(10,14)": lambda: general_counter(10, 14),
+    "crt[base(6,2),linear(F2,5),odd(3,11)]": lambda: crt_compose([
+        gray_counter(6, 2), linear_counter(Field(2), 5), odd_counter(3, 11)]),
+}
+
+
+@pytest.mark.parametrize("label", list(BIG))
+def test_word_path_matches_tape_path_on_seeded_words(label):
+    # 5,000 words of a Tape-path walk from the start, then 5,000 random words
+    c = BIG[label]()
+    assert _has_word_path(c)
+    rng = random.Random(17)
+    words = [c.start]
+    for _ in range(4999):
+        words.append(tape_step(c.next_tape, words[-1])[0])
+    words += [tuple(rng.randrange(b) for b in c.domain.radices) for _ in range(5000)]
+    for w in words:
+        for step, fn in ((c.next, c.next_tape), (c.prev, c.prev_tape)):
+            word, cost = step(w)
+            want, want_cost = tape_step(fn, w)
+            assert word == want and cost is want_cost
 
 
 @pytest.mark.parametrize("kind", ["past-bound", "no-word-form"])
@@ -506,6 +589,9 @@ CONTRACT = {
     "base(3,4)": lambda: gray_counter(3, 4),
     "general(4,6)": lambda: general_counter(4, 6),
     "past-bound": lambda: linear_counter(Field(2), 4, 14),
+    "crt(84)": _crt84,
+    "stitch(2,linear(F2,3,3))": lambda: stitch_radix(2, linear_counter(Field(2), 3, 3)),
+    "general(6,12)": lambda: general_counter(6, 12),
 }
 
 
