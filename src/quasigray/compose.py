@@ -150,6 +150,7 @@ def _residue_word_step(step, tape_fn, radices: tuple, cell=None, g=0):
     width = inner.width
     key_bits = bits[:width]
     pad = (0,) * (len(bits) - width)
+    located = [(j, c, s) for j, (c, s) in enumerate(bits)]
     # inner pointer bits -> (closure or None, virtual pointer bit, its new
     #                        value, (bit, cell, shift) of each data bit read,
     #                        (bit, cell, shift) of each bit written, cost),
@@ -185,8 +186,8 @@ def _residue_word_step(step, tape_fn, radices: tuple, cell=None, g=0):
         run(tape)
         touched = sorted((tape.reads | tape.written) - set(range(width)))
         e = table[key] = (e[0], e[1], e[2],
-                          tuple([(j, *bits[j]) for j in touched]),
-                          tuple([(j, *bits[j]) for j in sorted(tape.written)]),
+                          tuple([located[j] for j in touched]),
+                          tuple([located[j] for j in sorted(tape.written)]),
                           out[1])
         got = form(word, key, e)
         if got != out[0]:
@@ -423,7 +424,7 @@ def crt_compose(components: list[Counter], *, recipe=None) -> Counter:
             if idx:
                 table[ck] = (new_ck, None, idx)
                 return triggered(word, ck, new_ck, idx)
-            got = (*new_ck, *word[n1:])
+            got = new_ck + tuple(word[n1:])
             if got != out[0]:
                 raise RuntimeError(
                     f"word form of the crt clock gives {got} on {tuple(word)}, "
@@ -438,7 +439,7 @@ def crt_compose(components: list[Counter], *, recipe=None) -> Counter:
                 return fill(word, ck)
             new_ck, cost, idx = e
             if not idx:
-                return (*new_ck, *word[n1:]), cost
+                return new_ck + tuple(word[n1:]), cost
             return triggered(word, ck, new_ck, idx)
 
         return word_step
