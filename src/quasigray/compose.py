@@ -150,7 +150,10 @@ def _residue_word_step(step, tape_fn, radices: tuple, cell=None, g=0):
     width = inner.width
     key_bits = bits[:width]
     pad = (0,) * (len(bits) - width)
+    # entries share their (bit, cell, shift) tuples and their tuples of
+    # them: fewer small objects pin fewer of the allocator's arenas
     located = [(j, c, s) for j, (c, s) in enumerate(bits)]
+    shapes = {}
     # inner pointer bits -> (closure or None, virtual pointer bit, its new
     #                        value, (bit, cell, shift) of each data bit read,
     #                        (bit, cell, shift) of each bit written, cost),
@@ -185,10 +188,10 @@ def _residue_word_step(step, tape_fn, radices: tuple, cell=None, g=0):
         tape = Tape(virtual)
         run(tape)
         touched = sorted((tape.reads | tape.written) - set(range(width)))
-        e = table[key] = (e[0], e[1], e[2],
-                          tuple([located[j] for j in touched]),
-                          tuple([located[j] for j in sorted(tape.written)]),
-                          out[1])
+        reads = tuple([located[j] for j in touched])
+        writes = tuple([located[j] for j in sorted(tape.written)])
+        e = table[key] = (e[0], e[1], e[2], shapes.setdefault(reads, reads),
+                          shapes.setdefault(writes, writes), out[1])
         got = form(word, key, e)
         if got != out[0]:
             raise RuntimeError(

@@ -392,8 +392,8 @@ class Counter:
     (word, StepStats) as a Tape run, without one: gray_counter,
     cycle_compose (within its pointer table bound), stitch_radix over such
     a counter, and crt_compose (within its clock bound) give theirs one.
-    Its costs were each observed on one Tape run for the same key. next
-    and prev call it when it is there (the word path) and otherwise run
+    All but gray_counter's, whose steps all cost the same, return costs
+    each observed on one Tape run for the same key. next and prev call it when it is there (the word path) and otherwise run
     the step on a Tape (the Tape path, tape_step). A word path may itself
     take the Tape path for some steps: a general counter's odd step does,
     since a word path for it gained no speed and fragmented memory.
