@@ -16,7 +16,7 @@ from typing import Callable
 from .core import Counter, Domain, OffsetTape, Tape, tape_step
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
-from .graycode import gray_rank, gray_scan_read, gray_unrank  # noqa: F401
+from .graycode import gray_rank, gray_scan, gray_unrank  # noqa: F401
 
 
 # widest pointer, in words, that cycle_compose steps through a table
@@ -220,17 +220,15 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     step. One full pointer revolution applies the whole list once, so the
     cycle through <pointer start, start_inner> has length m^r * ell.
 
-    A step reads the r pointer cells once each, top down from cell r-1 to
-    cell 0. gray_scan_read gives from them both the rank, which picks the
-    step, and the one pointer digit the Gray step moves, which is the
-    pointer's single write. A pointer of at most _TABLE_BOUND words is read
-    with one read_cells call, in the same order, and its word is looked up
-    in a table filled on first use, so gray_scan_read runs once per word; a
-    wider pointer builds no table and scans on every step. The table holds
-    pointer words only: a key with a digit out of range is decoded but not
-    stored. The steps are shifted by r once, here, so they run at absolute
-    coordinates on the caller's tape; an inverse is shifted the first time
-    prev needs it.
+    A step reads the r pointer cells with one read_cells call, top down
+    from cell r-1 to cell 0, and looks the word up in a table. On a miss,
+    gray_scan decodes it into the rank, which picks the step, and the one
+    pointer digit the Gray step moves, which is the pointer's single write.
+    The table stores pointer words only, and only when the pointer has at
+    most _TABLE_BOUND words: a wider pointer, or a key with a digit out of
+    range, is decoded on every step. The steps are shifted by r once, here,
+    so they run at absolute coordinates on the caller's tape; an inverse is
+    shifted the first time prev needs it.
 
     That is the Tape path, which audits and materialize run. Within the
     bound, Counter.next and prev take a word path (_word_step): the word
@@ -258,50 +256,37 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
         s = inv[j] = steps.steps[j].shifted(r, inverse=True)
         return s
 
-    if k_prime > _TABLE_BOUND:
-        def next_fn(tape) -> None:
-            j, up, g, _, _ = gray_scan_read(tape.read, cells, m)
-            if j < k:
-                fwd[j].apply_tape(tape)
-            tape.write(up, (g + 1) % m)
+    # pointer word -> (next step or None, up cell, new up digit,
+    #                  down cell, new down digit, prev step index or -1)
+    table = {}
+    store = k_prime <= _TABLE_BOUND
 
-        def prev_fn(tape) -> None:
-            j, _, _, down, g = gray_scan_read(tape.read, cells, m)
-            tape.write(down, (g - 1) % m)
-            j = (j - 1) % k_prime
-            if j < k:
-                s = inv[j]
-                (inverse(j) if s is None else s).apply_tape(tape)
-    else:
-        # pointer word -> (next step or None, up cell, new up digit,
-        #                  down cell, new down digit, prev step index or -1)
-        table = {}
+    def entry(key):
+        # key holds cells r-1 .. 0, so cell j is key[r - 1 - j]
+        j, up, down = gray_scan(key[::-1], m)
+        jp = (j - 1) % k_prime
+        e = (fwd[j] if j < k else None, up, (key[r - 1 - up] + 1) % m,
+             down, (key[r - 1 - down] - 1) % m, jp if jp < k else -1)
+        if store and 0 <= min(key) and max(key) < m:
+            table[key] = e  # a digit out of range is no pointer word
+        return e
 
-        def entry(key):
-            # key holds cells r-1 .. 0, so cell j is key[r - 1 - j]
-            j, up, g_up, down, g_down = gray_scan_read(key[::-1].__getitem__, cells, m)
-            jp = (j - 1) % k_prime
-            e = (fwd[j] if j < k else None, up, (g_up + 1) % m,
-                 down, (g_down - 1) % m, jp if jp < k else -1)
-            if 0 <= min(key) and max(key) < m:
-                table[key] = e  # a digit out of range is no pointer word
-            return e
+    def next_fn(tape) -> None:
+        key = tape.read_cells(cells)
+        step, up, g, _, _, _ = table.get(key) or entry(key)
+        if step is not None:
+            step.apply_tape(tape)
+        tape.write(up, g)
 
-        def next_fn(tape) -> None:
-            key = tape.read_cells(cells)
-            step, up, g, _, _, _ = table.get(key) or entry(key)
-            if step is not None:
-                step.apply_tape(tape)
-            tape.write(up, g)
+    def prev_fn(tape) -> None:
+        key = tape.read_cells(cells)
+        _, _, _, down, g, j = table.get(key) or entry(key)
+        tape.write(down, g)
+        if j >= 0:
+            s = inv[j]
+            (inverse(j) if s is None else s).apply_tape(tape)
 
-        def prev_fn(tape) -> None:
-            key = tape.read_cells(cells)
-            _, _, _, down, g, j = table.get(key) or entry(key)
-            tape.write(down, g)
-            if j >= 0:
-                s = inv[j]
-                (inverse(j) if s is None else s).apply_tape(tape)
-
+    if store:
         def next_move(key):
             step, up, g, _, _, _ = table[key]
             return step, up, g
@@ -319,7 +304,7 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
                    recipe=recipe)
 
 
-def crt_compose(components: list[Counter], *, recipe=None) -> Counter:
+def crt_compose(components: list[Counter]) -> Counter:
     """Product counter over the concatenated domains.
 
     The first component steps every time. Component i+1 steps exactly when
@@ -457,9 +442,8 @@ def crt_compose(components: list[Counter], *, recipe=None) -> Counter:
     if (clock.claimed_writes is not None
             and all(c.claimed_writes is not None for c in components[1:])):
         writes = clock.claimed_writes + max(c.claimed_writes for c in components[1:])
-    if recipe is None:
-        recipe = {"kind": "crt", "lengths": lengths,
-                  "components": [c.recipe for c in components]}
+    recipe = {"kind": "crt", "lengths": lengths,
+              "components": [c.recipe for c in components]}
     return Counter(Domain(radices), next_fn, prev_fn, math.prod(lengths), start,
                    claimed_reads=reads, claimed_writes=writes, recipe=recipe)
 

@@ -24,13 +24,11 @@ That is its Tape path, which audits and materialize run. Counter.next and
 prev take its word path instead: the same _gray_move on a plain list,
 returning the cost every step has, r reads and 1 write.
 
-gray_scan_read finds both digits in the same pass that computes the rank.
-It reads each pointer cell once, top down, through a callable: tape.read
-in cycle_compose over a wide pointer, list indexing in gray_scan. Over a
-pointer of at most compose._TABLE_BOUND words, cycle_compose reads the
-pointer word first, in the same order, with one tape.read_cells call, and
-runs gray_scan_read on that word only the first time it sees it, not on
-every step. That top-down read order is the query order of every
+gray_scan is the one Gray decode: one pass over the digits, top down,
+gives the rank and the cells a +1 and a -1 rank step move. gray_rank
+runs it, and so does compose.cycle_compose on a pointer word it has not
+stored, after reading the word top down from cell r-1 to cell 0 with one
+tape.read_cells call. That read order is the query order of every
 materialized base and pointer-driven counter tree.
 """
 
@@ -47,9 +45,13 @@ def _base_digits(i: int, m: int, r: int) -> list[int]:
     return out
 
 
-def gray_unrank(i: int, m: int, r: int) -> tuple[int, ...]:
+def _check(m: int, r: int) -> None:
     if m < 2 or r < 1:
         raise ValueError("need m >= 2 and r >= 1")
+
+
+def gray_unrank(i: int, m: int, r: int) -> tuple[int, ...]:
+    _check(m, r)
     if not 0 <= i < m ** r:
         raise ValueError(f"rank {i} out of range for m={m}, r={r}")
     b = _base_digits(i, m, r) + [0]
@@ -57,43 +59,32 @@ def gray_unrank(i: int, m: int, r: int) -> tuple[int, ...]:
 
 
 def gray_rank(word, m: int, r: int) -> int:
+    _check(m, r)
     if len(word) != r:
         raise ValueError(f"expected {r} digits, got {len(word)}")
     return gray_scan(word, m)[0]
 
 
-def gray_scan_read(read, cells, m: int) -> tuple[int, int, int, int, int]:
-    """(rank, up, g_up, down, g_down) of the Gray word read(j) for j in cells.
+def gray_scan(ptr, m: int) -> tuple[int, int, int]:
+    """(rank, up, down) of the Gray word ptr, digit j at ptr[j].
 
-    cells are the pointer's cells, top digit first, e.g. range(r - 1, -1, -1);
-    each is read exactly once, in that order. up is the cell a +1 rank step
-    increments and down the cell a -1 step decrements, both the top cell
-    when the step wraps the rank; g_up and g_down are their current digits.
+    up is the cell a +1 rank step increments and down the cell a -1 step
+    decrements, both the top cell when the step wraps the rank. The digits
+    are walked once, top cell first.
     """
     top = m - 1
-    up = down = cells[0]
-    # on a wrap every b_j is m-1 (up) or 0 (down), and so is the top digit
-    g_up = top
-    g_down = b = rank = 0
-    # digits telescope: b_j = g_j + b_{j+1}, recovered from the top down
-    for j in cells:
-        g = read(j)
+    up = down = j = len(ptr) - 1
+    b = rank = 0
+    # digits telescope: b_j = g_j + b_{j+1}, recovered from the top down;
+    # on a wrap every b_j is m-1 (up) or 0 (down), and the top cell moves
+    for g in reversed(ptr):
         b = (g + b) % m
         rank = rank * m + b
         if b != top:
             up = j
-            g_up = g
         if b:
             down = j
-            g_down = g
-    return rank, up, g_up, down, g_down
-
-
-def gray_scan(ptr, m: int) -> tuple[int, int, int]:
-    """(rank, up, down) of a Gray word whose digits the caller has read;
-    see gray_scan_read."""
-    rank, up, _, down, _ = gray_scan_read(ptr.__getitem__,
-                                          range(len(ptr) - 1, -1, -1), m)
+        j -= 1
     return rank, up, down
 
 
@@ -114,8 +105,7 @@ def _gray_move(digits, m: int, stop: int) -> int:
 
 
 def _gray_step(word, m: int, r: int, delta: int) -> tuple[int, ...]:
-    if m < 2 or r < 1:
-        raise ValueError("need m >= 2 and r >= 1")
+    _check(m, r)
     if len(word) != r:
         raise ValueError(f"expected {r} digits, got {len(word)}")
     w = [x % m for x in reversed(word)]  # digits count mod m, as in gray_rank

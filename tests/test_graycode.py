@@ -122,6 +122,15 @@ def test_gray_scan_exhaustive(m, r):
         assert gray_next(w, m, r) == nxt and gray_prev(w, m, r) == prv
 
 
+@pytest.mark.parametrize("m,r", [(1, 2), (0, 2), (-1, 2), (2, 0), (3, -1)])
+def test_bad_pointer_parameters_raise(m, r):
+    word = (0,) * max(r, 0)
+    for fn in (lambda: gray_rank(word, m, r), lambda: gray_unrank(0, m, r),
+               lambda: gray_next(word, m, r), lambda: gray_prev(word, m, r)):
+        with pytest.raises(ValueError, match="need m >= 2 and r >= 1"):
+            fn()
+
+
 def test_gray_next_prev_length_error():
     with pytest.raises(ValueError):
         gray_next((0, 0, 0), 3, 2)

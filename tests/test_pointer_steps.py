@@ -1,5 +1,5 @@
 """Pointer-driven steps on the caller's tape: shifted primitives and residue
-steps, the one-pass Gray scan, bulk reads on every tape class, the pointer
+steps, the pointer read order, bulk reads on every tape class, the pointer
 table and its bound, whole-domain agreement with the materialized trees,
 the word path against the Tape path, and the input contract at the Counter
 boundary."""
@@ -16,10 +16,9 @@ from quasigray.compose import (StepList, _MixedTape, _residues, _ResidueStep,
                                stitch_radix)
 from quasigray.core import (Counter, Domain, OffsetTape, StepStats, Tape, _BranchOn,
                             _ProbeTape, apply_word, dat_count_nodes, dat_eval,
-                            dat_read_complexity, dat_write_complexity,
+                            dat_read_complexity, dat_to_json, dat_write_complexity,
                             materialize, measure_counter, tape_step)
-from quasigray.graycode import (gray_counter, gray_rank, gray_scan, gray_scan_read,
-                                gray_unrank)
+from quasigray.graycode import gray_counter, gray_rank, gray_scan, gray_unrank
 from quasigray.linear import (AddRow, Field, Scale, _companion_ops, companion_counter,
                               linear_counter)
 from quasigray.permdecomp import RFunction, odd_counter
@@ -69,20 +68,35 @@ def test_shifted_primitive_matches_unshifted(m, prim, d):
             assert _run(back_one, got) == _run(back, got)
 
 
-@pytest.mark.parametrize("m,r", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 2)])
-def test_gray_scan_read_one_pass_top_down(m, r):
-    cells = range(r - 1, -1, -1)
-    for w in itertools.product(range(m), repeat=r):
-        order = []
+class _RecordingTape(Tape):
+    """A Tape that logs every cell it reads, in the order read."""
 
-        def read(j, w=w):
-            order.append(j)
-            return w[j]
+    def __init__(self, word):
+        super().__init__(word)
+        self.order = []
 
-        rank, up, g_up, down, g_down = gray_scan_read(read, cells, m)
-        assert order == list(cells)
-        assert (rank, up, down) == gray_scan(list(w), m)
-        assert g_up == w[up] and g_down == w[down]
+    def read(self, i: int) -> int:
+        self.order.append(i)
+        return super().read(i)
+
+    def read_cells(self, cells) -> tuple:
+        return tuple(map(self.read, cells))
+
+
+@pytest.mark.parametrize("r", [12, 14], ids=["table", "past-bound"])
+def test_pointer_is_read_top_down_before_any_data_cell(r):
+    # a step reads pointer cells r-1 .. 0, each once, and then only data
+    # cells: that order is the query order of every pointer-driven tree
+    c = linear_counter(Field(2), 4, r)
+    rng = random.Random(13)
+    words = [tuple(rng.randrange(2) for _ in range(r + 4)) for _ in range(300)]
+    words += [gray_unrank(rank, 2, r) + (1, 0, 1, 1) for rank in range(40)]
+    for w in words:
+        for fn in (c.next_tape, c.prev_tape):
+            tape = _RecordingTape(w)
+            fn(tape)
+            assert tape.order[:r] == list(range(r - 1, -1, -1))
+            assert all(j >= r for j in tape.order[r:])
 
 
 def _crt84():
@@ -322,12 +336,12 @@ def test_only_pointers_within_the_bound_build_a_table(monkeypatch, r, scans_per_
     # once, on its first step; a 2^7-word pointer scans on every step
     scans = []
 
-    def counting_scan(read, cells, m):
+    def counting_scan(ptr, m):
         scans.append(1)
-        return gray_scan_read(read, cells, m)
+        return gray_scan(ptr, m)
 
     monkeypatch.setattr(compose, "_TABLE_BOUND", 64)
-    monkeypatch.setattr(compose, "gray_scan_read", counting_scan)
+    monkeypatch.setattr(compose, "gray_scan", counting_scan)
     c = cycle_compose(StepList([_Idle(i, []) for i in range(50)], Domain((2,)), 1),
                       2, r, (0,))
     w = c.start
@@ -336,6 +350,30 @@ def test_only_pointers_within_the_bound_build_a_table(monkeypatch, r, scans_per_
     for _ in range(2 ** r):
         w, _ = c.prev(w)
     assert w == c.start and len(scans) == scans_per_word * 2 ** r
+
+
+BOTH_SIDES = {label: WHOLE_DOMAIN[label][0] for label in
+              ("linear(F2,5)", "linear(F4,2)", "general(4,6)", "stitch(2,linear(F2,3,3))")}
+
+
+@pytest.mark.parametrize("label", list(BOTH_SIDES))
+def test_one_pointer_step_on_either_side_of_the_bound(monkeypatch, label):
+    # built with the table bound at 1 word, every pointer is past it: no
+    # table entry is stored and no word path is built, yet each Tape step
+    # and both materialized trees match the default build's
+    within = BOTH_SIDES[label]()
+    monkeypatch.setattr(compose, "_TABLE_BOUND", 1)
+    past = BOTH_SIDES[label]()
+    assert _has_word_path(within) and not _has_word_path(past)
+    for fn, past_fn in ((within.next_tape, past.next_tape),
+                        (within.prev_tape, past.prev_tape)):
+        for w in within.domain.words():
+            word, cost = tape_step(fn, w)
+            past_word, past_cost = tape_step(past_fn, w)
+            assert word == past_word and cost is past_cost
+        assert (dat_to_json(materialize(fn, within.domain))
+                == dat_to_json(materialize(past_fn, past.domain)))
+    assert all(not t for t in _tables(past))
 
 
 def test_step_results_are_step_stats():
