@@ -381,11 +381,12 @@ def materialize(step: Callable, domain: Domain, node_budget: int = 10 ** 6):
 class Counter:
     """A cyclic counter: instrumented step functions plus claimed bounds.
 
-    next_fn and prev_fn mutate a tape in place; they are kept as the
-    next_tape and prev_tape attributes. claimed_length is the cycle
-    length the construction promises through the start word; claimed_reads
-    and claimed_writes bound per-step coordinate touches. None means no
-    promise. Audits check all of them against observed behaviour.
+    next_fn and prev_fn mutate a tape in place, changing cells only through
+    tape.write; they are kept as the next_tape and prev_tape attributes.
+    claimed_length is the cycle length the construction promises through
+    the start word; claimed_reads and claimed_writes bound per-step
+    coordinate touches. None means no promise. Audits check all of them
+    against observed behaviour.
 
     next and prev take one of two paths. A step function may carry a
     word_step attribute, a function of a word that returns the same
@@ -393,12 +394,13 @@ class Counter:
     cycle_compose (within its pointer table bound), stitch_radix over such
     a counter, and crt_compose (within its clock bound) give theirs one.
     All but gray_counter's, whose steps all cost the same, return costs
-    each observed on one Tape run for the same key. next and prev call it when it is there (the word path) and otherwise run
-    the step on a Tape (the Tape path, tape_step). A word path may itself
-    take the Tape path for some steps: a general counter's odd step does,
-    since a word path for it gained no speed and fragmented memory.
-    measure_counter, and so audit, and materialize always take the Tape
-    path, so what they report is observed on a Tape.
+    each observed on one Tape run for the same key. next and prev call it
+    when it is there (the word path) and otherwise run the step on a Tape
+    (the Tape path, tape_step). A word path may itself take the Tape path
+    for some steps: a general counter's odd step does, since a word path
+    for it gained no speed and fragmented memory. measure_counter, and so
+    audit, and materialize always take the Tape path, so what they report
+    is observed on a Tape (one Tape reused for every step of a walk).
 
     next and prev take a tuple or a list and raise ValueError on a word of
     the wrong length, but do not check digit ranges per step: a digit out
@@ -445,6 +447,25 @@ class Counter:
                 f"length={self.claimed_length})")
 
 
+class Visited:
+    """The ranks a walk visited, one byte each. rk in visited is False for
+    any rank below 0 or at or above the domain size."""
+
+    __slots__ = ("marks",)
+
+    def __init__(self, size: int):
+        self.marks = bytearray(size)
+
+    def __contains__(self, rk) -> bool:
+        return 0 <= rk < len(self.marks) and self.marks[rk] == 1
+
+    def missing(self) -> Iterator[int]:
+        """The ranks never visited, in increasing order."""
+        rk = -1
+        while (rk := self.marks.find(0, rk + 1)) >= 0:
+            yield rk
+
+
 @dataclass
 class OrbitReport:
     """Result of walking a counter from its start word."""
@@ -455,11 +476,11 @@ class OrbitReport:
     distinct: bool
     closed: bool
     truncated: bool
-    visited_ranks: Optional[set[int]]
+    visited_ranks: Optional[Visited]
 
 
 # Above this many words the walk stops tracking the visited set; distinctness
-# then rests on closure alone.
+# then rests on closure alone. At the limit the byte map takes 128 MB.
 TRACK_LIMIT = 2 ** 27
 
 
@@ -467,40 +488,62 @@ def measure_counter(counter: Counter, max_steps: Optional[int] = None,
                     direction: str = "next",
                     track_visited: Optional[bool] = None) -> OrbitReport:
     """Walk the counter until it returns to start, revisits a word, or runs
-    out of budget. max_steps defaults to the claimed length. Every step
-    runs on a Tape (tape_step), so the costs are observed, never taken
-    from a word path."""
+    out of budget. max_steps defaults to the claimed length. Every step runs
+    on one Tape, reset before each step, so the costs are observed, never
+    taken from a word path. The word's rank follows the cells in
+    tape.written, so a step must change cells only through write; a written
+    digit outside its radix raises ValueError. track_visited=True above
+    TRACK_LIMIT words raises BoundExceeded."""
     if direction not in ("next", "prev"):
         raise ValueError("direction must be 'next' or 'prev'")
     domain = counter.domain
+    size = domain.size
+    if track_visited is None:
+        track_visited = size <= TRACK_LIMIT
+    elif track_visited and size > TRACK_LIMIT:
+        raise BoundExceeded(f"domain size {size} exceeds 2^27 to track visited words")
     if max_steps is None:
         max_steps = counter.claimed_length
-    if track_visited is None:
-        track_visited = domain.size <= TRACK_LIMIT
     fn = counter.next_tape if direction == "next" else counter.prev_tape
-    start = counter.start
-    visited = {domain.rank(start)} if track_visited else None
-    w = start
+    radices = domain.radices
+    weight = [math.prod(radices[i + 1:]) for i in range(domain.n)]
+    start = list(counter.start)
+    first = rk = domain.rank(start)
+    visited = Visited(size) if track_visited else None
+    if track_visited:
+        marks = visited.marks
+        marks[rk] = 1
+    prev = start[:]
+    tape = Tape(start)
+    cells, reads, written = tape.cells, tape.reads, tape.written
     max_reads = max_writes = 0
     distinct = True
     closed = False
     steps = 0
     while steps < max_steps:
-        w, st = tape_step(fn, w)
+        reads.clear()
+        written.clear()
+        tape.writes = 0
+        fn(tape)
         steps += 1
-        if st.reads > max_reads:
-            max_reads = st.reads
-        if st.writes > max_writes:
-            max_writes = st.writes
-        if w == start:
+        if len(reads) > max_reads:
+            max_reads = len(reads)
+        if tape.writes > max_writes:
+            max_writes = tape.writes
+        for i in written:
+            v = cells[i]
+            if not 0 <= v < radices[i]:
+                raise ValueError(f"step {steps} wrote {v} at coordinate {i + 1}")
+            rk += (v - prev[i]) * weight[i]
+            prev[i] = v
+        if rk == first and cells == start:
             closed = True
             break
         if track_visited:
-            rk = domain.rank(w)
-            if rk in visited:
+            if marks[rk]:
                 distinct = False
                 break
-            visited.add(rk)
+            marks[rk] = 1
     truncated = not closed and distinct
     return OrbitReport(steps, max_reads, max_writes, distinct, closed,
                        truncated, visited)

@@ -161,8 +161,9 @@ def audit(counter: Counter, max_steps: Optional[int] = None,
     """Walk the whole orbit and compare what happened against the claims.
 
     Reports the observed cycle length, worst-case step costs, and the
-    words the counter never visits (count always, sample when the domain is
-    small enough to scan).
+    words the counter never visits: their count always, and the first
+    sample_cap of them in rank order whenever the walk tracks the visited
+    words (up to TRACK_LIMIT words).
     """
     rep = measure_counter(counter, max_steps=max_steps)
     problems = []
@@ -183,13 +184,9 @@ def audit(counter: Counter, max_steps: Optional[int] = None,
     missing_sample: list = []
     if rep.closed and rep.distinct:
         missing_count = counter.domain.size - rep.observed_length
-        if (missing_count and rep.visited_ranks is not None
-                and counter.domain.size <= DENSIFY_LIMIT):
-            for rk in range(counter.domain.size):
-                if rk not in rep.visited_ranks:
-                    missing_sample.append(counter.domain.unrank(rk))
-                    if len(missing_sample) == sample_cap:
-                        break
+        if rep.visited_ranks is not None:
+            missing = itertools.islice(rep.visited_ranks.missing(), sample_cap)
+            missing_sample = list(map(counter.domain.unrank, missing))
     return AuditReport(rep.observed_length, counter.claimed_length,
                        rep.max_reads, rep.max_writes,
                        counter.claimed_reads, counter.claimed_writes,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from quasigray.core import (Assign, BoundExceeded, Counter, Domain, Query,
                             materialize, measure_counter, word_format,
                             word_parse)
 from quasigray.graycode import gray_counter
+from quasigray.verify import audit
 
 
 def test_domain_basics():
@@ -198,6 +201,33 @@ def test_measure_counter_detects_revisit():
                 lambda t: None, 3, (0,))
     rep = measure_counter(c)
     assert not rep.distinct
+
+
+def test_measure_counter_rejects_a_digit_out_of_range():
+    # 000 -> 001 -> 002 -> 003: the third step writes 3 into a radix-3
+    # cell, and a step back from 000 writes -1
+    c = Counter(Domain.uniform(3, 3), lambda t: t.write(2, t.read(2) + 1),
+                lambda t: t.write(0, t.read(0) - 1), 9, (0, 0, 0))
+    for walk in (measure_counter, audit):
+        with pytest.raises(ValueError, match="step 3 wrote 3 at coordinate 3"):
+            walk(c)
+    with pytest.raises(ValueError, match="step 1 wrote -1 at coordinate 1"):
+        measure_counter(c, direction="prev")
+
+
+def test_forced_tracking_above_the_limit_allocates_nothing():
+    c = Counter(Domain.uniform(2, 28), lambda t: None, lambda t: None, 1, (0,) * 28)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded, match="2\\^27"):
+            measure_counter(c, max_steps=5, track_visited=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # by default a walk that large tracks nothing
+    rep = measure_counter(c, max_steps=5)
+    assert rep.closed and rep.visited_ranks is None
 
 
 def test_word_parse_forms():

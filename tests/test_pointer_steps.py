@@ -1,8 +1,8 @@
 """Pointer-driven steps on the caller's tape: shifted primitives and residue
 steps, the pointer read order, bulk reads on every tape class, the pointer
 table and its bound, whole-domain agreement with the materialized trees,
-the word path against the Tape path, and the input contract at the Counter
-boundary."""
+the audit walk against a plain reference walk, the word path against the
+Tape path, and the input contract at the Counter boundary."""
 
 import itertools
 import math
@@ -137,6 +137,72 @@ def test_counter_agrees_with_its_trees_on_every_word(label):
         for st in (nxt[1], prv[1]):
             assert isinstance(st, StepStats)
             assert st.reads <= c.claimed_reads and st.writes <= c.claimed_writes
+
+
+def _reference_walk(c, direction, max_steps):
+    """measure_counter's walk written plainly: a fresh Tape per step
+    (tape_step), Domain.rank of every word and a set of visited ranks."""
+    fn = c.next_tape if direction == "next" else c.prev_tape
+    limit = c.claimed_length if max_steps is None else max_steps
+    w = c.start
+    seen = {c.domain.rank(w)}
+    steps = max_reads = max_writes = 0
+    distinct, closed = True, False
+    while steps < limit:
+        w, st = tape_step(fn, w)
+        steps += 1
+        max_reads = max(max_reads, st.reads)
+        max_writes = max(max_writes, st.writes)
+        if w == c.start:
+            closed = True
+            break
+        rk = c.domain.rank(w)
+        if rk in seen:
+            distinct = False
+            break
+        seen.add(rk)
+    return (steps, max_reads, max_writes, distinct, closed, not closed and distinct), seen
+
+
+def _revisiting():
+    # 0 -> 1 -> 2 -> 1: falls into a loop that skips the start
+    return Counter(Domain.uniform(3, 1),
+                   lambda t: t.write(0, {0: 1, 1: 2, 2: 1}[t.read(0)]),
+                   lambda t: None, 3, (0,))
+
+
+def _short_cycle():
+    base = gray_counter(2, 2)
+    return Counter(base.domain, base.next_tape, base.prev_tape, 8, base.start)
+
+
+# (counter, max_steps): every whole-domain counter, a counter with missing
+# words, and walks that close early, revisit a word or run out of steps
+WALKS = {**{label: (make, None) for label, (make, _) in WHOLE_DOMAIN.items()},
+         "linear(F2,2,3)": (lambda: linear_counter(Field(2), 2, 3), None),
+         "short-cycle": (_short_cycle, None),
+         "revisit": (_revisiting, None),
+         "truncated": (lambda: gray_counter(2, 4), 5)}
+
+
+@pytest.mark.parametrize("direction", ["next", "prev"])
+@pytest.mark.parametrize("label", list(WALKS))
+def test_walk_matches_a_plain_reference_walk(label, direction):
+    make, max_steps = WALKS[label]
+    c = make()
+    rep = measure_counter(c, max_steps=max_steps, direction=direction)
+    want, seen = _reference_walk(c, direction, max_steps)
+    assert (rep.observed_length, rep.max_reads, rep.max_writes, rep.distinct,
+            rep.closed, rep.truncated) == want
+    ranks = range(-1, c.domain.size + 1)
+    assert [rk in rep.visited_ranks for rk in ranks] == [rk in seen for rk in ranks]
+    if direction == "prev":
+        return
+    missing = [c.domain.unrank(rk) for rk in range(c.domain.size) if rk not in seen]
+    if not (rep.closed and rep.distinct):
+        missing = []
+    for cap in (3, c.domain.size) if missing else (10,):
+        assert audit(c, max_steps=max_steps, sample_cap=cap).missing_sample == missing[:cap]
 
 
 WRONG_LENGTH = {
