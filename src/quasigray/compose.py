@@ -1,13 +1,15 @@
 """Composition engines: step lists driven by a Gray pointer over Z_m^r
-(cycle_compose), co-prime counter products (crt_compose), and the residue
-view (_MixedTape) that general and stitch counters step their parts on.
-Each engine's steps run on a Tape; their word paths (_word_step,
-_residue_word_step and crt_compose's word_path) give the same words and
-costs on plain words."""
+(cycle_compose), co-prime counter products (crt_compose, a Gray pointer
+over one _ComponentStep per further component), and the residue view
+(_MixedTape) that general and stitch counters step their parts on. Each
+engine's steps run on a Tape; their word paths (_word_step, and the
+word_path of _ResidueStep and _ComponentStep it delegates to) give the
+same words and costs on plain words."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -31,8 +33,8 @@ class StepList:
     the step or its inverse moved d coordinates up. A step that reads and
     writes the same cells on every word may also offer word_fn(), a
     function that does what apply_tape does to a list of digits, in place;
-    cycle_compose's word path then runs it. A _ResidueStep offers none:
-    cycle_compose gives it a word path of its own where it can."""
+    cycle_compose's word path then runs it. A step whose cost varies with
+    its data cells may offer word_path instead (see _word_step)."""
 
     steps: list
     domain: Domain
@@ -58,13 +60,14 @@ def _word_step(tape_fn, move, r: int, radices: tuple):
     range runs on a Tape and stores nothing, so the table holds at most one
     entry per pointer word.
 
-    A () entry hands the word to keyed[pointer word]: the word path of a
-    bit-view _ResidueStep (_residue_word_step), whose cost is fixed by the
-    inner counter's pointer bits instead, or else the Tape path.
+    A () entry, from the first word on, hands the word to keyed[pointer
+    word]: step.word_path(tape_fn, radices, cell, g), the word path of a
+    step whose cost varies with its data cells (_ResidueStep,
+    _ComponentStep), or else the Tape path.
 
     The function's entry attribute gives the table entry of a word's
     pointer word, filled from that word if new, and its width attribute is
-    r; _residue_word_step reads an inner counter's steps through them.
+    r; _ResidueStep.word_path reads an inner counter's steps through them.
     """
     table = {}
     keyed = {}
@@ -78,10 +81,11 @@ def _word_step(tape_fn, move, r: int, radices: tuple):
         if step is not None:
             word_fn = getattr(step, "word_fn", None)
             if word_fn is None:
+                path = getattr(step, "word_path", None)
                 table[key] = ()
-                keyed[key] = (_residue_word_step(step, tape_fn, radices, cell, g)
+                keyed[key] = (path and path(tape_fn, radices, cell, g)
                               or functools.partial(tape_step, tape_fn))
-                return out
+                return keyed[key](word)
             f = word_fn()
         cells = list(word)
         if f is not None:
@@ -119,98 +123,6 @@ def _word_step(tape_fn, move, r: int, radices: tuple):
     return word_step
 
 
-def _residue_word_step(step, tape_fn, radices: tuple, cell=None, g=0):
-    """The word path of tape_fn, a step that runs step, a _ResidueStep,
-    on the word's data cells and then, when cell is given, writes g to
-    pointer cell cell; None when step is no bit-view _ResidueStep or its
-    inner counter has no word path.
-
-    The inner counter's word path (a cycle_compose counter's) steps fixed
-    virtual bits on each of its pointer words, so which physical cells a
-    step touches, and so its cost, are fixed by the inner pointer bits.
-    The table maps those bits, read from the physical word, to the inner
-    entry's closure, pointer bit and digit, the virtual bits the inner step
-    reads and writes (seen on one Tape run of the inner step), and the cost
-    of one Tape run of tape_fn on the first in-range word with those bits.
-    The word of that run is checked against the word form: the touched
-    bits are read from the physical list, stepped as a virtual list and
-    written back through recombine. A word with a digit out of range runs
-    on a Tape and stores nothing.
-
-    Odd residue steps (no bits) get no word path. A prototype of one made
-    no walk faster than the bit view already had, and its many small table
-    entries, filled during long walks, fragmented the allocator's arenas:
-    the peak memory of a run of several general counters rose by a tenth.
-    """
-    inner = getattr(step.run, "word_step", None) if isinstance(step, _ResidueStep) else None
-    entry = getattr(inner, "entry", None)
-    if entry is None or not step.bits:
-        return None
-    bits, recombine, run = step.bits, step.recombine, step.run
-    width = inner.width
-    key_bits = bits[:width]
-    pad = (0,) * (len(bits) - width)
-    # entries share their (bit, cell, shift) tuples and their tuples of
-    # them: fewer small objects pin fewer of the allocator's arenas
-    located = [(j, c, s) for j, (c, s) in enumerate(bits)]
-    shapes = {}
-    # inner pointer bits -> (closure or None, virtual pointer bit, its new
-    #                        value, (bit, cell, shift) of each data bit read,
-    #                        (bit, cell, shift) of each bit written, cost),
-    #                        or () when the inner step has no word form
-    table = {}
-
-    def form(word, key, e):
-        f, v_cell, v_g, reads, writes, _ = e
-        v = [*key, *pad]
-        for j, c, s in reads:
-            v[j] = word[c] >> s & 1
-        if f is not None:
-            f(v)
-        v[v_cell] = v_g
-        cells = list(word)
-        for j, c, s in writes:
-            cur = cells[c]
-            cells[c] = recombine(cur & ~(1 << s) | v[j] << s, cur)
-        if cell is not None:
-            cells[cell] = g
-        return tuple(cells)
-
-    def fill(word, key):
-        out = tape_step(tape_fn, word)
-        if not _in_range(word, radices):
-            return out
-        virtual = [word[c] >> s & 1 for c, s in bits]
-        e = entry(virtual)
-        if not e:
-            table[key] = ()
-            return out
-        tape = Tape(virtual)
-        run(tape)
-        touched = sorted((tape.reads | tape.written) - set(range(width)))
-        reads = tuple([located[j] for j in touched])
-        writes = tuple([located[j] for j in sorted(tape.written)])
-        e = table[key] = (e[0], e[1], e[2], shapes.setdefault(reads, reads),
-                          shapes.setdefault(writes, writes), out[1])
-        got = form(word, key, e)
-        if got != out[0]:
-            raise RuntimeError(
-                f"word form of {step!r} gives {got} on {tuple(word)}, "
-                f"its Tape run {out[0]}")
-        return out
-
-    def word_step(word):
-        key = tuple([word[c] >> s & 1 for c, s in key_bits])
-        e = table.get(key)
-        if e is None:
-            return fill(word, key)
-        if not e or not _in_range(word, radices):
-            return tape_step(tape_fn, word)
-        return form(word, key, e), e[5]
-
-    return word_step
-
-
 def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
                   claimed_reads=None, claimed_writes=None, recipe=None) -> Counter:
     """Drive a step list with a Gray-code pointer over Z_m^r.
@@ -236,10 +148,10 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     filled from one Tape run per pointer word, whose entry holds the data
     step's word_fn closure, the pointer write and the cost that run
     observed; the ranks that only move the pointer need no closure. A data
-    step with no word_fn is a _ResidueStep. Its cost varies with the data
-    cells, so a bit-view one takes its own word path keyed by the inner
-    counter's pointer bits (_residue_word_step), and an odd one runs on a
-    Tape every time. A pointer past the bound has no word path.
+    step with no word_fn has a cost that varies with the data cells: a
+    _ComponentStep or bit-view _ResidueStep takes its own word_path, and an
+    odd one runs on a Tape every time. A pointer past the bound has no word
+    path.
     """
     pointer_start = gray_unrank(0, m, r)  # checks m and r
     k = len(steps.steps)
@@ -307,145 +219,98 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
 def crt_compose(components: list[Counter]) -> Counter:
     """Product counter over the concatenated domains.
 
-    The first component steps every time. Component i+1 steps exactly when
-    the first component currently shows the i-th word of its cycle, so the
-    components advance at co-prime rates and the product closes after the
-    product of all lengths. Lengths of components 2..r must be pairwise
-    co-prime and the first component must be long enough to give each of the
-    others its own trigger word.
+    The first component is the clock, a base Gray counter over Z_m^n, and
+    steps every time. Component i+1 steps exactly when the clock shows its
+    word of Gray rank i, so the components advance at co-prime rates and the
+    product closes after the product of all lengths. Lengths of components
+    2..r must be pairwise co-prime and the clock must be long enough to
+    give each of the others its own trigger word.
 
-    A step runs on a Tape for audits and materialize. When the clock has at
-    most _TABLE_BOUND words, Counter.next and prev take a word path keyed
-    by the clock word: on other words the clock's new word and the cost of
-    one Tape run come from a table, and a trigger word runs its
-    component's own word path on its slice, with the product's cost
-    observed once per (clock word, component cost). See word_path below.
+    That is cycle_compose with the clock as its Gray pointer and one
+    _ComponentStep per further component: the component's whole step
+    through an OffsetTape onto its cells. So the clock is read top down,
+    and the word path, its table bound and the lazy inverses are the
+    pointer's; a trigger word takes the component's own word path.
     """
     if len(components) < 2:
         raise ValueError("need at least two components")
-    lengths = [c.claimed_length for c in components]
-    r = len(components)
-    if lengths[0] < r - 1:
+    clock, rest = components[0], components[1:]
+    rec = clock.recipe or {}
+    if rec.get("kind") != "base" or clock.claimed_length != rec["m"] ** rec["n"]:
         raise ValueError(
-            f"first component length {lengths[0]} cannot host {r - 1} trigger words")
-    for a in range(1, r):
-        for b in range(a + 1, r):
-            g = math.gcd(lengths[a], lengths[b])
-            if g != 1:
-                raise ValueError(
-                    f"component lengths {lengths[a]} and {lengths[b]} share "
-                    f"factor {g}; they must be co-prime")
+            f"the clock must be a base Gray counter of length m^n, got kind "
+            f"{rec.get('kind')!r} of length {clock.claimed_length}")
+    lengths = [c.claimed_length for c in components]
+    if lengths[0] < len(rest):
+        raise ValueError(
+            f"first component length {lengths[0]} cannot host {len(rest)} trigger words")
+    for a, b in itertools.combinations(lengths[1:], 2):
+        if (g := math.gcd(a, b)) != 1:
+            raise ValueError(
+                f"component lengths {a} and {b} share factor {g}; they must be co-prime")
 
-    clock = components[0]
-    n1 = clock.domain.n
-    markers = [clock.start]
-    w = clock.start
-    for _ in range(r - 2):
-        w, _ = clock.next(w)
-        markers.append(w)
+    offsets = itertools.accumulate([c.domain.n for c in rest], initial=0)
+    steps = [_ComponentStep(c, lo) for c, lo in zip(rest, offsets)]
+    reads = [c.claimed_reads for c in rest]
+    writes = [c.claimed_writes for c in components]
+    recipe = {"kind": "crt", "lengths": lengths,
+              "components": [c.recipe for c in components]}
+    inner = Domain(tuple(x for c in rest for x in c.domain.radices))
+    return cycle_compose(
+        StepList(steps, inner, math.prod(lengths[1:])), rec["m"], rec["n"],
+        tuple(x for c in rest for x in c.start),
+        claimed_reads=None if None in reads else rec["n"] + max(reads),
+        claimed_writes=None if None in writes else writes[0] + max(writes[1:]),
+        recipe=recipe)
 
-    offsets = [0]
-    for c in components[:-1]:
-        offsets.append(offsets[-1] + c.domain.n)
 
-    # the clock is a cycle of distinct words, so the markers are distinct
-    # and one lookup finds the component a clock word triggers
-    trigger = {mk: idx for idx, mk in enumerate(markers, 1)}
-    if len(trigger) != len(markers):
-        raise ValueError("first component repeats a word among its trigger words")
-    clock_cells = range(n1)
+@dataclass(frozen=True)
+class _ComponentStep:
+    """One whole step of a counter on the cells from offset on, through an
+    OffsetTape: its next_tape, or its prev_tape when inverse, as a step of
+    crt_compose's pointer-driven list."""
 
-    def next_fn(tape) -> None:
-        idx = trigger.get(tape.read_cells(clock_cells))
-        if idx is not None:
-            components[idx].next_tape(OffsetTape(tape, offsets[idx]))
-        clock.next_tape(tape)
+    counter: Counter
+    offset: int
+    inverse: bool = False
 
-    def prev_fn(tape) -> None:
-        clock.prev_tape(tape)
-        idx = trigger.get(tape.read_cells(clock_cells))
-        if idx is not None:
-            components[idx].prev_tape(OffsetTape(tape, offsets[idx]))
+    def apply_tape(self, tape) -> None:
+        c = self.counter
+        (c.prev_tape if self.inverse else c.next_tape)(OffsetTape(tape, self.offset))
 
-    radices = tuple(x for c in components for x in c.domain.radices)
-    spans = [(lo, lo + c.domain.n) for lo, c in zip(offsets, components)]
+    def shifted(self, d: int, inverse: bool = False) -> "_ComponentStep":
+        """This step, or its inverse, on cells d higher."""
+        return _ComponentStep(self.counter, self.offset + d, self.inverse != inverse)
 
-    def word_path(tape_fn, forward: bool):
-        """The word path of tape_fn, next_fn when forward, else prev_fn.
-
-        table maps a clock word to (the clock word a step leaves, the cost
-        of one Tape run of tape_fn, or None on a trigger word, the index
-        of the component it triggers, or 0). A trigger word runs that
-        component's own word path (Counter.next or prev) on its slice, and
-        costs maps (clock word, the component's cost) to the cost of one
-        Tape run of the first word with that pair. Each Tape run's word is
-        checked against the word form. A clock word with a digit out of
-        range stores nothing, and a trigger step on a word with a digit
-        out of range runs on a Tape.
-        """
-        steps = [c.next if forward else c.prev for c in components]
-        table = {}
+    def word_path(self, tape_fn, radices: tuple, cell: int, g: int):
+        """The word path of tape_fn, a pointer step that runs this step and
+        then writes g to pointer cell cell: the counter's own next or prev
+        on its slice of the word. The cost of tape_fn is fixed by the
+        counter's cost, so it is observed on one Tape run per counter cost,
+        and the word of that run is checked against the word form. A word
+        with a digit out of range runs on a Tape."""
+        step = self.counter.prev if self.inverse else self.counter.next
+        lo, hi = self.offset, self.offset + self.counter.domain.n
         costs = {}
 
-        def triggered(word, ck, new_ck, idx):
+        def word_step(word):
             if not _in_range(word, radices):
                 return tape_step(tape_fn, word)
-            lo, hi = spans[idx]
-            part, c = steps[idx](word[lo:hi])
-            got = (*new_ck, *word[n1:lo], *part, *word[hi:])
-            cost = costs.get((ck, c))
+            cells = list(word)
+            cells[lo:hi], c = step(word[lo:hi])
+            cells[cell] = g
+            got = tuple(cells)
+            cost = costs.get(c)
             if cost is None:
                 out = tape_step(tape_fn, word)
                 if got != out[0]:
                     raise RuntimeError(
-                        f"word form of crt component {idx} gives {got} on "
-                        f"{tuple(word)}, its Tape run {out[0]}")
-                cost = costs[ck, c] = out[1]
+                        f"word form of {self!r} gives {got} on {tuple(word)}, "
+                        f"its Tape run {out[0]}")
+                cost = costs[c] = out[1]
             return got, cost
 
-        def fill(word, ck):
-            out = tape_step(tape_fn, word)
-            if not _in_range(ck, clock.domain.radices):
-                return out
-            new_ck = out[0][:n1]
-            idx = trigger.get(ck if forward else new_ck, 0)
-            if idx:
-                table[ck] = (new_ck, None, idx)
-                return triggered(word, ck, new_ck, idx)
-            got = new_ck + tuple(word[n1:])
-            if got != out[0]:
-                raise RuntimeError(
-                    f"word form of the crt clock gives {got} on {tuple(word)}, "
-                    f"its Tape run {out[0]}")
-            table[ck] = (new_ck, out[1], 0)
-            return out
-
-        def word_step(word):
-            ck = tuple(word[:n1])
-            e = table.get(ck)
-            if e is None:
-                return fill(word, ck)
-            new_ck, cost, idx = e
-            if not idx:
-                return new_ck + tuple(word[n1:]), cost
-            return triggered(word, ck, new_ck, idx)
-
         return word_step
-
-    if clock.domain.size <= _TABLE_BOUND:
-        next_fn.word_step = word_path(next_fn, True)
-        prev_fn.word_step = word_path(prev_fn, False)
-    start = tuple(x for c in components for x in c.start)
-    reads = writes = None
-    if all(c.claimed_reads is not None for c in components[1:]):
-        reads = n1 + max(c.claimed_reads for c in components[1:])
-    if (clock.claimed_writes is not None
-            and all(c.claimed_writes is not None for c in components[1:])):
-        writes = clock.claimed_writes + max(c.claimed_writes for c in components[1:])
-    recipe = {"kind": "crt", "lengths": lengths,
-              "components": [c.recipe for c in components]}
-    return Counter(Domain(radices), next_fn, prev_fn, math.prod(lengths), start,
-                   claimed_reads=reads, claimed_writes=writes, recipe=recipe)
 
 
 def multiplicative_order(o: int, base: int = 2) -> int:
@@ -551,6 +416,96 @@ class _ResidueStep:
         return _ResidueStep(run, undo, tuple([(c + d, s) for c, s in self.bits]),
                             self.odd_cell + d, self.o, self.recombine)
 
+    def word_path(self, tape_fn, radices: tuple, cell=None, g=0):
+        """The word path of tape_fn, a step that runs this step on the word's
+        data cells and then, when cell is given, writes g to pointer cell cell;
+        None when this step has no bits or its inner counter has no word path.
+
+        The inner counter's word path (a cycle_compose counter's) steps fixed
+        virtual bits on each of its pointer words, so which physical cells a
+        step touches, and so its cost, are fixed by the inner pointer bits. The
+        table maps those bits, read from the physical word, to the inner
+        entry's closure, pointer bit and digit, the virtual bits the inner step
+        reads and writes (seen on one Tape run of the inner step), and the cost
+        of one Tape run of tape_fn on the first in-range word with those bits.
+        The word of that run is checked against the word form: the touched bits
+        are read from the physical list, stepped as a virtual list and written
+        back through recombine. A word with a digit out of range runs on a Tape
+        and stores nothing.
+
+        Odd residue steps (no bits) get no word path. A prototype of one made
+        no walk faster than the bit view already had, and its many small table
+        entries, filled during long walks, fragmented the allocator's arenas:
+        the peak memory of a run of several general counters rose by a tenth.
+        """
+        inner = getattr(self.run, "word_step", None)
+        entry = getattr(inner, "entry", None)
+        if entry is None or not self.bits:
+            return None
+        bits, recombine, run = self.bits, self.recombine, self.run
+        width = inner.width
+        key_bits = bits[:width]
+        pad = (0,) * (len(bits) - width)
+        # entries share their (bit, cell, shift) tuples and their tuples of
+        # them: fewer small objects pin fewer of the allocator's arenas
+        located = [(j, c, s) for j, (c, s) in enumerate(bits)]
+        shapes = {}
+        # inner pointer bits -> (closure or None, virtual pointer bit, its new
+        #                        value, (bit, cell, shift) of each data bit read,
+        #                        (bit, cell, shift) of each bit written, cost),
+        #                        or () when the inner step has no word form
+        table = {}
+
+        def form(word, key, e):
+            f, v_cell, v_g, reads, writes, _ = e
+            v = [*key, *pad]
+            for j, c, s in reads:
+                v[j] = word[c] >> s & 1
+            if f is not None:
+                f(v)
+            v[v_cell] = v_g
+            cells = list(word)
+            for j, c, s in writes:
+                cur = cells[c]
+                cells[c] = recombine(cur & ~(1 << s) | v[j] << s, cur)
+            if cell is not None:
+                cells[cell] = g
+            return tuple(cells)
+
+        def fill(word, key):
+            out = tape_step(tape_fn, word)
+            if not _in_range(word, radices):
+                return out
+            virtual = [word[c] >> s & 1 for c, s in bits]
+            e = entry(virtual)
+            if not e:
+                table[key] = ()
+                return out
+            tape = Tape(virtual)
+            run(tape)
+            touched = sorted((tape.reads | tape.written) - set(range(width)))
+            reads = tuple([located[j] for j in touched])
+            writes = tuple([located[j] for j in sorted(tape.written)])
+            e = table[key] = (e[0], e[1], e[2], shapes.setdefault(reads, reads),
+                              shapes.setdefault(writes, writes), out[1])
+            got = form(word, key, e)
+            if got != out[0]:
+                raise RuntimeError(
+                    f"word form of {self!r} gives {got} on {tuple(word)}, "
+                    f"its Tape run {out[0]}")
+            return out
+
+        def word_step(word):
+            key = tuple([word[c] >> s & 1 for c, s in key_bits])
+            e = table.get(key)
+            if e is None:
+                return fill(word, key)
+            if not e or not _in_range(word, radices):
+                return tape_step(tape_fn, word)
+            return form(word, key, e), e[5]
+
+        return word_step
+
 
 def stitch_radix(k: int, counter: Counter) -> Counter:
     """View a counter over bits as one over radix-2^k cells of k bits each,
@@ -561,7 +516,7 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
     Reads and writes then count per cell: touching any bit of a cell
     touches the cell once. When the inner counter has a word path keyed by
     its pointer (a cycle_compose counter within its table bound), so does
-    this one, keyed by the inner pointer bits (_residue_word_step);
+    this one, keyed by the inner pointer bits (_ResidueStep.word_path);
     otherwise next and prev run on a Tape.
     """
     if k < 1:
@@ -580,7 +535,7 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
     fns = []
     for s in (step, step.shifted(0, inverse=True)):
         fn = functools.partial(_ResidueStep.apply_tape, s)
-        fn.word_step = _residue_word_step(s, fn, domain.radices)
+        fn.word_step = s.word_path(fn, domain.radices)
         fns.append(fn)
     return Counter(domain, *fns, counter.claimed_length,
                    _residue_word(counter.start, n_data, bits, 1, recombine),

@@ -391,8 +391,9 @@ class Counter:
     next and prev take one of two paths. A step function may carry a
     word_step attribute, a function of a word that returns the same
     (word, StepStats) as a Tape run, without one: gray_counter,
-    cycle_compose (within its pointer table bound), stitch_radix over such
-    a counter, and crt_compose (within its clock bound) give theirs one.
+    cycle_compose (within its pointer table bound; crt_compose products
+    are cycle_compose counters over their clock) and stitch_radix over
+    such a counter give theirs one.
     All but gray_counter's, whose steps all cost the same, return costs
     each observed on one Tape run for the same key. next and prev call it
     when it is there (the word path) and otherwise run the step on a Tape
@@ -488,9 +489,10 @@ def measure_counter(counter: Counter, max_steps: Optional[int] = None,
                     direction: str = "next",
                     track_visited: Optional[bool] = None) -> OrbitReport:
     """Walk the counter until it returns to start, revisits a word, or runs
-    out of budget. max_steps defaults to the claimed length. Every step runs
-    on one Tape, reset before each step, so the costs are observed, never
-    taken from a word path. The word's rank follows the cells in
+    out of budget. max_steps defaults to the claimed length; a negative one
+    raises ValueError before any step. Every step runs on one Tape, reset
+    before each step, so the costs are observed, never taken from a word
+    path. The word's rank follows the cells in
     tape.written, so a step must change cells only through write; a written
     digit outside its radix raises ValueError. track_visited=True above
     TRACK_LIMIT words raises BoundExceeded."""
@@ -504,6 +506,8 @@ def measure_counter(counter: Counter, max_steps: Optional[int] = None,
         raise BoundExceeded(f"domain size {size} exceeds 2^27 to track visited words")
     if max_steps is None:
         max_steps = counter.claimed_length
+    elif max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     fn = counter.next_tape if direction == "next" else counter.prev_tape
     radices = domain.radices
     weight = [math.prod(radices[i + 1:]) for i in range(domain.n)]

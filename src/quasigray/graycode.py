@@ -29,7 +29,8 @@ gives the rank and the cells a +1 and a -1 rank step move. gray_rank
 runs it, and so does compose.cycle_compose on a pointer word it has not
 stored, after reading the word top down from cell r-1 to cell 0 with one
 tape.read_cells call. That read order is the query order of every
-materialized base and pointer-driven counter tree.
+materialized base and pointer-driven counter tree, crt products included,
+whose clock is a cycle_compose pointer.
 """
 
 from __future__ import annotations

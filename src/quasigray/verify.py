@@ -163,8 +163,11 @@ def audit(counter: Counter, max_steps: Optional[int] = None,
     Reports the observed cycle length, worst-case step costs, and the
     words the counter never visits: their count always, and the first
     sample_cap of them in rank order whenever the walk tracks the visited
-    words (up to TRACK_LIMIT words).
+    words (up to TRACK_LIMIT words). A negative max_steps or sample_cap
+    raises ValueError before the walk.
     """
+    if sample_cap < 0:
+        raise ValueError(f"sample_cap must be nonnegative, got {sample_cap}")
     rep = measure_counter(counter, max_steps=max_steps)
     problems = []
     if not rep.distinct:

@@ -358,6 +358,13 @@ def test_stray_settings_exit_2(capsys, argv, message):
     assert message in err
 
 
+def test_crt_clock_that_is_no_base_counter_exits_2(capsys):
+    code, out, err = run(capsys, "gen", "--kind", "crt", "--components",
+                         "linear:q=2,n=3;base:m=3,n=1")
+    assert code == 2 and out == ""
+    assert "the clock must be a base Gray counter of length m^n, got kind 'linear'" in err
+
+
 def test_companion_kind_and_component(capsys):
     code, out, _ = run(capsys, "gen", "--kind", "companion", "--q", "2", "--n", "3")
     assert code == 0

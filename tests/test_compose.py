@@ -6,7 +6,7 @@ import pytest
 from quasigray.compose import (StepList, crt_compose, cycle_compose,
                                general_counter, multiplicative_order,
                                stitch_radix)
-from quasigray.core import Domain, StepStats, measure_counter
+from quasigray.core import Domain, StepStats, measure_counter, tape_step
 from quasigray.graycode import gray_counter, gray_rank, gray_unrank
 from quasigray.linear import (Field, companion_counter, companion_matrix,
                               decompose_elementary, find_primitive,
@@ -153,10 +153,63 @@ def test_crt_rejects_bad_inputs():
                      gray_counter(5, 1), gray_counter(7, 1)])
 
 
+def test_crt_rejects_a_clock_that_is_no_base_gray_counter():
+    with pytest.raises(ValueError, match="clock must be a base Gray counter of "
+                                         "length m\\^n, got kind 'linear'"):
+        crt_compose([linear_counter(Field(2), 3), gray_counter(3, 1)])
+    clock = gray_counter(2, 2)
+    clock.claimed_length = 3
+    with pytest.raises(ValueError, match="got kind 'base' of length 3"):
+        crt_compose([clock, gray_counter(5, 1)])
+
+
 def test_crt_clock_may_share_factors():
     c = crt_compose([gray_counter(2, 1), gray_counter(4, 1), gray_counter(3, 1)])
     rep = measure_counter(c)
     assert rep.closed and rep.observed_length == 24
+
+
+# crt products small enough to step on every word of their domain
+CRT_WHOLE_DOMAIN = {
+    "crt(84)": lambda: [gray_counter(2, 2), gray_counter(3, 1),
+                        companion_counter(Field(2), 3)],
+    "linear": lambda: [gray_counter(2, 2), gray_counter(3, 1),
+                       linear_counter(Field(2), 3)],
+    "general(4,6)": lambda: [gray_counter(2, 1), general_counter(4, 6)],
+    "nested": lambda: [gray_counter(2, 2), companion_counter(Field(2), 3),
+                       crt_compose([gray_counter(3, 1), gray_counter(5, 1)])],
+}
+
+
+@pytest.mark.parametrize("label", list(CRT_WHOLE_DOMAIN))
+def test_crt_steps_like_its_reference_on_every_word(label):
+    # next: the clock moves one Gray step, and component i steps forward
+    # iff the clock's rank before the step is i - 1. prev: the clock moves
+    # one Gray step back, and component i steps back iff the rank after the
+    # step is i - 1. A step costs (n1 + the component's reads, 1 + its
+    # writes) when it moves a component and (n1, 1) when it does not
+    parts = CRT_WHOLE_DOMAIN[label]()
+    c = crt_compose(parts)
+    clock = parts[0]
+    m, n1 = clock.domain.radices[0], clock.domain.n
+    size = m ** n1
+    spans, lo = [], n1
+    for p in parts[1:]:
+        spans.append((lo, lo + p.domain.n))
+        lo += p.domain.n
+    for w in c.domain.words():
+        rank = gray_rank(w[:n1], m, n1)
+        for delta, step, fn in ((1, c.next, c.next_tape), (-1, c.prev, c.prev_tape)):
+            new_rank = (rank + delta) % size
+            want = list(gray_unrank(new_rank, m, n1) + w[n1:])
+            cost = StepStats(n1, 1)
+            moved = rank if delta == 1 else new_rank
+            if moved < len(spans):
+                part = parts[moved + 1]
+                a, b = spans[moved]
+                want[a:b], pc = (part.next if delta == 1 else part.prev)(w[a:b])
+                cost = StepStats(n1 + pc.reads, 1 + pc.writes)
+            assert step(w) == tape_step(fn, w) == (tuple(want), cost)
 
 
 def test_stitch_radix_passthrough():

@@ -194,6 +194,19 @@ def test_measure_counter_truncation():
     assert rep.truncated and rep.observed_length == 5
 
 
+def _unsteppable():
+    def refuse(tape):
+        raise AssertionError("stepped")
+    return Counter(Domain.uniform(2, 2), refuse, refuse, 4, (0, 0))
+
+
+def test_measure_counter_rejects_a_negative_budget_before_walking():
+    with pytest.raises(ValueError, match="max_steps must be nonnegative, got -3"):
+        measure_counter(_unsteppable(), max_steps=-3)
+    rep = measure_counter(_unsteppable(), max_steps=0)
+    assert rep.truncated and rep.observed_length == 0
+
+
 def test_measure_counter_detects_revisit():
     # 0 -> 1 -> 2 -> 1: falls into a loop that skips the start
     c = Counter(Domain.uniform(3, 1),

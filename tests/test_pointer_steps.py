@@ -477,7 +477,8 @@ def _pointer_words(c):
     the inner pointer's bit words for a stitch counter."""
     rec = c.recipe
     if rec["kind"] == "crt":
-        return _closed_over(c.next_tape, "clock").domain.size
+        rec = rec["components"][0]
+        return rec["m"] ** rec["n"]
     if rec["kind"] == "stitch":
         return 2 ** rec["inner"]["r"]
     r = rec.get("clock") or rec.get("pointer") or rec.get("r")
@@ -518,12 +519,13 @@ def test_word_path_matches_tape_path_on_every_word(label):
     tables = _tables(c)
     assert [len(t) for t in tables] == [_pointer_words(c)] * len(tables)
     if label.startswith("crt"):
-        # 2 of the 4 clock words trigger a component each way; each pairs
-        # with the one cost its component's steps all have
+        # 2 of the 4 clock words trigger a component each way and delegate
+        # to its word path, which caches the one cost its component's steps
+        # all have
         for fn in (c._next_word, c._prev_word):
-            triggers = [e for e in _closed_over(fn, "table").values() if e[2]]
-            assert len(triggers) == 2 and all(e[1] is None for e in triggers)
-            assert len(_closed_over(_closed_over(fn, "triggered"), "costs")) == 2
+            table, keyed = _closed_over(fn, "table"), _closed_over(fn, "keyed")
+            assert len([e for e in table.values() if not e]) == len(keyed) == 2
+            assert [len(_closed_over(k, "costs")) for k in keyed.values()] == [1, 1]
         return
     if label.startswith("stitch"):
         # every inner pointer word has a word form
