@@ -4,14 +4,13 @@ over one _ComponentStep per further component), and the residue view
 (_MixedTape) that general and stitch counters step their parts on. Each
 engine's steps run on a Tape; their word paths (_word_step, and the
 word_path of _ResidueStep and _ComponentStep it delegates to) give the
-same words and costs on plain words."""
+same word and cost as a Tape run on every word, digits in range or not."""
 
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,29 +40,26 @@ class StepList:
     ell: int
 
 
-def _in_range(word, radices) -> bool:
-    return min(word) >= 0 and all(map(operator.lt, word, radices))
-
-
-def _word_step(tape_fn, move, r: int, radices: tuple):
+def _word_step(tape_fn, move, r: int):
     """The word path of tape_fn, a cycle_compose step over a pointer of r
     cells: a function of a word giving what tape_step(tape_fn, word) gives.
 
     Its table maps a pointer word, cells 0 .. r-1, to (the list form of
     the data step or None, the pointer cell it writes, the digit written,
     the step's cost), or to () when the data step has no word_fn. An entry
-    is filled on the first word in range with that pointer word: tape_fn
-    runs once on it on a Tape, move(pointer cells r-1 .. 0) gives the data
-    step and pointer write that run made, and the cost it observed becomes
-    the entry's. The step's cost is fixed by the pointer word, since each
-    data step reads and writes fixed cells. A word with a digit out of
-    range runs on a Tape and stores nothing, so the table holds at most one
-    entry per pointer word.
+    is filled on the first word with that pointer word: tape_fn runs once
+    on it on a Tape, move(pointer cells r-1 .. 0) gives the data step and
+    pointer write that run made, and the cost it observed becomes the
+    entry's. The step's cost is fixed by the pointer word, since each data
+    step reads and writes fixed cells whatever their digits. move gives
+    None where the pointer's own table stored no entry (a key with a digit
+    out of range), and the word stores nothing here either, so this table
+    holds at most one entry per pointer word.
 
     A () entry, from the first word on, hands the word to keyed[pointer
-    word]: step.word_path(tape_fn, radices, cell, g), the word path of a
-    step whose cost varies with its data cells (_ResidueStep,
-    _ComponentStep), or else the Tape path.
+    word]: step.word_path(tape_fn, cell, g), the word path of a step whose
+    cost varies with its data cells (_ResidueStep, _ComponentStep), or
+    else the Tape path.
 
     The function's entry attribute gives the table entry of a word's
     pointer word, filled from that word if new, and its width attribute is
@@ -74,16 +70,16 @@ def _word_step(tape_fn, move, r: int, radices: tuple):
 
     def fill(word, key):
         out = tape_step(tape_fn, word)
-        if not _in_range(word, radices):
+        if (mv := move(key[::-1])) is None:
             return out
-        step, cell, g = move(key[::-1])
+        step, cell, g = mv
         f = None
         if step is not None:
             word_fn = getattr(step, "word_fn", None)
             if word_fn is None:
                 path = getattr(step, "word_path", None)
                 table[key] = ()
-                keyed[key] = (path and path(tape_fn, radices, cell, g)
+                keyed[key] = (path and path(tape_fn, cell, g)
                               or functools.partial(tape_step, tape_fn))
                 return keyed[key](word)
             f = word_fn()
@@ -138,20 +134,15 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     pointer digit the Gray step moves, which is the pointer's single write.
     The table stores pointer words only, and only when the pointer has at
     most _TABLE_BOUND words: a wider pointer, or a key with a digit out of
-    range, is decoded on every step. The steps are shifted by r once, here,
-    so they run at absolute coordinates on the caller's tape; an inverse is
-    shifted the first time prev needs it.
+    range, is decoded on every step; entry is the one place that decides
+    what a pointer word is. The steps are shifted by r once, here, so they
+    run at absolute coordinates on the caller's tape; an inverse is shifted
+    the first time prev needs it.
 
     That is the Tape path, which audits and materialize run. Within the
-    bound, Counter.next and prev take a word path (_word_step): the word
-    is copied to a list, its pointer cells are looked up in a second table,
-    filled from one Tape run per pointer word, whose entry holds the data
-    step's word_fn closure, the pointer write and the cost that run
-    observed; the ranks that only move the pointer need no closure. A data
-    step with no word_fn has a cost that varies with the data cells: a
-    _ComponentStep or bit-view _ResidueStep takes its own word_path, and an
-    odd one runs on a Tape every time. A pointer past the bound has no word
-    path.
+    bound, Counter.next and prev take a word path (_word_step) on a plain
+    list, which gives the word and cost a Tape run gives on every word,
+    digits in range or not. A pointer past the bound has no word path.
     """
     pointer_start = gray_unrank(0, m, r)  # checks m and r
     k = len(steps.steps)
@@ -162,7 +153,6 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     fwd = [s.shifted(r) for s in steps.steps]
     inv = [None] * k
     cells = range(r - 1, -1, -1)
-    radices = (m,) * r + steps.domain.radices
 
     def inverse(j):
         s = inv[j] = steps.steps[j].shifted(r, inverse=True)
@@ -200,20 +190,22 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
 
     if store:
         def next_move(key):
-            step, up, g, _, _, _ = table[key]
-            return step, up, g
+            e = table.get(key)
+            return e and e[:3]
 
         def prev_move(key):
-            _, _, _, down, g, j = table[key]
+            if (e := table.get(key)) is None:
+                return None
+            _, _, _, down, g, j = e
             return (inv[j] if j >= 0 else None), down, g
 
-        next_fn.word_step = _word_step(next_fn, next_move, r, radices)
-        prev_fn.word_step = _word_step(prev_fn, prev_move, r, radices)
+        next_fn.word_step = _word_step(next_fn, next_move, r)
+        prev_fn.word_step = _word_step(prev_fn, prev_move, r)
 
     start = pointer_start + tuple(start_inner)
-    return Counter(Domain(radices), next_fn, prev_fn, k_prime * steps.ell, start,
-                   claimed_reads=claimed_reads, claimed_writes=claimed_writes,
-                   recipe=recipe)
+    return Counter(Domain((m,) * r + steps.domain.radices), next_fn, prev_fn,
+                   k_prime * steps.ell, start, claimed_reads=claimed_reads,
+                   claimed_writes=claimed_writes, recipe=recipe)
 
 
 def crt_compose(components: list[Counter]) -> Counter:
@@ -282,20 +274,19 @@ class _ComponentStep:
         """This step, or its inverse, on cells d higher."""
         return _ComponentStep(self.counter, self.offset + d, self.inverse != inverse)
 
-    def word_path(self, tape_fn, radices: tuple, cell: int, g: int):
+    def word_path(self, tape_fn, cell: int, g: int):
         """The word path of tape_fn, a pointer step that runs this step and
         then writes g to pointer cell cell: the counter's own next or prev
         on its slice of the word. The cost of tape_fn is fixed by the
         counter's cost, so it is observed on one Tape run per counter cost,
-        and the word of that run is checked against the word form. A word
-        with a digit out of range runs on a Tape."""
+        and the word of that run is checked against the word form. The
+        counter's own word path matches its Tape on every word, so this one
+        does too, digits in range or not."""
         step = self.counter.prev if self.inverse else self.counter.next
         lo, hi = self.offset, self.offset + self.counter.domain.n
         costs = {}
 
         def word_step(word):
-            if not _in_range(word, radices):
-                return tape_step(tape_fn, word)
             cells = list(word)
             cells[lo:hi], c = step(word[lo:hi])
             cells[cell] = g
@@ -416,7 +407,7 @@ class _ResidueStep:
         return _ResidueStep(run, undo, tuple([(c + d, s) for c, s in self.bits]),
                             self.odd_cell + d, self.o, self.recombine)
 
-    def word_path(self, tape_fn, radices: tuple, cell=None, g=0):
+    def word_path(self, tape_fn, cell=None, g=0):
         """The word path of tape_fn, a step that runs this step on the word's
         data cells and then, when cell is given, writes g to pointer cell cell;
         None when this step has no bits or its inner counter has no word path.
@@ -427,11 +418,11 @@ class _ResidueStep:
         table maps those bits, read from the physical word, to the inner
         entry's closure, pointer bit and digit, the virtual bits the inner step
         reads and writes (seen on one Tape run of the inner step), and the cost
-        of one Tape run of tape_fn on the first in-range word with those bits.
-        The word of that run is checked against the word form: the touched bits
-        are read from the physical list, stepped as a virtual list and written
-        back through recombine. A word with a digit out of range runs on a Tape
-        and stores nothing.
+        of one Tape run of tape_fn on the first word with those bits. The word
+        of that run is checked against the word form: the touched bits are read
+        from the physical list, stepped as a virtual list and written back
+        through recombine. The view and the word form read the same bits of a
+        digit out of range, so such a word takes this path too.
 
         Odd residue steps (no bits) get no word path. A prototype of one made
         no walk faster than the bit view already had, and its many small table
@@ -474,8 +465,6 @@ class _ResidueStep:
 
         def fill(word, key):
             out = tape_step(tape_fn, word)
-            if not _in_range(word, radices):
-                return out
             virtual = [word[c] >> s & 1 for c, s in bits]
             e = entry(virtual)
             if not e:
@@ -500,7 +489,7 @@ class _ResidueStep:
             e = table.get(key)
             if e is None:
                 return fill(word, key)
-            if not e or not _in_range(word, radices):
+            if not e:
                 return tape_step(tape_fn, word)
             return form(word, key, e), e[5]
 
@@ -516,8 +505,8 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
     Reads and writes then count per cell: touching any bit of a cell
     touches the cell once. When the inner counter has a word path keyed by
     its pointer (a cycle_compose counter within its table bound), so does
-    this one, keyed by the inner pointer bits (_ResidueStep.word_path);
-    otherwise next and prev run on a Tape.
+    this one (_ResidueStep.word_path), keyed by the inner pointer bits and
+    matching the Tape on every word; otherwise next and prev run on a Tape.
     """
     if k < 1:
         raise ValueError("block size must be at least 1")
@@ -535,7 +524,7 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
     fns = []
     for s in (step, step.shifted(0, inverse=True)):
         fn = functools.partial(_ResidueStep.apply_tape, s)
-        fn.word_step = s.word_path(fn, domain.radices)
+        fn.word_step = s.word_path(fn)
         fns.append(fn)
     return Counter(domain, *fns, counter.claimed_length,
                    _residue_word(counter.start, n_data, bits, 1, recombine),

@@ -14,12 +14,21 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 
 class BoundExceeded(RuntimeError):
     """A configured resource limit (steps, tree nodes, factoring) was hit."""
+
+
+def _integer(x, what: str) -> int:
+    """operator.index(x), so numpy integers pass, or else ValueError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -31,7 +40,7 @@ class Domain:
     def __post_init__(self) -> None:
         if not self.radices:
             raise ValueError("domain needs at least one coordinate")
-        if any(r < 2 for r in self.radices):
+        if any(_integer(r, "radix") < 2 for r in self.radices):
             raise ValueError("every radix must be at least 2")
 
     @classmethod
@@ -62,7 +71,7 @@ class Domain:
         if len(word) != self.n:
             raise ValueError(f"expected {self.n} digits, got {len(word)}")
         for i, (d, r) in enumerate(zip(word, self.radices)):
-            if not 0 <= d < r:
+            if not 0 <= _integer(d, f"digit at coordinate {i + 1}") < r:
                 raise ValueError(f"digit {d} out of range at coordinate {i + 1}")
 
     def rank(self, word) -> int:
@@ -393,21 +402,22 @@ class Counter:
     (word, StepStats) as a Tape run, without one: gray_counter,
     cycle_compose (within its pointer table bound; crt_compose products
     are cycle_compose counters over their clock) and stitch_radix over
-    such a counter give theirs one.
-    All but gray_counter's, whose steps all cost the same, return costs
-    each observed on one Tape run for the same key. next and prev call it
-    when it is there (the word path) and otherwise run the step on a Tape
-    (the Tape path, tape_step). A word path may itself take the Tape path
-    for some steps: a general counter's odd step does, since a word path
-    for it gained no speed and fragmented memory. measure_counter, and so
-    audit, and materialize always take the Tape path, so what they report
-    is observed on a Tape (one Tape reused for every step of a walk).
+    such a counter give theirs one. All but gray_counter's, whose steps
+    all cost the same, return costs each observed on one Tape run for the
+    same key. next and prev call it when it is there (the word path) and
+    otherwise run the step on a Tape (the Tape path, tape_step). A word
+    path may itself take the Tape path for some steps: a general counter's
+    odd step does, since a word path for it gained no speed and fragmented
+    memory. measure_counter, and so audit, and materialize always take the
+    Tape path, so what they report is observed on a Tape (one Tape reused
+    for every step of a walk).
 
     next and prev take a tuple or a list and raise ValueError on a word of
-    the wrong length, but do not check digit ranges per step: a digit out
-    of range gives an unspecified word. Domain.validate (or word_parse,
-    which calls it) is the boundary check for words from outside the
-    program.
+    the wrong length, but do not check digit ranges per step. A word path
+    follows the Tape on every word, digits in range or not: a digit out of
+    range gives an unspecified word, the same on both paths, at the same
+    cost. Domain.validate (or word_parse, which calls it) is the boundary
+    check for words from outside the program.
     """
 
     def __init__(self, domain: Domain, next_fn: Callable, prev_fn: Callable,

@@ -11,6 +11,7 @@ step.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -303,14 +304,14 @@ def build_plan(m: int, n_inner: int) -> DecompositionPlan:
     return plan
 
 
+def _pointer_width(m: int, n: int):
+    """Smallest r in 1 .. n-6 with m^r >= plan_size(m, n - r), or None."""
+    return next((r for r in range(1, n - 5) if m ** r >= plan_size(m, n - r)), None)
+
+
 def min_width(m: int) -> int:
     """Smallest total width the odd-radix counter accepts."""
-    n = 7
-    while True:
-        for r in range(1, n - 5):
-            if m ** r >= plan_size(m, n - r):
-                return n
-        n += 1
+    return next(n for n in itertools.count(7) if _pointer_width(m, n))
 
 
 def odd_counter(m: int, n: int) -> Counter:
@@ -323,14 +324,13 @@ def odd_counter(m: int, n: int) -> Counter:
     """
     if m < 3 or m % 2 == 0:
         raise ValueError("radix must be odd and at least 3")
-    for r in range(1, n - 5):
-        n_inner = n - r
-        if m ** r >= plan_size(m, n_inner):
-            plan = build_plan(m, n_inner)
-            sl = StepList(plan.steps, Domain.uniform(m, n_inner), m ** n_inner)
-            return cycle_compose(sl, m, r, (0,) * n_inner,
-                                 claimed_reads=r + 3, claimed_writes=2,
-                                 recipe={"kind": "odd", "m": m, "n": n,
-                                         "pointer": r, "two_functions": plan.k})
-    raise ValueError(
-        f"width {n} too small for radix {m}; the smallest supported is {min_width(m)}")
+    r = _pointer_width(m, n)
+    if r is None:
+        raise ValueError(
+            f"width {n} too small for radix {m}; the smallest supported is {min_width(m)}")
+    n_inner = n - r
+    plan = build_plan(m, n_inner)
+    sl = StepList(plan.steps, Domain.uniform(m, n_inner), m ** n_inner)
+    return cycle_compose(sl, m, r, (0,) * n_inner, claimed_reads=r + 3, claimed_writes=2,
+                         recipe={"kind": "odd", "m": m, "n": n,
+                                 "pointer": r, "two_functions": plan.k})

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +42,26 @@ def test_domain_validate():
         d.validate((3, 0))
     with pytest.raises(ValueError):
         d.validate((0, 0, 0))
+
+
+def test_domain_takes_only_integer_radices_and_digits():
+    # a float radix or digit is a ValueError at the boundary, not a
+    # TypeError deep in an audit; numpy integers pass as integers
+    for radices in ((2.5,), (3, 2.0), ("3",)):
+        with pytest.raises(ValueError, match="radix must be an integer"):
+            Domain(radices)
+    d = Domain((2, 2))
+    for word in ((1.5, 0), (0, 0.0), (None, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            d.validate(word)
+    with pytest.raises(ValueError, match="coordinate 2 must be an integer"):
+        d.validate((1, 1.0))
+    with pytest.raises(ValueError, match="must be an integer"):
+        Counter(d, lambda t: None, lambda t: None, 4, (0.0, 0))
+    n = Domain((np.int64(3), np.int32(2)))
+    assert n.size == 6
+    n.validate((np.int64(2), np.uint8(1)))
+    n.validate(np.array([2, 1]))
 
 
 @given(st.data())

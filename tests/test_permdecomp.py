@@ -252,3 +252,15 @@ def test_odd_counter_errors():
     with pytest.raises(ValueError) as e:
         odd_counter(3, 10)
     assert "smallest supported is 11" in str(e.value)
+
+
+def test_odd_pointer_widths_frozen():
+    # the smallest pointer whose cycle covers the plan, at and past each
+    # radix's min_width, and the error one width below it
+    want = {(3, 11): 5, (3, 12): 5, (3, 14): 6, (5, 10): 4, (5, 13): 5, (7, 10): 4,
+            (7, 13): 4, (9, 9): 3, (9, 12): 4, (11, 9): 3, (11, 12): 4}
+    assert {k: odd_counter(*k).recipe["pointer"] for k in want} == want
+    for m, n in ((3, 11), (5, 10), (9, 9)):
+        with pytest.raises(ValueError, match=f"^width {n - 1} too small for radix {m}; "
+                                             f"the smallest supported is {n}$"):
+            odd_counter(m, n - 1)

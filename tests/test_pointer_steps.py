@@ -4,6 +4,7 @@ table and its bound, whole-domain agreement with the materialized trees,
 the audit walk against a plain reference walk, the word path against the
 Tape path, and the input contract at the Counter boundary."""
 
+import functools
 import itertools
 import math
 import random
@@ -722,3 +723,95 @@ def test_lists_and_out_of_range_digits_on_both_paths(label):
             assert step(v) == step(tuple(v)) == tape_step(fn, v)
     if _has_word_path(c) and c.recipe["kind"] != "base":
         assert all(len(t) <= _pointer_words(c) for t in _tables(c))
+
+
+def _pointer_cells(c):
+    """The cells of c that hold a Gray pointer or crt clock digit, those of
+    its crt components included. A word with one of them out of range is
+    keyed by no table, so it steps on a Tape every time."""
+    rec = c.recipe
+    if rec["kind"] == "crt":
+        return set(range(rec["components"][0]["n"])).union(
+            *({s.offset + j for j in _pointer_cells(s.counter)}
+              for s in _closed_over(_closed_over(c.next_tape, "entry"), "fwd")))
+    return set(range(rec.get("clock") or rec.get("pointer") or rec.get("r") or 0))
+
+
+def _bad_data_word(rng, c, pointer, prefix=()):
+    """A word of c that starts with prefix, has every pointer cell in range
+    and one or two other cells out of range."""
+    radices = c.domain.radices
+    w = list(prefix) + [rng.randrange(b) for b in radices[len(prefix):]]
+    data = [i for i in range(len(w)) if i not in pointer]
+    for i in rng.sample(data, rng.randrange(1, 3)):
+        w[i] = rng.choice([-1, -3, radices[i], radices[i] + 2])
+    return tuple(w)
+
+
+def _delegates(c, word_fn):
+    """{pointer word: the residue or trigger word path it hands its words
+    to} for one direction of c's word path; a stitch counter's whole word
+    path is one, under the empty pointer word."""
+    if c.recipe["kind"] == "stitch":
+        return {(): word_fn}
+    keyed = _closed_over(word_fn, "keyed")
+    return {k: d for k, d in keyed.items() if not isinstance(d, functools.partial)}
+
+
+def _cache(delegate):
+    """The table of a residue word path, or the cost cache of a trigger
+    word path: one entry per Tape run of the step it stands for."""
+    names = delegate.__code__.co_freevars
+    return _closed_over(delegate, "table" if "table" in names else "costs")
+
+
+OUT_OF_RANGE_FIRST = {
+    "crt(84)": _crt84,
+    "crt(big)": BIG["crt[base(6,2),linear(F2,5),odd(3,11)]"],
+    "general(4,6)": lambda: general_counter(4, 6),
+    "general(6,12)": BIG["general(6,12)"],
+    "general(12,12)": BIG["general(12,12)"],
+    "general(10,14)": BIG["general(10,14)"],
+    "stitch(2,linear(F2,3,3))": lambda: stitch_radix(2, linear_counter(Field(2), 3, 3)),
+    "stitch(3,linear(F2,3,3))": lambda: stitch_radix(3, linear_counter(Field(2), 3, 3)),
+}
+
+
+@pytest.mark.parametrize("label", list(OUT_OF_RANGE_FIRST))
+def test_out_of_range_data_digits_take_the_word_path(monkeypatch, label):
+    # a fresh counter steps 2,000 words with a data digit out of range
+    # first, so they fill its tables, then words in range. Every step gives
+    # what its Tape run gives, and no table outgrows its pointer words
+    c = OUT_OF_RANGE_FIRST[label]()
+    pointer = _pointer_cells(c)
+    rng = random.Random(23)
+    words = [_bad_data_word(rng, c, pointer) for _ in range(2000)]
+    if c.domain.size <= 4096:
+        words += c.domain.words()
+    else:
+        words += [tuple(rng.randrange(b) for b in c.domain.radices) for _ in range(2000)]
+    for w in words:
+        for step, fn in ((c.next, c.next_tape), (c.prev, c.prev_tape)):
+            word, cost = step(w)
+            want, want_cost = tape_step(fn, w)
+            assert word == want and cost is want_cost
+    assert all(len(t) <= _pointer_words(c) for t in _tables(c))
+    # then such words on a residue or trigger pointer word run the step on
+    # a Tape only to observe a cost key its word path does not hold yet
+    runs = []
+    tape_run = compose.tape_step
+    monkeypatch.setattr(compose, "tape_step", lambda fn, w: runs.append(fn) or tape_run(fn, w))
+    for word_fn, fn in ((c._next_word, c.next_tape), (c._prev_word, c.prev_tape)):
+        delegates = _delegates(c, word_fn)
+        caches = [_cache(d) for d in delegates.values()]
+        keys = sorted(delegates)
+        assert keys
+        before = sum(map(len, caches))
+        runs.clear()
+        for _ in range(1000):
+            w = _bad_data_word(rng, c, pointer, rng.choice(keys))
+            word, cost = word_fn(w)
+            want, want_cost = tape_step(fn, w)
+            assert word == want and cost is want_cost
+        assert runs.count(fn) <= sum(map(len, caches)) - before
+    assert all(len(t) <= _pointer_words(c) for t in _tables(c))
