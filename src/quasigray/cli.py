@@ -11,8 +11,7 @@ import sys
 from .compose import crt_compose, general_counter
 from .core import BoundExceeded, dat_to_json, word_format, word_parse
 from .graycode import gray_counter
-from .linear import Field, companion_counter, companion_matrix, \
-    decompose_elementary, find_primitive, linear_counter, Scale
+from .linear import Field, Scale, _companion_ops, companion_counter, linear_counter
 from .permdecomp import build_plan, odd_counter
 from .verify import audit, search_hierarchical
 
@@ -168,9 +167,7 @@ def _cmd_decompose(args) -> int:
     settings = _checked(args.kind, KINDS[args.kind], _flag_settings(args), _AS_FLAG)
     if args.kind == "linear":
         q, n = settings
-        fld = Field(q)
-        poly = find_primitive(fld, n)
-        ops = decompose_elementary(companion_matrix(poly), fld)
+        poly, ops = _companion_ops(q, n)
         payload = {"polynomial": str(poly), "ops": [
             {"op": "scale", "i": op.i + 1, "c": op.c} if isinstance(op, Scale)
             else {"op": "addrow", "i": op.i + 1, "j": op.j + 1, "c": op.c}

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import Counter, Domain, OffsetTape, Tape, tape_step
 # gray_rank is not called here but stays a module attribute: the traced
@@ -26,8 +26,9 @@ _TABLE_BOUND = 1 << 12
 
 @dataclass
 class StepList:
-    """Bijective steps sigma_1..sigma_k over one domain. ell is the length
-    of the cycle their composition traces through the intended start word.
+    """Bijective steps sigma_1..sigma_k over one domain, in a sequence that
+    cycle_compose only indexes and takes the len() of. ell is the length of
+    the cycle their composition traces through the intended start word.
     Each step must offer apply_tape(tape) and shifted(d, inverse=False),
     the step or its inverse moved d coordinates up. A step that reads and
     writes the same cells on every word may also offer word_fn(), a
@@ -35,26 +36,35 @@ class StepList:
     cycle_compose's word path then runs it. A step whose cost varies with
     its data cells may offer word_path instead (see _word_step)."""
 
-    steps: list
+    steps: Sequence
     domain: Domain
     ell: int
 
 
-def _word_step(tape_fn, move, r: int):
+def _tape_cost(step, word, got, out):
+    """out[1], the Tape run out's cost, once got, step's word form on word, is seen to be out[0]."""
+    if got != out[0]:
+        raise RuntimeError(f"word form of {step!r} gives {got} on {tuple(word)}, "
+                           f"its Tape run {out[0]}")
+    return out[1]
+
+
+def _word_step(tape_fn, pointer: dict, project, r: int):
     """The word path of tape_fn, a cycle_compose step over a pointer of r
     cells: a function of a word giving what tape_step(tape_fn, word) gives.
 
-    Its table maps a pointer word, cells 0 .. r-1, to (the list form of
-    the data step or None, the pointer cell it writes, the digit written,
-    the step's cost), or to () when the data step has no word_fn. An entry
-    is filled on the first word with that pointer word: tape_fn runs once
-    on it on a Tape, move(pointer cells r-1 .. 0) gives the data step and
-    pointer write that run made, and the cost it observed becomes the
-    entry's. The step's cost is fixed by the pointer word, since each data
-    step reads and writes fixed cells whatever their digits. move gives
-    None where the pointer's own table stored no entry (a key with a digit
-    out of range), and the word stores nothing here either, so this table
-    holds at most one entry per pointer word.
+    Its table is keyed like pointer, the Tape path's table, by the pointer
+    cells r-1 .. 0. It maps a pointer word to (the list form of the data
+    step or None, the pointer cell it writes, the digit written, the step's
+    cost), or to () when the data step has no word_fn. An entry is filled
+    on the first word with that pointer word: tape_fn runs once on it on a
+    Tape, filling the pointer entry; project(pointer entry) gives this
+    direction's data step and pointer write, and _tape_cost checks the word
+    form against the run and gives the entry its cost. The cost is fixed by
+    the pointer word, since each data step reads and writes fixed cells
+    whatever their digits. A word with no pointer entry (a pointer digit
+    out of range) stores nothing, so the table holds at most one entry per
+    pointer word.
 
     A () entry, from the first word on, hands the word to keyed[pointer
     word]: step.word_path(tape_fn, cell, g), the word path of a step whose
@@ -67,12 +77,13 @@ def _word_step(tape_fn, move, r: int):
     """
     table = {}
     keyed = {}
+    top = slice(r - 1, None, -1)  # pointer cells r-1 .. 0, in the key order of pointer
 
     def fill(word, key):
         out = tape_step(tape_fn, word)
-        if (mv := move(key[::-1])) is None:
+        if (e := pointer.get(key)) is None:
             return out
-        step, cell, g = mv
+        step, cell, g = project(e)
         f = None
         if step is not None:
             word_fn = getattr(step, "word_fn", None)
@@ -87,15 +98,11 @@ def _word_step(tape_fn, move, r: int):
         if f is not None:
             f(cells)
         cells[cell] = g
-        if tuple(cells) != out[0]:
-            raise RuntimeError(
-                f"word form of {step!r} gives {tuple(cells)} on {tuple(word)}, "
-                f"its Tape run {out[0]}")
-        table[key] = (f, cell, g, out[1])
+        table[key] = (f, cell, g, _tape_cost(step, word, tuple(cells), out))
         return out
 
     def word_step(word):
-        key = tuple(word[:r])
+        key = tuple(word[top])
         e = table.get(key)
         if e:
             f, cell, g, cost = e
@@ -109,7 +116,7 @@ def _word_step(tape_fn, move, r: int):
         return keyed[key](word)
 
     def entry(word):
-        key = tuple(word[:r])
+        key = tuple(word[top])
         if key not in table:
             fill(word, key)
         return table.get(key, ())
@@ -135,14 +142,14 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     The table stores pointer words only, and only when the pointer has at
     most _TABLE_BOUND words: a wider pointer, or a key with a digit out of
     range, is decoded on every step; entry is the one place that decides
-    what a pointer word is. The steps are shifted by r once, here, so they
-    run at absolute coordinates on the caller's tape; an inverse is shifted
-    the first time prev needs it.
+    what a pointer word is. Step j is shifted by r, to run on the caller's
+    tape, on the first step from the pointer word of rank j, and its
+    inverse the first time prev runs it, through one cache.
 
     That is the Tape path, which audits and materialize run. Within the
     bound, Counter.next and prev take a word path (_word_step) on a plain
-    list, which gives the word and cost a Tape run gives on every word,
-    digits in range or not. A pointer past the bound has no word path.
+    list, keyed like the table, which gives the word and cost a Tape run
+    gives on every word, digits in range or not.
     """
     pointer_start = gray_unrank(0, m, r)  # checks m and r
     k = len(steps.steps)
@@ -150,25 +157,24 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     if k_prime < k:
         raise ValueError(f"pointer cycle {k_prime} shorter than step list {k}")
     steps.domain.validate(start_inner)
-    fwd = [s.shifted(r) for s in steps.steps]
-    inv = [None] * k
     cells = range(r - 1, -1, -1)
 
-    def inverse(j):
-        s = inv[j] = steps.steps[j].shifted(r, inverse=True)
-        return s
+    @functools.cache
+    def shift(j):
+        # step j moved r cells up, or for j < 0 the inverse of step ~j
+        return (steps.steps[j].shifted(r) if j >= 0
+                else steps.steps[~j].shifted(r, inverse=True))
 
-    # pointer word -> (next step or None, up cell, new up digit,
-    #                  down cell, new down digit, prev step index or -1)
+    # pointer word, cells r-1 .. 0 -> (next step or None, up cell and digit,
+    #   shift key of the prev step or None, down cell and digit)
     table = {}
     store = k_prime <= _TABLE_BOUND
 
     def entry(key):
-        # key holds cells r-1 .. 0, so cell j is key[r - 1 - j]
         j, up, down = gray_scan(key[::-1], m)
         jp = (j - 1) % k_prime
-        e = (fwd[j] if j < k else None, up, (key[r - 1 - up] + 1) % m,
-             down, (key[r - 1 - down] - 1) % m, jp if jp < k else -1)
+        e = (shift(j) if j < k else None, up, (key[r - 1 - up] + 1) % m,
+             ~jp if jp < k else None, down, (key[r - 1 - down] - 1) % m)
         if store and 0 <= min(key) and max(key) < m:
             table[key] = e  # a digit out of range is no pointer word
         return e
@@ -182,25 +188,15 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
 
     def prev_fn(tape) -> None:
         key = tape.read_cells(cells)
-        _, _, _, down, g, j = table.get(key) or entry(key)
+        _, _, _, j, down, g = table.get(key) or entry(key)
         tape.write(down, g)
-        if j >= 0:
-            s = inv[j]
-            (inverse(j) if s is None else s).apply_tape(tape)
+        if j is not None:
+            shift(j).apply_tape(tape)
 
     if store:
-        def next_move(key):
-            e = table.get(key)
-            return e and e[:3]
-
-        def prev_move(key):
-            if (e := table.get(key)) is None:
-                return None
-            _, _, _, down, g, j = e
-            return (inv[j] if j >= 0 else None), down, g
-
-        next_fn.word_step = _word_step(next_fn, next_move, r)
-        prev_fn.word_step = _word_step(prev_fn, prev_move, r)
+        next_fn.word_step = _word_step(next_fn, table, lambda e: e[:3], r)
+        prev_fn.word_step = _word_step(prev_fn, table, lambda e: (
+            None if e[3] is None else shift(e[3]), e[4], e[5]), r)
 
     start = pointer_start + tuple(start_inner)
     return Counter(Domain((m,) * r + steps.domain.radices), next_fn, prev_fn,
@@ -278,10 +274,9 @@ class _ComponentStep:
         """The word path of tape_fn, a pointer step that runs this step and
         then writes g to pointer cell cell: the counter's own next or prev
         on its slice of the word. The cost of tape_fn is fixed by the
-        counter's cost, so it is observed on one Tape run per counter cost,
-        and the word of that run is checked against the word form. The
-        counter's own word path matches its Tape on every word, so this one
-        does too, digits in range or not."""
+        counter's cost, so it is observed, and the word form checked, on one
+        Tape run per counter cost. The counter's own word path matches its
+        Tape on every word, so this one does too, digits in range or not."""
         step = self.counter.prev if self.inverse else self.counter.next
         lo, hi = self.offset, self.offset + self.counter.domain.n
         costs = {}
@@ -293,12 +288,7 @@ class _ComponentStep:
             got = tuple(cells)
             cost = costs.get(c)
             if cost is None:
-                out = tape_step(tape_fn, word)
-                if got != out[0]:
-                    raise RuntimeError(
-                        f"word form of {self!r} gives {got} on {tuple(word)}, "
-                        f"its Tape run {out[0]}")
-                cost = costs[c] = out[1]
+                cost = costs[c] = _tape_cost(self, word, got, tape_step(tape_fn, word))
             return got, cost
 
         return word_step
@@ -418,11 +408,11 @@ class _ResidueStep:
         table maps those bits, read from the physical word, to the inner
         entry's closure, pointer bit and digit, the virtual bits the inner step
         reads and writes (seen on one Tape run of the inner step), and the cost
-        of one Tape run of tape_fn on the first word with those bits. The word
-        of that run is checked against the word form: the touched bits are read
-        from the physical list, stepped as a virtual list and written back
-        through recombine. The view and the word form read the same bits of a
-        digit out of range, so such a word takes this path too.
+        of one Tape run of tape_fn on the first word with those bits. That run
+        is checked against the word form before anything is stored: the
+        touched bits are read from the physical list, stepped as a virtual list
+        and written back through recombine. The view and the word form read
+        the same bits of a digit out of range, so such a word takes this path.
 
         Odd residue steps (no bits) get no word path. A prototype of one made
         no walk faster than the bit view already had, and its many small table
@@ -475,13 +465,10 @@ class _ResidueStep:
             touched = sorted((tape.reads | tape.written) - set(range(width)))
             reads = tuple([located[j] for j in touched])
             writes = tuple([located[j] for j in sorted(tape.written)])
-            e = table[key] = (e[0], e[1], e[2], shapes.setdefault(reads, reads),
-                              shapes.setdefault(writes, writes), out[1])
-            got = form(word, key, e)
-            if got != out[0]:
-                raise RuntimeError(
-                    f"word form of {self!r} gives {got} on {tuple(word)}, "
-                    f"its Tape run {out[0]}")
+            e = (e[0], e[1], e[2], shapes.setdefault(reads, reads),
+                 shapes.setdefault(writes, writes), out[1])
+            _tape_cost(self, word, form(word, key, e), out)
+            table[key] = e
             return out
 
         def word_step(word):

@@ -31,6 +31,13 @@ def _integer(x, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
+def _at_least(x, least: int, what: str) -> int:
+    """_integer(x), or ValueError when it is below least."""
+    if (v := _integer(x, what)) < least:
+        raise ValueError(f"{what} must be at least {least}, got {x!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Domain:
     """A product Z_r1 x ... x Z_rn described by its per-coordinate radices."""
@@ -393,9 +400,10 @@ class Counter:
     next_fn and prev_fn mutate a tape in place, changing cells only through
     tape.write; they are kept as the next_tape and prev_tape attributes.
     claimed_length is the cycle length the construction promises through
-    the start word; claimed_reads and claimed_writes bound per-step
-    coordinate touches. None means no promise. Audits check all of them
-    against observed behaviour.
+    the start word, an integer of at least 1; claimed_reads and
+    claimed_writes bound per-step coordinate touches, each None (no
+    promise) or an integer of at least 0. Anything else raises ValueError.
+    Audits check all of them against observed behaviour.
 
     next and prev take one of two paths. A step function may carry a
     word_step attribute, a function of a word that returns the same
@@ -426,8 +434,10 @@ class Counter:
                  claimed_writes: Optional[int] = None,
                  recipe: Optional[dict] = None):
         domain.validate(start)
-        if claimed_length < 1:
-            raise ValueError("claimed_length must be positive")
+        self.claimed_length = _at_least(claimed_length, 1, "claimed_length")
+        self.claimed_reads, self.claimed_writes = (
+            None if x is None else _at_least(x, 0, what)
+            for x, what in ((claimed_reads, "claimed_reads"), (claimed_writes, "claimed_writes")))
         self.domain = domain
         self._n = domain.n
         self.next_tape = next_fn
@@ -436,10 +446,7 @@ class Counter:
                            or functools.partial(tape_step, next_fn))
         self._prev_word = (getattr(prev_fn, "word_step", None)
                            or functools.partial(tape_step, prev_fn))
-        self.claimed_length = claimed_length
         self.start = tuple(start)
-        self.claimed_reads = claimed_reads
-        self.claimed_writes = claimed_writes
         self.recipe = recipe
 
     def next(self, word) -> tuple[tuple[int, ...], StepStats]:

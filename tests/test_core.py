@@ -64,6 +64,35 @@ def test_domain_takes_only_integer_radices_and_digits():
     n.validate(np.array([2, 1]))
 
 
+def test_counter_takes_only_integer_claims():
+    # a length must be an integer of at least 1 and each cost bound None or
+    # an integer of at least 0, else ValueError when the counter is built;
+    # before, 8.5 was taken and audit then failed a correct 9-word cycle
+    g = gray_counter(3, 2)
+
+    def build(length=9, **bounds):
+        return Counter(g.domain, g.next_tape, g.prev_tape, length, g.start, **bounds)
+
+    for length in (8.5, "9", None, 9.0, 0.0):
+        with pytest.raises(ValueError, match="claimed_length must be an integer"):
+            build(length)
+    for length in (0, -9):
+        with pytest.raises(ValueError, match="claimed_length must be at least 1"):
+            build(length)
+    for name in ("claimed_reads", "claimed_writes"):
+        for bad in ("1", 1.0, 2.5, 0.0, ""):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                build(**{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be at least 0"):
+            build(**{name: -1})
+    c = build(np.int64(9), claimed_reads=0, claimed_writes=np.int32(1))
+    assert (c.claimed_length, c.claimed_reads, c.claimed_writes) == (9, 0, 1)
+    assert {type(x) for x in (c.claimed_length, c.claimed_reads, c.claimed_writes)} == {int}
+    assert not audit(c).ok
+    c = build(claimed_reads=None, claimed_writes=None)
+    assert audit(c).ok and audit(build(claimed_reads=2, claimed_writes=1)).ok
+
+
 @given(st.data())
 def test_rank_unrank_roundtrip(data):
     radices = tuple(data.draw(st.lists(st.integers(2, 7), min_size=1, max_size=5)))

@@ -586,6 +586,131 @@ def test_residue_step_over_a_lying_inner_counter_raises():
             getattr(c, step)((0, 1) if step == "next" else (2, 1))
 
 
+class _OrForXor:
+    """x_d ^= x_s on a Tape, whose word form sets x_d |= x_s: the two agree
+    unless both bits are 1. Its own inverse."""
+
+    def __init__(self, s=1, d=0):
+        self.s, self.d = s, d
+
+    def apply_tape(self, tape):
+        tape.write(self.d, tape.read(self.d) ^ tape.read(self.s))
+
+    def shifted(self, d, inverse=False):
+        return _OrForXor(self.s + d, self.d + d)
+
+    def word_fn(self):
+        s, d = self.s, self.d
+
+        def f(cells):
+            cells[d] |= cells[s]
+        return f
+
+
+@pytest.mark.parametrize("direction", ["next", "prev"])
+def test_residue_word_path_that_fails_its_check_raises_every_time(direction):
+    # the inner entry is filled from a word where both forms agree; on the
+    # stitched word both data bits are 1, so the residue check fails, on the
+    # first call and on every retry, and nothing unchecked is stored
+    inner = cycle_compose(StepList([_OrForXor()], Domain((2, 2, 2)), 1), 2, 1, (0, 0, 1))
+    c = stitch_radix(2, inner)
+    if direction == "next":
+        assert inner.next((0, 0, 1, 0)) == tape_step(inner.next_tape, (0, 0, 1, 0))
+        word, want, step, fn = (1, 2), (2, 2), c._next_word, c.next_tape
+    else:
+        assert inner.prev((1, 0, 1, 0)) == tape_step(inner.prev_tape, (1, 0, 1, 0))
+        word, want, step, fn = (3, 2), (0, 2), c._prev_word, c.prev_tape
+    assert tape_step(fn, word)[0] == want
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="word form"):
+            step(word)
+    assert not _closed_over(step, "table")
+
+
+# stitch counters over general counters: the inner rank-0 step is a
+# residue step with no word_fn, so its inner pointer bits key a () entry
+RESIDUE_OVER_GENERAL = {
+    "stitch(2,general(2,6))": lambda: stitch_radix(2, general_counter(2, 6)),
+    "stitch(3,general(2,6))": lambda: stitch_radix(3, general_counter(2, 6)),
+    "stitch(2,general(2,8))": lambda: stitch_radix(2, general_counter(2, 8)),
+}
+
+
+@pytest.mark.parametrize("label", list(RESIDUE_OVER_GENERAL))
+def test_residue_word_path_over_an_inner_step_without_word_form(label):
+    # every word, both ways: the word path gives the Tape's word and cost,
+    # and each direction's table holds one () entry among the inner
+    # clock's 2^clock pointer words
+    c = RESIDUE_OVER_GENERAL[label]()
+    assert _has_word_path(c)
+    for w in c.domain.words():
+        for step, fn in ((c.next, c.next_tape), (c.prev, c.prev_tape)):
+            word, cost = step(w)
+            want, want_cost = tape_step(fn, w)
+            assert word == want and cost is want_cost
+    for t in _tables(c):
+        assert len(t) == 2 ** c.recipe["inner"]["clock"]
+        assert [e for e in t.values() if not e] == [()]
+    assert audit(c).ok
+
+
+class _Steps:
+    """A step sequence that may be measured with len() and indexed from 0,
+    but not iterated."""
+
+    def __init__(self, steps):
+        self._steps = steps
+
+    def __len__(self):
+        return len(self._steps)
+
+    def __getitem__(self, j):
+        assert 0 <= j < len(self._steps)
+        return self._steps[j]
+
+    def __iter__(self):
+        raise AssertionError("the step list was iterated")
+
+
+class _Logged:
+    """A step that changes nothing, has a word form, and logs every shift
+    made from it as (index, inverse)."""
+
+    def __init__(self, idx, log):
+        self.idx, self.log = idx, log
+
+    def apply_tape(self, tape):
+        pass
+
+    def shifted(self, d, inverse=False):
+        self.log.append((self.idx, inverse))
+        return self
+
+    def word_fn(self):
+        return lambda cells: None
+
+
+@pytest.mark.parametrize("r", [12, 13], ids=["table", "past-bound"])
+def test_steps_are_shifted_on_first_use_from_an_indexed_sequence(r):
+    # building shifts nothing. A next walk shifts step j on rank j's first
+    # step and never again; a prev walk shifts each inverse once, and next
+    # never shifts one
+    log = []
+    k, size = 2 ** r - 100, 2 ** r
+    c = cycle_compose(StepList(_Steps([_Logged(i, log) for i in range(k)]),
+                               Domain((2,)), 1), 2, r, (0,))
+    assert log == []
+    w = c.start
+    for rank in range(2 * size):
+        w, _ = c.next(w)
+        assert len(log) == min(rank + 1, k) and log[-1] == (min(rank, k - 1), False)
+    for rank in range(2 * size):
+        w, _ = c.prev(w)
+    assert w == c.start
+    assert log[:k] == [(j, False) for j in range(k)]
+    assert log[k:] == [(j, True) for j in range(k - 1, -1, -1)]
+
+
 def _lying_counter():
     """A Counter over Z_5 whose Tape steps add 2 and whose word path adds 1."""
     def tape_fn(delta):
@@ -731,9 +856,11 @@ def _pointer_cells(c):
     keyed by no table, so it steps on a Tape every time."""
     rec = c.recipe
     if rec["kind"] == "crt":
-        return set(range(rec["components"][0]["n"])).union(
-            *({s.offset + j for j in _pointer_cells(s.counter)}
-              for s in _closed_over(_closed_over(c.next_tape, "entry"), "fwd")))
+        n = rec["components"][0]["n"]
+        shift = _closed_over(_closed_over(c.next_tape, "entry"), "shift").__wrapped__
+        return set(range(n)).union(
+            *({n + s.offset + j for j in _pointer_cells(s.counter)}
+              for s in _closed_over(shift, "steps").steps))
     return set(range(rec.get("clock") or rec.get("pointer") or rec.get("r") or 0))
 
 
