@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Counter, Domain, OffsetTape, Tape, tape_step
+from .core import Counter, Domain, OffsetTape, Tape, _integer, tape_step
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
 from .graycode import gray_rank, gray_scan, gray_unrank  # noqa: F401
@@ -294,16 +294,17 @@ class _ComponentStep:
         return word_step
 
 
-def multiplicative_order(o: int, base: int = 2) -> int:
+def multiplicative_order(o: int) -> int:
+    """The order of 2 modulo o."""
     if o < 1:
         raise ValueError("modulus must be positive")
-    if math.gcd(base, o) != 1:
-        raise ValueError(f"{base} is not invertible modulo {o}")
+    if o % 2 == 0:
+        raise ValueError(f"2 is not invertible modulo {o}")
     if o == 1:
         return 1
-    e, v = 1, base % o
+    e, v = 1, 2 % o
     while v != 1:
-        v = v * base % o
+        v = v * 2 % o
         e += 1
     return e
 
@@ -495,7 +496,7 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
     this one (_ResidueStep.word_path), keyed by the inner pointer bits and
     matching the Tape on every word; otherwise next and prev run on a Tape.
     """
-    if k < 1:
+    if (k := _integer(k, "block size")) < 1:
         raise ValueError("block size must be at least 1")
     if k == 1:
         return counter
@@ -546,6 +547,7 @@ def general_counter(m: int, n: int) -> Counter:
     from .linear import _FACTOR_LIMIT, Field, linear_counter, row_op_count
     from .permdecomp import min_width, odd_counter
 
+    m, n = _integer(m, "radix"), _integer(n, "width")
     if m < 2:
         raise ValueError("radix must be at least 2")
     if m % 2:

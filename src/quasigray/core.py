@@ -136,6 +136,10 @@ class Tape:
 
     Every tape class offers read_cells(cells), the tuple of read(i) for i in
     cells, read in that order.
+
+    read, read_cells and write only index cells (cells[i], cells[i] = v),
+    so materialize can replay a step on a Tape whose cells are a dict;
+    word() and measure_counter take cells to be a list.
     """
 
     __slots__ = ("cells", "reads", "written", "writes")
@@ -182,9 +186,7 @@ def tape_step(fn, word) -> tuple[tuple[int, ...], StepStats]:
 def apply_word(step, word) -> tuple[int, ...]:
     """The word step.apply_tape leaves on a fresh tape over word: the word
     form of a primitive step, from the same code the counters run."""
-    tape = Tape(word)
-    step.apply_tape(tape)
-    return tape.word()
+    return tape_step(step.apply_tape, word)[0]
 
 
 class OffsetTape:
@@ -340,38 +342,35 @@ class _BranchOn(Exception):
         self.coord = coord
 
 
-class _ProbeTape:
-    """Tape that knows only the coordinates fixed so far; reading anything
-    else aborts the run so the caller can branch on it."""
+class _Known(dict):
+    """One replay's cells: the coordinates fixed on the current path. A
+    missing cell raises _BranchOn; assigns lists every write in order."""
 
-    __slots__ = ("known", "written", "assigns")
+    __slots__ = ("assigns",)
 
-    def __init__(self, known: dict):
-        self.known = known
-        self.written: dict[int, int] = {}
-        self.assigns: list[tuple[int, int]] = []
-
-    def read(self, i: int) -> int:
-        if i in self.written:
-            return self.written[i]
-        if i in self.known:
-            return self.known[i]
+    def __missing__(self, i: int):
         raise _BranchOn(i)
 
-    def read_cells(self, cells) -> tuple:
-        return tuple(map(self.read, cells))
-
-    def write(self, i: int, v: int) -> None:
-        self.written[i] = v
+    def __setitem__(self, i: int, v: int) -> None:
         self.assigns.append((i, v))
+        dict.__setitem__(self, i, v)
+
+
+def _replay_tape(known: dict) -> Tape:
+    """A Tape over _Known(known), with no write yet."""
+    tape = Tape(())
+    tape.cells = cells = _Known(known)
+    cells.assigns = []
+    return tape
 
 
 def materialize(step: Callable, domain: Domain, node_budget: int = 10 ** 6):
     """Unfold a deterministic tape step into an explicit decision tree.
 
-    The step is replayed once per node against a probe tape that only knows
-    the coordinates on the current path; the first unknown read becomes a
-    query node. Raises BoundExceeded once node_budget nodes exist.
+    The step is replayed once per node on a Tape whose cells are only the
+    coordinates fixed on the current path; the first read of any other cell
+    becomes a query node, and a run that ends is a leaf of its writes.
+    Raises BoundExceeded once node_budget nodes exist.
     """
     budget = node_budget
 
@@ -380,14 +379,14 @@ def materialize(step: Callable, domain: Domain, node_budget: int = 10 ** 6):
         if budget <= 0:
             raise BoundExceeded(f"tree exceeds {node_budget} nodes")
         budget -= 1
-        probe = _ProbeTape(known)
+        tape = _replay_tape(known)
         try:
-            step(probe)
+            step(tape)
         except _BranchOn as b:
             children = tuple(build({**known, b.coord: v})
                              for v in range(domain.radices[b.coord]))
             return Query(b.coord, children)
-        return Assign(tuple(probe.assigns))
+        return Assign(tuple(tape.cells.assigns))
 
     tree = build({})
     dat_validate(tree, domain)

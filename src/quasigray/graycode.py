@@ -35,7 +35,7 @@ whose clock is a cycle_compose pointer.
 
 from __future__ import annotations
 
-from .core import _STATS, Counter, Domain
+from .core import _STATS, Counter, Domain, _integer
 
 
 def _base_digits(i: int, m: int, r: int) -> list[int]:
@@ -47,13 +47,13 @@ def _base_digits(i: int, m: int, r: int) -> list[int]:
 
 
 def _check(m: int, r: int) -> None:
-    if m < 2 or r < 1:
+    if _integer(m, "m") < 2 or _integer(r, "r") < 1:
         raise ValueError("need m >= 2 and r >= 1")
 
 
 def gray_unrank(i: int, m: int, r: int) -> tuple[int, ...]:
     _check(m, r)
-    if not 0 <= i < m ** r:
+    if not 0 <= _integer(i, "rank") < m ** r:
         raise ValueError(f"rank {i} out of range for m={m}, r={r}")
     b = _base_digits(i, m, r) + [0]
     return tuple((b[j] - b[j + 1]) % m for j in range(r))

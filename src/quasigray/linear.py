@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .compose import StepList, cycle_compose
-from .core import BoundExceeded, Counter, Domain, apply_word
+from .core import BoundExceeded, Counter, Domain, _integer, apply_word
 
 # One irreducible modulus over F_2 per extension degree, bit i holding the
 # coefficient of z^i. Degree 16 is as far as the field table goes.
@@ -130,7 +130,7 @@ class Field:
     __slots__ = ("q", "char", "k", "modulus")
 
     def __init__(self, q: int):
-        if q < 2:
+        if (q := _integer(q, "field order")) < 2:
             raise ValueError("field order must be at least 2")
         if _is_prime(q):
             self.char = q
@@ -208,7 +208,7 @@ class Poly:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("empty coefficient list")
-        if any(not 0 <= c < self.field.q for c in self.coeffs):
+        if any(not 0 <= _integer(c, "coefficient") < self.field.q for c in self.coeffs):
             raise ValueError("coefficient out of range")
 
     @property
@@ -307,16 +307,14 @@ def _check_factorable(q: int, n: int) -> None:
             f"q^n - 1 = {q ** n - 1} exceeds the factoring limit 2^48")
 
 
-def is_primitive(p: Poly, field: Field | None = None) -> bool:
+def is_primitive(p: Poly) -> bool:
     """Whether z generates the full multiplicative group modulo p.
 
     That forces p irreducible, so this single test suffices. Over F_2 it
     runs on the packed int form of p (`_f2_is_primitive`), elsewhere on
     coefficient lists. Refuses q^deg - 1 beyond the factoring limit.
     """
-    field = field or p.field
-    if field != p.field:
-        raise ValueError("field mismatch")
+    field = p.field
     n = p.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -350,7 +348,7 @@ def find_primitive(field: Field, n: int) -> Poly:
     factors 2^n - 1 once; it skips p(0) = 0 and, for n >= 2, polynomials
     with an even number of terms, which z + 1 divides.
     """
-    if n < 1:
+    if (n := _integer(n, "degree")) < 1:
         raise ValueError("degree must be at least 1")
     q = field.q
     _check_factorable(q, n)
@@ -365,7 +363,7 @@ def find_primitive(field: Field, n: int) -> Poly:
         for i in range(q ** n):
             coeffs = tuple((i // q ** j) % q for j in range(n)) + (1,)
             p = Poly(field, coeffs)
-            if is_primitive(p, field):
+            if is_primitive(p):
                 return p
     raise RuntimeError("no primitive polynomial found")  # cannot happen
 
@@ -605,7 +603,7 @@ def linear_counter(field: Field, n: int, r: int | None = None) -> Counter:
     is the smallest such width. The only words never visited are the q^r
     pointer settings over the zero vector.
     """
-    if n < 1:
+    if (n := _integer(n, "vector width")) < 1:
         raise ValueError("vector width must be at least 1")
     q = field.q
     p, steps = _companion_ops(q, n)

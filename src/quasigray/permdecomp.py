@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .compose import StepList, cycle_compose
-from .core import Counter, Domain, apply_word, materialize
+from .core import Counter, Domain, _integer, apply_word, materialize
 
 
 class RFunction:
@@ -33,7 +33,8 @@ class RFunction:
     __slots__ = ("m", "n", "sources", "target", "table")
 
     def __init__(self, m: int, n: int, sources, target: int, table: dict):
-        sources = tuple(sources)
+        sources = tuple([_integer(s, "source") for s in sources])
+        m, n, target = _integer(m, "radix"), _integer(n, "width"), _integer(target, "target")
         if m < 2:
             raise ValueError("radix must be at least 2")
         coords = (*sources, target)
@@ -136,9 +137,9 @@ def make_alpha(i: int, m: int, n: int) -> RFunction:
     return RFunction.indicator(m, n, tuple(range(i - 1)), i - 1, (0,) * (i - 1), 1)
 
 
-def rfunction_to_dat(f: RFunction, node_budget: int = 10 ** 6):
+def rfunction_to_dat(f: RFunction):
     """Explicit decision tree for one application of f."""
-    return materialize(f.apply_tape, Domain.uniform(f.m, f.n), node_budget)
+    return materialize(f.apply_tape, Domain.uniform(f.m, f.n))
 
 
 def decompose_indicator(f: RFunction) -> list[RFunction]:
@@ -287,6 +288,7 @@ class DecompositionPlan:
 
 
 def build_plan(m: int, n_inner: int) -> DecompositionPlan:
+    m, n_inner = _integer(m, "radix"), _integer(n_inner, "inner width")
     if m < 3 or m % 2 == 0:
         raise ValueError("radix must be odd and at least 3")
     if n_inner < 6:
@@ -322,6 +324,7 @@ def odd_counter(m: int, n: int) -> Counter:
     cycle covers the plan. One pointer revolution advances the data part
     once through the full m^(n-r) cycle.
     """
+    m, n = _integer(m, "radix"), _integer(n, "width")
     if m < 3 or m % 2 == 0:
         raise ValueError("radix must be odd and at least 3")
     r = _pointer_width(m, n)

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Assign, BoundExceeded, Counter, Domain, Query,
+from .core import (Assign, BoundExceeded, Counter, Domain, Query, _integer,
                    measure_counter)
 from .permdecomp import RFunction
 
@@ -230,7 +230,7 @@ def search_hierarchical(radices, count_solutions: bool = False,
     those reading cell 3 to use disjoint cell-1 outputs, one output value
     per branch.
     """
-    radices = tuple(radices)
+    radices = tuple([_integer(v, "radix") for v in radices])
     if len(radices) != 3 or any(v < 2 for v in radices):
         raise ValueError("need three radices, each at least 2")
     m1, m2, m3 = radices

@@ -351,11 +351,22 @@ def test_malformed_components(capsys):
       "base:m=2,n=1,x=9;odd:m=3,n=11,r=4"], "component 'base' does not take x="),
     (["gen", "--kind", "crt", "--components", "base:m=2,n=1;odd:m=3,n=11,r=4",
       "--limit", "2"], "component 'odd' does not take r="),
+    (["gen", "--kind", "crt", "--components", ";;"], "empty component list"),
+    (["gen", "--kind", "crt", "--components", "base:m"], "malformed component setting 'm'"),
+    (["gen", "--kind", "crt", "--components", "base:m=x"],
+     "malformed component setting 'm=x'"),
+    (["gen", "--kind", "crt", "--components", "foo:m=2"], "unknown component kind 'foo'"),
 ])
 def test_stray_settings_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_components_skip_an_empty_setting(capsys):
+    code, out, err = run(capsys, "gen", "--kind", "crt", "--components",
+                         "base:m=2,,n=1;base:m=3,n=1", "--limit", "2")
+    assert (code, out, err) == (0, "00\n11\n", "")
 
 
 def test_crt_clock_that_is_no_base_counter_exits_2(capsys):

@@ -10,8 +10,11 @@ from quasigray.core import (Assign, BoundExceeded, Counter, Domain, Query,
                             dat_to_json, dat_validate, dat_write_complexity,
                             materialize, measure_counter, word_format,
                             word_parse)
-from quasigray.graycode import gray_counter
-from quasigray.verify import audit
+from quasigray.compose import general_counter, stitch_radix
+from quasigray.graycode import gray_counter, gray_unrank
+from quasigray.linear import Field, Poly, companion_counter, linear_counter
+from quasigray.permdecomp import RFunction, build_plan, odd_counter
+from quasigray.verify import audit, search_hierarchical
 
 
 def test_domain_basics():
@@ -91,6 +94,30 @@ def test_counter_takes_only_integer_claims():
     assert not audit(c).ok
     c = build(claimed_reads=None, claimed_writes=None)
     assert audit(c).ok and audit(build(claimed_reads=2, claimed_writes=1)).ok
+
+
+@pytest.mark.parametrize("make,what", [
+    (lambda: Field(2.0), "field order"),
+    (lambda: Field(4.0), "field order"),
+    (lambda: gray_unrank(1.5, 3, 2), "rank"),
+    (lambda: RFunction(3, 2, (0,), 1.0, {}), "target"),
+    (lambda: RFunction(3.0, 2, (0,), 1, {(1,): 1}), "radix"),
+    (lambda: Poly(Field(2), (1, 1.0)), "coefficient"),
+    (lambda: gray_counter(3, 2.0), "r"),
+    (lambda: linear_counter(Field(2), 3.0), "vector width"),
+    (lambda: companion_counter(Field(2), 3.0), "degree"),
+    (lambda: odd_counter(3.0, 11), "radix"),
+    (lambda: general_counter(4.0, 8), "radix"),
+    (lambda: build_plan(3, 6.0), "inner width"),
+    (lambda: search_hierarchical((2.0, 2, 3)), "radix"),
+    (lambda: stitch_radix(2.0, linear_counter(Field(2), 3)), "block size"),
+])
+def test_constructors_take_only_integer_sizes(make, what):
+    # a float size, order, coordinate or coefficient raises ValueError
+    # naming it; before, some were taken (Field(2.0).mul(1, 1) gave 1.0)
+    # and others raised TypeError or AttributeError deep inside
+    with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+        make()
 
 
 @given(st.data())
@@ -276,6 +303,11 @@ def test_measure_counter_rejects_a_digit_out_of_range():
             walk(c)
     with pytest.raises(ValueError, match="step 1 wrote -1 at coordinate 1"):
         measure_counter(c, direction="prev")
+
+
+def test_measure_counter_rejects_an_unknown_direction():
+    with pytest.raises(ValueError, match="direction must be 'next' or 'prev'"):
+        measure_counter(gray_counter(3, 2), direction="up")
 
 
 def test_forced_tracking_above_the_limit_allocates_nothing():

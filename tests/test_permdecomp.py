@@ -126,6 +126,12 @@ def test_decompose_indicator_passthrough_and_errors():
                                                 (0, 0, 0), 1))
 
 
+def test_decompose_indicator_of_an_empty_table():
+    # a zero increment needs no scratch cells: one function of no sources
+    (g,) = decompose_indicator(RFunction(3, 5, (0, 1, 2), 3, {}))
+    assert (g.m, g.n, g.sources, g.target, g.table) == (3, 5, (), 3, {})
+
+
 def test_cycle_isolation_identity():
     sigma = {0: 1, 1: 2, 2: 0}
     tau = {0: 3, 3: 4, 4: 0}

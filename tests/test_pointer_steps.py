@@ -16,7 +16,7 @@ from quasigray.compose import (StepList, _MixedTape, _residues, _ResidueStep,
                                crt_compose, cycle_compose, general_counter,
                                stitch_radix)
 from quasigray.core import (Counter, Domain, OffsetTape, StepStats, Tape, _BranchOn,
-                            _ProbeTape, apply_word, dat_count_nodes, dat_eval,
+                            _replay_tape, apply_word, dat_count_nodes, dat_eval,
                             dat_read_complexity, dat_to_json, dat_write_complexity,
                             materialize, measure_counter, tape_step)
 from quasigray.graycode import gray_counter, gray_rank, gray_scan, gray_unrank
@@ -330,14 +330,14 @@ def test_read_cells_matches_per_cell_reads(view, written, cells):
 
 
 def test_read_cells_on_probe_tape_raises_at_first_unknown_cell():
-    probe = _ProbeTape({0: 2, 3: 1})
+    probe = _replay_tape({0: 2, 3: 1})
     probe.write(5, 4)
     assert probe.read_cells((5, 3, 0, 3)) == (4, 1, 2, 1)
     for cells, first in [((3, 1, 2), 1), ((2, 1), 2), ((0, 5, 4, 1), 4)]:
         with pytest.raises(_BranchOn) as exc:
             probe.read_cells(cells)
         assert exc.value.coord == first
-    assert probe.assigns == [(5, 4)]
+    assert probe.cells.assigns == [(5, 4)]
 
 
 @pytest.mark.parametrize("r", [12, 14], ids=["table", "past-bound"])
