@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Counter, Domain, OffsetTape, Tape, _integer, tape_step
+from .core import Counter, Domain, OffsetTape, Tape, _at_least, _integer, tape_step
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
 from .graycode import gray_rank, gray_scan, gray_unrank  # noqa: F401
@@ -296,9 +296,7 @@ class _ComponentStep:
 
 def multiplicative_order(o: int) -> int:
     """The order of 2 modulo o."""
-    if o < 1:
-        raise ValueError("modulus must be positive")
-    if o % 2 == 0:
+    if (o := _at_least(o, 1, "modulus")) % 2 == 0:
         raise ValueError(f"2 is not invertible modulo {o}")
     if o == 1:
         return 1
@@ -496,9 +494,7 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
     this one (_ResidueStep.word_path), keyed by the inner pointer bits and
     matching the Tape on every word; otherwise next and prev run on a Tape.
     """
-    if (k := _integer(k, "block size")) < 1:
-        raise ValueError("block size must be at least 1")
-    if k == 1:
+    if (k := _at_least(k, 1, "block size")) == 1:
         return counter
     inner = counter.domain
     if any(r != 2 for r in inner.radices):
@@ -547,9 +543,7 @@ def general_counter(m: int, n: int) -> Counter:
     from .linear import _FACTOR_LIMIT, Field, linear_counter, row_op_count
     from .permdecomp import min_width, odd_counter
 
-    m, n = _integer(m, "radix"), _integer(n, "width")
-    if m < 2:
-        raise ValueError("radix must be at least 2")
+    m, n = _at_least(m, 2, "radix"), _integer(n, "width")
     if m % 2:
         raise ValueError("even radix required; odd radices have their own construction")
     ell = (m & -m).bit_length() - 1

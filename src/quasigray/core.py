@@ -24,11 +24,16 @@ class BoundExceeded(RuntimeError):
 
 
 def _integer(x, what: str) -> int:
-    """operator.index(x), so numpy integers pass, or else ValueError."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+    """operator.index(x), so numpy integers pass; a bool, or anything
+    operator.index refuses, raises ValueError naming what."""
+    if type(x) is int:  # the common case, checked first: set-up runs this often
+        return x
+    if type(x) is not bool:
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def _at_least(x, least: int, what: str) -> int:
@@ -47,12 +52,12 @@ class Domain:
     def __post_init__(self) -> None:
         if not self.radices:
             raise ValueError("domain needs at least one coordinate")
-        if any(_integer(r, "radix") < 2 for r in self.radices):
-            raise ValueError("every radix must be at least 2")
+        for r in self.radices:
+            _at_least(r, 2, "radix")
 
     @classmethod
     def uniform(cls, m: int, n: int) -> "Domain":
-        return cls((m,) * n)
+        return cls((m,) * _integer(n, "width"))
 
     @property
     def n(self) -> int:
@@ -89,7 +94,7 @@ class Domain:
         return v
 
     def unrank(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.size:
+        if not 0 <= _integer(i, "rank") < self.size:
             raise ValueError(f"rank {i} out of range")
         digits = []
         for r in reversed(self.radices):
@@ -303,18 +308,12 @@ def dat_to_json(tree):
     raise ValueError(f"not a tree node: {tree!r}")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def dat_from_json(obj):
     """Inverse of dat_to_json. Raises ValueError on any malformed node."""
     if not isinstance(obj, dict):
         raise ValueError("tree node must be an object")
     if "query" in obj:
-        coord = obj["query"]
-        if not _is_int(coord) or coord < 1:
-            raise ValueError("query coordinate must be a positive integer")
+        coord = _at_least(obj["query"], 1, "query coordinate")
         children = obj.get("children")
         if not isinstance(children, (list, tuple)):
             raise ValueError("query node needs a 'children' list")
@@ -327,12 +326,8 @@ def dat_from_json(obj):
         for pair in pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"assignment {pair!r} is not a [coordinate, value] pair")
-            coord, value = pair
-            if not _is_int(coord) or coord < 1:
-                raise ValueError("assignment coordinate must be a positive integer")
-            if not _is_int(value) or value < 0:
-                raise ValueError("assigned value must be a non-negative integer")
-            out.append((coord - 1, value))
+            out.append((_at_least(pair[0], 1, "assignment coordinate") - 1,
+                        _at_least(pair[1], 0, "assigned value")))
         return Assign(tuple(out))
     raise ValueError("tree node needs a 'query' or 'assign' key")
 
@@ -372,7 +367,7 @@ def materialize(step: Callable, domain: Domain, node_budget: int = 10 ** 6):
     becomes a query node, and a run that ends is a leaf of its writes.
     Raises BoundExceeded once node_budget nodes exist.
     """
-    budget = node_budget
+    budget = node_budget = _at_least(node_budget, 0, "node_budget")
 
     def build(known: dict):
         nonlocal budget
@@ -502,35 +497,29 @@ TRACK_LIMIT = 2 ** 27
 
 
 def measure_counter(counter: Counter, max_steps: Optional[int] = None,
-                    direction: str = "next",
-                    track_visited: Optional[bool] = None) -> OrbitReport:
+                    direction: str = "next") -> OrbitReport:
     """Walk the counter until it returns to start, revisits a word, or runs
-    out of budget. max_steps defaults to the claimed length; a negative one
-    raises ValueError before any step. Every step runs on one Tape, reset
-    before each step, so the costs are observed, never taken from a word
-    path. The word's rank follows the cells in
-    tape.written, so a step must change cells only through write; a written
-    digit outside its radix raises ValueError. track_visited=True above
-    TRACK_LIMIT words raises BoundExceeded."""
+    out of budget. max_steps defaults to the claimed length; one that is
+    not an integer of at least 0 raises ValueError before any step. Every
+    step runs on one Tape, reset before each step, so the costs are
+    observed, never taken from a word path. The word's rank follows the
+    cells in tape.written, so a step must change cells only through write;
+    a written digit outside its radix raises ValueError. The visited words
+    are tracked up to TRACK_LIMIT words."""
     if direction not in ("next", "prev"):
         raise ValueError("direction must be 'next' or 'prev'")
     domain = counter.domain
     size = domain.size
-    if track_visited is None:
-        track_visited = size <= TRACK_LIMIT
-    elif track_visited and size > TRACK_LIMIT:
-        raise BoundExceeded(f"domain size {size} exceeds 2^27 to track visited words")
-    if max_steps is None:
-        max_steps = counter.claimed_length
-    elif max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    track = size <= TRACK_LIMIT
+    max_steps = (counter.claimed_length if max_steps is None
+                 else _at_least(max_steps, 0, "max_steps"))
     fn = counter.next_tape if direction == "next" else counter.prev_tape
     radices = domain.radices
     weight = [math.prod(radices[i + 1:]) for i in range(domain.n)]
     start = list(counter.start)
     first = rk = domain.rank(start)
-    visited = Visited(size) if track_visited else None
-    if track_visited:
+    visited = Visited(size) if track else None
+    if track:
         marks = visited.marks
         marks[rk] = 1
     prev = start[:]
@@ -559,7 +548,7 @@ def measure_counter(counter: Counter, max_steps: Optional[int] = None,
         if rk == first and cells == start:
             closed = True
             break
-        if track_visited:
+        if track:
             if marks[rk]:
                 distinct = False
                 break

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .compose import StepList, cycle_compose
-from .core import BoundExceeded, Counter, Domain, _integer, apply_word
+from .core import BoundExceeded, Counter, Domain, _at_least, _integer, apply_word
 
 # One irreducible modulus over F_2 per extension degree, bit i holding the
 # coefficient of z^i. Degree 16 is as far as the field table goes.
@@ -88,9 +88,7 @@ def _pollard_rho(n: int) -> int:
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors, smallest first. Trial division handles the
     small part; Miller-Rabin plus Pollard rho split whatever is left."""
-    if n < 1:
-        raise ValueError(f"can only factor positive integers, got {n}")
-    if n > _FACTOR_LIMIT:
+    if (n := _at_least(n, 1, "n")) > _FACTOR_LIMIT:
         raise BoundExceeded(f"refusing to factor {n} > 2^48")
     out = []
     for d in (2, 3):
@@ -130,8 +128,7 @@ class Field:
     __slots__ = ("q", "char", "k", "modulus")
 
     def __init__(self, q: int):
-        if (q := _integer(q, "field order")) < 2:
-            raise ValueError("field order must be at least 2")
+        q = _at_least(q, 2, "field order")
         if _is_prime(q):
             self.char = q
             self.k = 1
@@ -170,8 +167,7 @@ class Field:
         return acc
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("negative exponent")
+        e = _at_least(e, 0, "exponent")
         acc = 1
         while e:
             if e & 1:
@@ -315,9 +311,7 @@ def is_primitive(p: Poly) -> bool:
     coefficient lists. Refuses q^deg - 1 beyond the factoring limit.
     """
     field = p.field
-    n = p.degree
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    n = _at_least(p.degree, 1, "degree")
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
     _check_factorable(field.q, n)
@@ -348,8 +342,7 @@ def find_primitive(field: Field, n: int) -> Poly:
     factors 2^n - 1 once; it skips p(0) = 0 and, for n >= 2, polynomials
     with an even number of terms, which z + 1 divides.
     """
-    if (n := _integer(n, "degree")) < 1:
-        raise ValueError("degree must be at least 1")
+    n = _at_least(n, 1, "degree")
     q = field.q
     _check_factorable(q, n)
     if q == 2:
@@ -451,7 +444,8 @@ class Scale:
     c: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.c < self.field.q:
+        _at_least(self.i, 0, "row")
+        if not 0 < _integer(self.c, "scale factor") < self.field.q:
             raise ValueError("scale factor must be a nonzero field element")
 
     def apply_tape(self, tape) -> None:
@@ -492,9 +486,9 @@ class AddRow:
     c: int
 
     def __post_init__(self) -> None:
-        if self.i == self.j:
+        if _at_least(self.i, 0, "row") == _at_least(self.j, 0, "source row"):
             raise ValueError("source and destination rows must differ")
-        if not 0 < self.c < self.field.q:
+        if not 0 < _integer(self.c, "multiplier") < self.field.q:
             raise ValueError("multiplier must be a nonzero field element")
 
     def apply_tape(self, tape) -> None:
@@ -603,8 +597,7 @@ def linear_counter(field: Field, n: int, r: int | None = None) -> Counter:
     is the smallest such width. The only words never visited are the q^r
     pointer settings over the zero vector.
     """
-    if (n := _integer(n, "vector width")) < 1:
-        raise ValueError("vector width must be at least 1")
+    n = _at_least(n, 1, "vector width")
     q = field.q
     p, steps = _companion_ops(q, n)
     k = len(steps)
@@ -613,7 +606,7 @@ def linear_counter(field: Field, n: int, r: int | None = None) -> Counter:
         r_min += 1
     if r is None:
         r = r_min
-    elif q ** r < k:
+    elif q ** (r := _at_least(r, 1, "pointer width")) < k:
         raise ValueError(f"pointer width {r} cannot index {k} row operations")
     sl = StepList(steps, Domain.uniform(q, n), q ** n - 1)
     return cycle_compose(sl, q, r, (0,) * (n - 1) + (1,),

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .compose import StepList, cycle_compose
-from .core import Counter, Domain, _integer, apply_word, materialize
+from .core import Counter, Domain, _at_least, _integer, apply_word, materialize
 
 
 class RFunction:
@@ -34,9 +34,7 @@ class RFunction:
 
     def __init__(self, m: int, n: int, sources, target: int, table: dict):
         sources = tuple([_integer(s, "source") for s in sources])
-        m, n, target = _integer(m, "radix"), _integer(n, "width"), _integer(target, "target")
-        if m < 2:
-            raise ValueError("radix must be at least 2")
+        m, n, target = _at_least(m, 2, "radix"), _integer(n, "width"), _integer(target, "target")
         coords = (*sources, target)
         if any(not 0 <= c < n for c in coords):
             raise ValueError("coordinate out of range")
@@ -46,12 +44,12 @@ class RFunction:
             raise ValueError("target cannot be one of the sources")
         clean = {}
         for args, v in table.items():
-            args = tuple(args)
+            args = tuple([_integer(a, "table key digit") for a in args])
             if len(args) != len(sources):
                 raise ValueError("table key arity mismatch")
             if any(not 0 <= a < m for a in args):
                 raise ValueError("table key out of range")
-            v %= m
+            v = _integer(v, "table value") % m
             if v:
                 clean[args] = v
         self.m = m
@@ -130,9 +128,16 @@ class RFunction:
         return f"RFunction(x{self.target + 1} += f({src}), {len(self.table)} entries)"
 
 
+def _odd_radix(m) -> int:
+    """m as an int, or ValueError unless it is odd and at least 3."""
+    if (m := _at_least(m, 3, "radix")) % 2 == 0:
+        raise ValueError(f"radix must be odd, got {m}")
+    return m
+
+
 def make_alpha(i: int, m: int, n: int) -> RFunction:
     """Increment coordinate i (1-based) when coordinates 1..i-1 are all zero."""
-    if not 1 <= i <= n:
+    if not 1 <= _integer(i, "coordinate") <= n:
         raise ValueError(f"coordinate {i} out of range")
     return RFunction.indicator(m, n, tuple(range(i - 1)), i - 1, (0,) * (i - 1), 1)
 
@@ -190,6 +195,7 @@ def cycle_isolation_check(sigma: dict, tau: dict, ell: int) -> bool:
     """
     from .verify import DensePermutation, cycle_lengths  # verify imports this module
 
+    ell = _integer(ell, "cycle length")
     for perm in (sigma, tau):
         if set(perm.values()) != set(perm):
             raise ValueError("not a permutation of its support")
@@ -225,11 +231,8 @@ def decompose_boundary(i: int, m: int, n_inner: int) -> list[RFunction]:
     squares the t-bump into the wanted +1, and only the pairs that meet in
     the all-zeros region survive.
     """
-    if m < 3 or m % 2 == 0:
-        raise ValueError("radix must be odd and at least 3")
-    if n_inner < 6:
-        raise ValueError("inner width must be at least 6")
-    if i not in (n_inner - 1, n_inner):
+    m, n_inner = _odd_radix(m), _at_least(n_inner, 6, "inner width")
+    if _integer(i, "increment") not in (n_inner - 1, n_inner):
         raise ValueError("this path only builds the top two increments")
     t = (m + 1) // 2
     low = tuple(range(n_inner - 3))
@@ -257,8 +260,7 @@ def _indicator_size(r: int) -> int:
 
 def plan_size(m: int, n_inner: int) -> int:
     """Length of the flattened step list build_plan would produce."""
-    if m < 3 or m % 2 == 0 or n_inner < 6:
-        raise ValueError("need odd m >= 3 and inner width >= 6")
+    m, n_inner = _odd_radix(m), _at_least(n_inner, 6, "inner width")
     total = 3  # the first three increments are 2-functions already
     total += sum(_indicator_size(i - 1) for i in range(4, n_inner - 1))
     total += 2 * m * (_indicator_size(n_inner - 3) + 1)
@@ -288,11 +290,7 @@ class DecompositionPlan:
 
 
 def build_plan(m: int, n_inner: int) -> DecompositionPlan:
-    m, n_inner = _integer(m, "radix"), _integer(n_inner, "inner width")
-    if m < 3 or m % 2 == 0:
-        raise ValueError("radix must be odd and at least 3")
-    if n_inner < 6:
-        raise ValueError("inner width must be at least 6")
+    m, n_inner = _odd_radix(m), _at_least(n_inner, 6, "inner width")
     per = []
     for i in range(1, n_inner + 1):
         if i <= 3:
@@ -324,9 +322,7 @@ def odd_counter(m: int, n: int) -> Counter:
     cycle covers the plan. One pointer revolution advances the data part
     once through the full m^(n-r) cycle.
     """
-    m, n = _integer(m, "radix"), _integer(n, "width")
-    if m < 3 or m % 2 == 0:
-        raise ValueError("radix must be odd and at least 3")
+    m, n = _odd_radix(m), _integer(n, "width")
     r = _pointer_width(m, n)
     if r is None:
         raise ValueError(

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Assign, BoundExceeded, Counter, Domain, Query, _integer,
+from .core import (Assign, BoundExceeded, Counter, Domain, Query, _at_least,
                    measure_counter)
 from .permdecomp import RFunction
 
@@ -163,11 +163,10 @@ def audit(counter: Counter, max_steps: Optional[int] = None,
     Reports the observed cycle length, worst-case step costs, and the
     words the counter never visits: their count always, and the first
     sample_cap of them in rank order whenever the walk tracks the visited
-    words (up to TRACK_LIMIT words). A negative max_steps or sample_cap
-    raises ValueError before the walk.
+    words (up to TRACK_LIMIT words). A max_steps or sample_cap that is not
+    an integer of at least 0 raises ValueError before the walk.
     """
-    if sample_cap < 0:
-        raise ValueError(f"sample_cap must be nonnegative, got {sample_cap}")
+    sample_cap = _at_least(sample_cap, 0, "sample_cap")
     rep = measure_counter(counter, max_steps=max_steps)
     problems = []
     if not rep.distinct:
@@ -230,9 +229,10 @@ def search_hierarchical(radices, count_solutions: bool = False,
     those reading cell 3 to use disjoint cell-1 outputs, one output value
     per branch.
     """
-    radices = tuple([_integer(v, "radix") for v in radices])
-    if len(radices) != 3 or any(v < 2 for v in radices):
-        raise ValueError("need three radices, each at least 2")
+    radices = tuple([_at_least(v, 2, "radix") for v in radices])
+    if len(radices) != 3:
+        raise ValueError(f"need three radices, got {len(radices)}")
+    node_budget = _at_least(node_budget, 0, "node_budget")
     m1, m2, m3 = radices
     total = m1 * m2 * m3
     if total > SEARCH_DOMAIN_LIMIT:

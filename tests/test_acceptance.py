@@ -75,7 +75,7 @@ def test_criterion_02_binary_linear_counter():
         assert rep.max_writes <= 2
         # the missing words are exactly the zero vector under any pointer
         from quasigray.core import measure_counter
-        walk = measure_counter(c, track_visited=True)
+        walk = measure_counter(c)
         missing = [c.domain.unrank(i) for i in range(c.domain.size)
                    if i not in walk.visited_ranks]
         assert len(missing) == 2 ** r

@@ -304,7 +304,7 @@ def test_general_counter_power_of_two_radix():
     c = general_counter(4, 4)
     assert c.recipe["odd"] is None
     assert c.claimed_length == 4 * 56 == 224
-    rep = measure_counter(c, track_visited=True)
+    rep = measure_counter(c)
     assert rep.closed and rep.distinct and rep.observed_length == 224
     assert rep.max_writes <= 3
     assert 4 ** 4 - 224 == 32

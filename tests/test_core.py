@@ -10,10 +10,14 @@ from quasigray.core import (Assign, BoundExceeded, Counter, Domain, Query,
                             dat_to_json, dat_validate, dat_write_complexity,
                             materialize, measure_counter, word_format,
                             word_parse)
-from quasigray.compose import general_counter, stitch_radix
+from quasigray.compose import (general_counter, multiplicative_order,
+                               stitch_radix)
 from quasigray.graycode import gray_counter, gray_unrank
-from quasigray.linear import Field, Poly, companion_counter, linear_counter
-from quasigray.permdecomp import RFunction, build_plan, odd_counter
+from quasigray.linear import (AddRow, Field, Poly, Scale, companion_counter,
+                              find_primitive, linear_counter, prime_factors)
+from quasigray.permdecomp import (RFunction, build_plan, cycle_isolation_check,
+                                  decompose_boundary, make_alpha, odd_counter,
+                                  plan_size)
 from quasigray.verify import audit, search_hierarchical
 
 
@@ -96,28 +100,73 @@ def test_counter_takes_only_integer_claims():
     assert audit(c).ok and audit(build(claimed_reads=2, claimed_writes=1)).ok
 
 
+_G32 = gray_counter(3, 2)
+
+
 @pytest.mark.parametrize("make,what", [
-    (lambda: Field(2.0), "field order"),
-    (lambda: Field(4.0), "field order"),
-    (lambda: gray_unrank(1.5, 3, 2), "rank"),
-    (lambda: RFunction(3, 2, (0,), 1.0, {}), "target"),
-    (lambda: RFunction(3.0, 2, (0,), 1, {(1,): 1}), "radix"),
-    (lambda: Poly(Field(2), (1, 1.0)), "coefficient"),
-    (lambda: gray_counter(3, 2.0), "r"),
-    (lambda: linear_counter(Field(2), 3.0), "vector width"),
-    (lambda: companion_counter(Field(2), 3.0), "degree"),
-    (lambda: odd_counter(3.0, 11), "radix"),
-    (lambda: general_counter(4.0, 8), "radix"),
-    (lambda: build_plan(3, 6.0), "inner width"),
-    (lambda: search_hierarchical((2.0, 2, 3)), "radix"),
-    (lambda: stitch_radix(2.0, linear_counter(Field(2), 3)), "block size"),
+    (lambda to: Field(to(2)), "field order"),
+    (lambda to: Field(to(4)), "field order"),
+    (lambda to: gray_unrank(to(1), 3, 2), "rank"),
+    (lambda to: RFunction(3, 2, (0,), to(1), {}), "target"),
+    (lambda to: RFunction(to(3), 2, (0,), 1, {(1,): 1}), "radix"),
+    (lambda to: Poly(Field(2), (1, to(1))), "coefficient"),
+    (lambda to: gray_counter(3, to(2)), "r"),
+    (lambda to: linear_counter(Field(2), to(3)), "vector width"),
+    (lambda to: companion_counter(Field(2), to(3)), "degree"),
+    (lambda to: odd_counter(to(3), 11), "radix"),
+    (lambda to: general_counter(to(4), 8), "radix"),
+    (lambda to: build_plan(3, to(6)), "inner width"),
+    (lambda to: search_hierarchical((to(2), 2, 3)), "radix"),
+    (lambda to: stitch_radix(to(2), linear_counter(Field(2), 3)), "block size"),
+    (lambda to: Domain((3, to(2))), "radix"),
+    pytest.param(lambda to: Domain((3, 2)).unrank(to(1)), "rank", id="unrank-rank"),
+    (lambda to: Domain.uniform(3, to(2)), "width"),
+    (lambda to: Field(3).pow(2, to(2)), "exponent"),
+    (lambda to: RFunction(3, 2, (0,), 1, {(1,): to(2)}), "table value"),
+    (lambda to: RFunction(3, 2, (0,), 1, {(to(1),): 2}), "table key digit"),
+    (lambda to: RFunction.indicator(3, 3, (0,), 1, (0,), to(1)), "table value"),
+    pytest.param(lambda to: find_primitive(Field(2), to(3)), "degree",
+                 id="find_primitive-degree"),
+    (lambda to: Scale(Field(3), to(1), 2), "row"),
+    (lambda to: Scale(Field(3), 1, to(2)), "scale factor"),
+    (lambda to: AddRow(Field(3), to(1), 0, 2), "row"),
+    (lambda to: AddRow(Field(3), 1, to(0), 2), "source row"),
+    (lambda to: AddRow(Field(3), 1, 0, to(2)), "multiplier"),
+    (lambda to: prime_factors(to(12)), "n"),
+    (lambda to: linear_counter(Field(2), 3, to(3)), "pointer width"),
+    (lambda to: odd_counter(3, to(11)), "width"),
+    (lambda to: plan_size(to(3), 6), "radix"),
+    pytest.param(lambda to: plan_size(3, to(6)), "inner width", id="plan_size-inner width"),
+    (lambda to: build_plan(to(3), 6), "radix"),
+    (lambda to: decompose_boundary(to(6), 3, 6), "increment"),
+    (lambda to: decompose_boundary(6, to(3), 6), "radix"),
+    pytest.param(lambda to: decompose_boundary(6, 3, to(6)), "inner width",
+                 id="decompose_boundary-inner width"),
+    (lambda to: make_alpha(to(1), 3, 3), "coordinate"),
+    (lambda to: cycle_isolation_check({0: 1, 1: 0}, {1: 2, 2: 1}, to(2)), "cycle length"),
+    (lambda to: general_counter(4, to(8)), "width"),
+    (lambda to: multiplicative_order(to(3)), "modulus"),
+    (lambda to: search_hierarchical((2, 2, 3), node_budget=to(9)), "node_budget"),
+    (lambda to: materialize(_G32.next_tape, _G32.domain, node_budget=to(9)), "node_budget"),
+    (lambda to: measure_counter(_G32, max_steps=to(2)), "max_steps"),
+    (lambda to: audit(_G32, max_steps=to(2)), "max_steps"),
+    (lambda to: audit(_G32, sample_cap=to(1)), "sample_cap"),
+    (lambda to: dat_from_json({"query": to(1), "children": []}), "query coordinate"),
+    (lambda to: dat_from_json({"assign": [[to(1), 0]]}), "assignment coordinate"),
+    (lambda to: dat_from_json({"assign": [[1, to(0)]]}), "assigned value"),
 ])
 def test_constructors_take_only_integer_sizes(make, what):
-    # a float size, order, coordinate or coefficient raises ValueError
-    # naming it; before, some were taken (Field(2.0).mul(1, 1) gave 1.0)
-    # and others raised TypeError or AttributeError deep inside
-    with pytest.raises(ValueError, match=f"^{what} must be an integer"):
-        make()
+    # make(to) passes to(k) where the integer k would do. A later case
+    # whose name matches a single earlier one gets an explicit id, so
+    # pytest does not renumber the earlier case's id. A float, str or
+    # bool size, order, coordinate, coefficient, table entry or budget
+    # raises ValueError naming it, even when it equals k; before, some were
+    # taken (Field(2.0).mul(1, 1) gave 1.0, max_steps=2.5 walked 3 steps,
+    # gray_counter(3, True) built a counter) and others raised TypeError or
+    # AttributeError deep inside
+    for to in (float, str, bool):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+            make(to)
 
 
 @given(st.data())
@@ -278,7 +327,7 @@ def _unsteppable():
 
 
 def test_measure_counter_rejects_a_negative_budget_before_walking():
-    with pytest.raises(ValueError, match="max_steps must be nonnegative, got -3"):
+    with pytest.raises(ValueError, match="max_steps must be at least 0, got -3"):
         measure_counter(_unsteppable(), max_steps=-3)
     rep = measure_counter(_unsteppable(), max_steps=0)
     assert rep.truncated and rep.observed_length == 0
@@ -311,17 +360,15 @@ def test_measure_counter_rejects_an_unknown_direction():
 
 
 def test_forced_tracking_above_the_limit_allocates_nothing():
+    # a walk above TRACK_LIMIT words tracks nothing and allocates no byte map
     c = Counter(Domain.uniform(2, 28), lambda t: None, lambda t: None, 1, (0,) * 28)
     tracemalloc.start()
     try:
-        with pytest.raises(BoundExceeded, match="2\\^27"):
-            measure_counter(c, max_steps=5, track_visited=True)
+        rep = measure_counter(c, max_steps=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    # by default a walk that large tracks nothing
-    rep = measure_counter(c, max_steps=5)
     assert rep.closed and rep.visited_ranks is None
 
 

@@ -127,9 +127,9 @@ def test_audit_rejects_negative_arguments_before_walking():
     def refuse(tape):
         raise AssertionError("stepped")
     c = Counter(Domain.uniform(2, 2), refuse, refuse, 4, (0, 0))
-    with pytest.raises(ValueError, match="sample_cap must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="sample_cap must be at least 0, got -1"):
         audit(c, sample_cap=-1)
-    with pytest.raises(ValueError, match="max_steps must be nonnegative, got -3"):
+    with pytest.raises(ValueError, match="max_steps must be at least 0, got -3"):
         audit(c, max_steps=-3)
     rep = audit(companion_counter(Field(2), 3), sample_cap=0)
     assert rep.ok and rep.missing_count == 1 and rep.missing_sample == []
