@@ -4,6 +4,7 @@ dump decompositions, and run the hierarchical tree search."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -228,7 +229,10 @@ def _print_tree(node, depth: int) -> None:
         print(f"{pad}{body}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every
+    later main call: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quasigray",
         description="Cyclic counters over mixed-radix words with few reads "

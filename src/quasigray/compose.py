@@ -399,35 +399,53 @@ class _ResidueStep:
     def word_path(self, tape_fn, cell=None, g=0):
         """The word path of tape_fn, a step that runs this step on the word's
         data cells and then, when cell is given, writes g to pointer cell cell;
-        None when this step has no bits or its inner counter has no word path.
+        None when its inner counter has no word path.
 
         The inner counter's word path (a cycle_compose counter's) steps fixed
-        virtual bits on each of its pointer words, so which physical cells a
-        step touches, and so its cost, are fixed by the inner pointer bits. The
-        table maps those bits, read from the physical word, to the inner
-        entry's closure, pointer bit and digit, the virtual bits the inner step
-        reads and writes (seen on one Tape run of the inner step), and the cost
-        of one Tape run of tape_fn on the first word with those bits. That run
-        is checked against the word form before anything is stored: the
-        touched bits are read from the physical list, stepped as a virtual list
-        and written back through recombine. The view and the word form read
-        the same bits of a digit out of range, so such a word takes this path.
+        virtual cells on each of its pointer words, so which physical cells a
+        step touches, and so its cost, are fixed by the inner pointer: its
+        bits, or with no bits its residues mod o. The table maps that key,
+        read from the physical word, to the inner entry's closure, pointer cell
+        and digit, the virtual cells the inner step reads and writes (seen on
+        one Tape run of the inner step), and the cost of one Tape run of
+        tape_fn on a word with that key. That run is checked against the word
+        form before anything is stored: the touched cells are read from the
+        physical list, stepped as a virtual list and written back through
+        recombine. The view and the word form read the same bits and residues
+        of a digit out of range, so such a word takes this path.
 
-        Odd residue steps (no bits) get no word path. A prototype of one made
-        no walk faster than the bit view already had, and its many small table
-        entries, filled during long walks, fragmented the allocator's arenas:
-        the peak memory of a run of several general counters rose by a tenth.
+        The bit view fills an entry on the first word with its key. The odd
+        view fills all o^width keys on its first miss, each from that word with
+        the pointer residues replaced. Filled one key at a time during long
+        walks, its small entries fragmented the allocator's arenas: the peak
+        memory of the benchmark's walk-crt run rose from 55.5 to 61 MB; filled
+        in one pass it stays at 56.5 MB. The bit view stays lazy: a general
+        counter's first step from its start word runs it, and an eager fill
+        would add 2^width Tape runs to that step.
         """
         inner = getattr(self.run, "word_step", None)
         entry = getattr(inner, "entry", None)
-        if entry is None or not self.bits:
+        if entry is None:
             return None
-        bits, recombine, run = self.bits, self.recombine, self.run
-        width = inner.width
+        return (self._bit_path if self.bits else self._odd_path)(
+            tape_fn, cell, g, entry, inner.width)
+
+    def _observed(self, virtual, width, located, shapes):
+        """(located of each data cell read or written, located of each cell
+        written) by one Tape run of the inner step on virtual, each tuple
+        shared through shapes: fewer small objects pin fewer of the
+        allocator's arenas."""
+        tape = Tape(virtual)
+        self.run(tape)
+        reads = tuple([located[j] for j in sorted((tape.reads | tape.written)
+                                                  - set(range(width)))])
+        writes = tuple([located[j] for j in sorted(tape.written)])
+        return shapes.setdefault(reads, reads), shapes.setdefault(writes, writes)
+
+    def _bit_path(self, tape_fn, cell, g, entry, width):
+        bits, recombine = self.bits, self.recombine
         key_bits = bits[:width]
         pad = (0,) * (len(bits) - width)
-        # entries share their (bit, cell, shift) tuples and their tuples of
-        # them: fewer small objects pin fewer of the allocator's arenas
         located = [(j, c, s) for j, (c, s) in enumerate(bits)]
         shapes = {}
         # inner pointer bits -> (closure or None, virtual pointer bit, its new
@@ -459,13 +477,7 @@ class _ResidueStep:
             if not e:
                 table[key] = ()
                 return out
-            tape = Tape(virtual)
-            run(tape)
-            touched = sorted((tape.reads | tape.written) - set(range(width)))
-            reads = tuple([located[j] for j in touched])
-            writes = tuple([located[j] for j in sorted(tape.written)])
-            e = (e[0], e[1], e[2], shapes.setdefault(reads, reads),
-                 shapes.setdefault(writes, writes), out[1])
+            e = (*e[:3], *self._observed(virtual, width, located, shapes), out[1])
             _tape_cost(self, word, form(word, key, e), out)
             table[key] = e
             return out
@@ -475,6 +487,64 @@ class _ResidueStep:
             e = table.get(key)
             if e is None:
                 return fill(word, key)
+            if not e:
+                return tape_step(tape_fn, word)
+            return form(word, key, e), e[5]
+
+        return word_step
+
+    def _odd_path(self, tape_fn, cell, g, entry, width):
+        o, recombine, lo = self.o, self.recombine, self.odd_cell
+        hi = lo + width
+        pad = ()  # zeros for the virtual cells past the pointer, set by fill
+        # inner pointer residues -> (closure or None, virtual pointer cell, its
+        #                            new value, (virtual cell, physical cell)
+        #                            of each data cell read, and of each cell
+        #                            written, cost), or () when the inner step
+        #                            has no word form
+        table = {}
+
+        def form(word, key, e):
+            f, v_cell, v_g, reads, writes, _ = e
+            v = [*key, *pad]
+            for j, c in reads:
+                v[j] = word[c] % o
+            if f is not None:
+                f(v)
+            v[v_cell] = v_g
+            cells = list(word)
+            for j, c in writes:
+                cells[c] = recombine(cells[c], v[j])
+            if cell is not None:
+                cells[cell] = g
+            return tuple(cells)
+
+        def fill(word):
+            # every inner pointer word, each checked before any is stored
+            nonlocal pad
+            n_virtual = len(word) - lo
+            pad = (0,) * (n_virtual - width)
+            located = [(j, lo + j) for j in range(n_virtual)]
+            shapes, filled = {}, {}
+            cells = list(word)
+            for key in itertools.product(range(o), repeat=width):
+                cells[lo:hi] = [recombine(x, y) for x, y in zip(word[lo:hi], key)]
+                w = tuple(cells)
+                out = tape_step(tape_fn, w)
+                virtual = [x % o for x in cells[lo:]]
+                e = entry(virtual)
+                if e:
+                    e = (*e[:3], *self._observed(virtual, width, located, shapes), out[1])
+                    _tape_cost(self, w, form(w, key, e), out)
+                filled[key] = e
+            table.update(filled)
+
+        def word_step(word):
+            key = tuple([x % o for x in word[lo:hi]])
+            e = table.get(key)
+            if e is None:
+                fill(word)
+                e = table[key]
             if not e:
                 return tape_step(tape_fn, word)
             return form(word, key, e), e[5]
@@ -537,8 +607,9 @@ def general_counter(m: int, n: int) -> Counter:
     takes the bits the inner vector cannot, and the claimed reads grow with
     it.
 
-    Counter.next and prev run the pointer-only ranks and the binary step
-    on plain words (see cycle_compose); the odd step runs on a Tape.
+    Counter.next and prev run every rank on plain words (see
+    cycle_compose): the binary and odd steps through _ResidueStep.word_path,
+    keyed by the inner pointer's bits and residues mod o.
     """
     from .linear import _FACTOR_LIMIT, Field, linear_counter, row_op_count
     from .permdecomp import min_width, odd_counter

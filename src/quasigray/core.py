@@ -408,11 +408,10 @@ class Counter:
     all cost the same, return costs each observed on one Tape run for the
     same key. next and prev call it when it is there (the word path) and
     otherwise run the step on a Tape (the Tape path, tape_step). A word
-    path may itself take the Tape path for some steps: a general counter's
-    odd step does, since a word path for it gained no speed and fragmented
-    memory. measure_counter, and so audit, and materialize always take the
-    Tape path, so what they report is observed on a Tape (one Tape reused
-    for every step of a walk).
+    path may itself take the Tape path for some steps: one whose data step
+    has no word form does. measure_counter, and so audit, and materialize
+    always take the Tape path, so what they report is observed on a Tape
+    (one Tape reused for every step of a walk).
 
     next and prev take a tuple or a list and raise ValueError on a word of
     the wrong length, but do not check digit ranges per step. A word path

@@ -759,6 +759,122 @@ def test_word_path_matches_tape_path_on_seeded_words(label):
             assert word == want and cost is want_cost
 
 
+def _odd_rank_words(c):
+    """{word path of c: the pointer word, in its key order, whose step in
+    that direction is the odd residue step}: rank 1 runs it on next, and
+    rank 2 its inverse on prev."""
+    m, i = c.recipe["m"], c.recipe["clock"]
+    return {c._next_word: gray_unrank(1, m, i)[::-1],
+            c._prev_word: gray_unrank(2, m, i)[::-1]}
+
+
+def _odd_table(word_fn, key):
+    return _closed_over(_closed_over(word_fn, "keyed")[key], "table")
+
+
+@pytest.mark.parametrize("label", ["general(6,12)", "general(10,14)"])
+def test_odd_residue_table_is_filled_in_one_pass(label):
+    # the first odd step in each direction fills one entry per inner pointer
+    # word, each with a word form; 20,000 further steps each way add none
+    c = BIG[label]()
+    rec = c.recipe
+    o = rec["odd"]["radix"]
+    width = odd_counter(o, rec["odd"]["width"]).recipe["pointer"]
+    i = rec["clock"]
+    tables = []
+    for word_fn, key in _odd_rank_words(c).items():
+        w = key[::-1] + c.start[i:]
+        fn = c.next_tape if word_fn is c._next_word else c.prev_tape
+        assert word_fn(w) == tape_step(fn, w)
+        table = _odd_table(word_fn, key)
+        assert len(table) == o ** width and all(table.values())
+        tables.append((table, dict(table)))
+    for step in (c.next, c.prev):
+        w = c.start
+        for _ in range(20_000):
+            w, _ = step(w)
+    for table, before in tables:
+        assert table == before
+
+
+def test_odd_residue_step_over_a_lying_inner_counter_raises():
+    # the inner counter's rank-0 step lies on residues mod 3. As the odd
+    # step of a pointer-driven list over radix-6 cells, a word whose inner
+    # pointer residue runs it raises each way, on every retry, and the odd
+    # residue table stores nothing
+    inner = cycle_compose(StepList([_Liar(q=3)], Domain((3, 3, 3)), 1), 3, 1, (0, 0, 1))
+    _, recombine = _residues(6, 2, 3, 4)
+    step = _residue_step(inner, (), 3, recombine)
+    c = cycle_compose(StepList([step], Domain.uniform(6, 4), 1), 2, 1, (0, 0, 0, 0))
+    for word_fn, w in ((c._next_word, (0, 3, 1, 0, 4)), (c._prev_word, (1, 4, 1, 0, 4))):
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="word form"):
+                word_fn(w)
+        assert not _odd_table(word_fn, w[:1])
+
+
+class _Clamped:
+    """x_d += x_s mod 3 on a Tape (-= when inverted), whose word form adds
+    min(x_s, 1): the two agree unless x_s is 2."""
+
+    def __init__(self, s=1, d=0, sign=1):
+        self.s, self.d, self.sign = s, d, sign
+
+    def apply_tape(self, tape):
+        tape.write(self.d, (tape.read(self.d) + self.sign * tape.read(self.s)) % 3)
+
+    def shifted(self, d, inverse=False):
+        return _Clamped(self.s + d, self.d + d, -self.sign if inverse else self.sign)
+
+    def word_fn(self):
+        s, d, sign = self.s, self.d, self.sign
+
+        def f(cells):
+            cells[d] = (cells[d] + sign * min(cells[s], 1)) % 3
+        return f
+
+
+@pytest.mark.parametrize("direction", ["next", "prev"])
+def test_odd_residue_word_path_that_fails_its_check_raises_every_time(direction):
+    # the inner entry is filled from a word where both forms agree; on the
+    # outer word the source residue is 2, so the odd residue check itself
+    # fails, on the first call and on every retry, and nothing is stored
+    inner = cycle_compose(StepList([_Clamped()], Domain((3, 3, 3)), 1), 3, 1, (0, 0, 0))
+    _, recombine = _residues(6, 2, 3, 4)
+    step = _residue_step(inner, (), 3, recombine)
+    c = cycle_compose(StepList([step], Domain.uniform(6, 4), 1), 2, 1, (0, 0, 0, 0))
+    if direction == "next":
+        assert inner.next((0, 0, 0, 0)) == tape_step(inner.next_tape, (0, 0, 0, 0))
+        word_fn, w = c._next_word, (0, 0, 0, 2, 0)
+    else:
+        assert inner.prev((1, 0, 0, 0)) == tape_step(inner.prev_tape, (1, 0, 0, 0))
+        word_fn, w = c._prev_word, (1, 1, 0, 2, 0)
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="word form of _ResidueStep"):
+            word_fn(w)
+    assert not _odd_table(word_fn, w[:1])
+
+
+@pytest.mark.parametrize("label", ["general(6,12)", "general(10,14)"])
+def test_odd_residue_step_on_digits_out_of_range(label):
+    # words on the odd rank with digits -1 and m on the odd cells, the
+    # first of them filling the table: the word path gives the Tape's word
+    # and the identical cost, both ways
+    c = BIG[label]()
+    m, i = c.recipe["m"], c.recipe["clock"]
+    rng = random.Random(29)
+    for word_fn, key in _odd_rank_words(c).items():
+        fn = c.next_tape if word_fn is c._next_word else c.prev_tape
+        for _ in range(500):
+            w = list(key[::-1]) + [rng.randrange(m) for _ in range(c.domain.n - i)]
+            for j in rng.sample(range(i, c.domain.n), rng.randrange(1, 5)):
+                w[j] = rng.choice([-1, m])
+            word, cost = word_fn(w)
+            want, want_cost = tape_step(fn, w)
+            assert word == want and cost is want_cost
+        assert all(_odd_table(word_fn, key).values())
+
+
 @pytest.mark.parametrize("kind", ["past-bound", "no-word-form"])
 def test_steps_without_a_word_path_match_the_tape_path(kind):
     rng = random.Random(11)
