@@ -228,6 +228,23 @@ def search_hierarchical(radices, count_solutions: bool = False,
     fibers tile the domain, which forces the branches reading cell 2 and
     those reading cell 3 to use disjoint cell-1 outputs, one output value
     per branch.
+
+    The search is memoized where the first branch of each type is fully
+    assigned: branch 0 (the first reading cell 2) and branch k (the first
+    reading cell 3). The memo key is the canonical form of that branch's
+    leaf map up to relabeling the cell's values (_leaf_map_form), the value
+    the number of solutions below the node; a hit adds the stored number
+    and skips the subtree. This is exact: conjugating a tree by a
+    relabeling of cell 2's values keeps var_choice, the cell-1 split and
+    every branch reading cell 3, and maps full cycles to full cycles, so
+    equivalent restrictions of branch 0 have equally many solutions; the
+    same holds for cell 3 once the branches reading cell 2 are fixed, which
+    is why the cell-3 memo is cleared whenever the search enters branch k.
+    A skipped restriction has an equivalent one searched before it with no
+    solution (else the search would have stopped there), so the tree
+    returned is the one the plain search returns. node_budget counts the
+    nodes (leaf options tried) actually visited, skipped subtrees not
+    included.
     """
     radices = tuple([_at_least(v, 2, "radix") for v in radices])
     if len(radices) != 3:
@@ -250,7 +267,9 @@ def search_hierarchical(radices, count_solutions: bool = False,
 
     for k in range(m1 - 1, 0, -1):
         var_choice = (1,) * k + (2,) * (m1 - k)
-        weight = math.comb(m1, k)
+        # branch k, the first reading cell 3, takes leaves first3 onwards
+        first3 = k * m2
+        solutions = 0
         for a_set in itertools.combinations(range(m1), k):
             # a_set holds the cell-1 outputs reserved for branches reading
             # cell 2; the rest go to branches reading cell 3. Every leaf of
@@ -271,16 +290,30 @@ def search_hierarchical(radices, count_solutions: bool = False,
             used_mask = 0
             placed = 0
             choices: list[tuple[int, int]] = []
+            memo3: dict = {}
+            # depth at which a first branch is complete -> (memo, its first leaf)
+            memos = {m2: ({}, 0), first3 + m3: (memo3, first3)}
 
             def try_leaf(li: int) -> bool:
-                nonlocal placed, used_mask, found, count, nodes
+                nonlocal placed, used_mask, found, solutions, nodes
                 if li == len(leaves):
                     # no short cycle ever closed, so the last edge closed
                     # the full one: a single cycle over the whole domain
-                    count += weight
+                    solutions += 1
                     if found is None:
                         found = _build_tree(radices, var_choice, choices)
                     return not count_solutions
+                if li == first3:
+                    memo3.clear()
+                entry = memos.get(li)
+                if entry is not None:
+                    memo, lo = entry
+                    key = _leaf_map_form(choices[lo:li])
+                    hit = memo.get(key)
+                    if hit is not None:
+                        solutions += hit
+                        return False
+                    before = solutions
                 src, opts = leaves[li]
                 for dst, dmask, a, c in opts:
                     nodes += 1
@@ -321,12 +354,60 @@ def search_hierarchical(radices, count_solutions: bool = False,
                             d_end = end[d]
                             begin[d_end] = d
                             end[s_begin] = s
+                if entry is not None:
+                    memo[key] = solutions - before
                 return False
 
             if try_leaf(0):
                 return found
+        count += math.comb(m1, k) * solutions
 
     return (found, count) if count_solutions else found
+
+
+def _leaf_map_form(leaf_map) -> tuple:
+    """Canonical form of a branch's leaf map u -> (a, c) up to relabeling
+    the values u and c of the branch's cell together.
+
+    The map is a functional graph u -> c with each edge coloured a. Each
+    node gets a code (its edge colour, the sorted codes of the nodes off
+    its cycle that map to it); each cycle is the least rotation of its
+    nodes' codes, and the form is the sorted tuple of cycles. Two maps get
+    the same form exactly when some permutation of the values carries one
+    onto the other.
+    """
+    m = len(leaf_map)
+    preds: list[list[int]] = [[] for _ in range(m)]
+    for u, (_, c) in enumerate(leaf_map):
+        preds[c].append(u)
+    # peel the nodes with no predecessor left; what stays lies on cycles
+    indeg = [len(p) for p in preds]
+    on_cycle = [True] * m
+    stack = [u for u in range(m) if not indeg[u]]
+    while stack:
+        u = stack.pop()
+        on_cycle[u] = False
+        c = leaf_map[u][1]
+        indeg[c] -= 1
+        if not indeg[c]:
+            stack.append(c)
+
+    def code(x):
+        return (leaf_map[x][0],
+                tuple(sorted(code(y) for y in preds[x] if not on_cycle[y])))
+
+    cycles = []
+    seen = [False] * m
+    for s in range(m):
+        if on_cycle[s] and not seen[s]:
+            codes = []
+            x = s
+            while not seen[x]:
+                seen[x] = True
+                codes.append(code(x))
+                x = leaf_map[x][1]
+            cycles.append(min(tuple(codes[i:] + codes[:i]) for i in range(len(codes))))
+    return tuple(sorted(cycles))
 
 
 def _build_tree(radices, var_choice, choices):

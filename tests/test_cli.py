@@ -306,6 +306,12 @@ def test_search_text(capsys):
     assert out.strip() == "none"
 
 
+def test_search_domain_limit_exits_3(capsys):
+    code, out, err = run(capsys, "search-hierarchical", "--radices", "6,6,6")
+    assert code == 3 and out == ""
+    assert "domain size 216 exceeds 200" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "gen", "--kind", "base", "--m", "3")
     assert code == 2 and "requires --n" in err

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from quasigray.permdecomp import (RFunction, decompose_indicator, make_alpha,
                                   odd_counter)
 from quasigray.verify import (DensePermutation, SEARCH_DOMAIN_LIMIT, audit,
                               cycle_lengths, densify, perm_equal,
-                              search_hierarchical)
+                              _leaf_map_form, search_hierarchical)
 
 
 def test_densify_counter():
@@ -188,6 +190,16 @@ def _branch(cell, leaves):
                  (3, [(1, 1), (1, 2), (1, 0)])]),
     ((2, 3, 4), [(2, [(1, 1), (1, 2), (1, 0)]),
                  (3, [(0, 1), (0, 2), (0, 3), (0, 0)])]),
+    ((3, 4, 5), [(2, [(0, 1), (0, 2), (0, 3), (2, 0)]),
+                 (2, [(2, 1), (2, 2), (2, 3), (0, 0)]),
+                 (3, [(1, 1), (1, 2), (1, 3), (1, 4), (1, 0)])]),
+    ((2, 5, 6), [(2, [(1, 1), (1, 2), (1, 3), (1, 4), (1, 0)]),
+                 (3, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 0)])]),
+    ((3, 4, 3), [(2, [(0, 1), (0, 2), (0, 3), (2, 0)]),
+                 (2, [(2, 1), (2, 2), (2, 3), (0, 0)]),
+                 (3, [(1, 1), (1, 2), (1, 0)])]),
+    ((3, 3, 4), [(2, [(0, 1), (0, 2), (2, 0)]), (2, [(2, 1), (2, 2), (0, 0)]),
+                 (3, [(1, 1), (1, 2), (1, 3), (1, 0)])]),
 ])
 def test_search_returns_pinned_tree(radices, branches):
     tree = search_hierarchical(radices)
@@ -197,11 +209,49 @@ def test_search_returns_pinned_tree(radices, branches):
 
 @pytest.mark.parametrize("radices,count", [
     ((2, 2, 5), 48), ((2, 3, 4), 24), ((3, 2, 3), 792),
+    ((3, 3, 4), 64800), ((4, 2, 3), 512640), ((4, 3, 2), 512640),
+    ((2, 2, 7), 1440), ((2, 3, 5), 96), ((3, 3, 2), 792), ((2, 4, 3), 24),
 ])
 def test_search_solution_counts(radices, count):
     tree, c = search_hierarchical(radices, count_solutions=True)
     assert c == count
     assert tree == search_hierarchical(radices)
+
+
+def test_search_memo_node_counts():
+    # the memo visits 264,472 and 30,894 nodes on these none-cases, where
+    # the plain search visited 8,615,120 and 1,417,698
+    assert search_hierarchical((3, 4, 4), node_budget=1_000_000) is None
+    assert search_hierarchical((2, 6, 6), node_budget=200_000) is None
+
+
+def _relabel(leaf_map, perm):
+    out = [None] * len(leaf_map)
+    for u, (a, c) in enumerate(leaf_map):
+        out[perm[u]] = (a, perm[c])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("colours", [1, 2])
+def test_leaf_map_form_separates_relabeling_classes(m, colours):
+    perms = list(itertools.permutations(range(m)))
+    edges = list(itertools.product(range(colours), range(m)))
+    classes = {}
+    for leaf_map in itertools.product(edges, repeat=m):
+        least = min(_relabel(leaf_map, p) for p in perms)
+        classes.setdefault(_leaf_map_form(leaf_map), set()).add(least)
+    # one class per form, and no class under two forms
+    assert all(len(c) == 1 for c in classes.values())
+    assert len(set().union(*classes.values())) == len(classes)
+
+
+def test_leaf_map_form_ignores_relabeling_at_eight():
+    rng = random.Random(8)
+    for _ in range(200):
+        leaf_map = [(rng.randrange(2), rng.randrange(8)) for _ in range(8)]
+        perm = rng.sample(range(8), 8)
+        assert _leaf_map_form(_relabel(leaf_map, perm)) == _leaf_map_form(leaf_map)
 
 
 def test_search_budget_and_domain_guard():
