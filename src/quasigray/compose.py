@@ -1,10 +1,11 @@
 """Composition engines: step lists driven by a Gray pointer over Z_m^r
 (cycle_compose), co-prime counter products (crt_compose, a Gray pointer
-over one _ComponentStep per further component), and the residue view
-(_MixedTape) that general and stitch counters step their parts on. Each
-engine's steps run on a Tape; their word paths (_word_step, and the
-word_path of _ResidueStep and _ComponentStep it delegates to) give the
-same word and cost as a Tape run on every word, digits in range or not."""
+over one _ComponentStep per further component), and the residue views
+(_MixedTape over the (cell, d, q, u) coordinates of _residues) that general
+and stitch counters step their parts on. Each engine's steps run on a Tape;
+their word paths (_word_step, and the word_path of _ResidueStep and
+_ComponentStep it delegates to) give the same word and cost as a Tape run
+on every word, digits in range or not."""
 
 from __future__ import annotations
 
@@ -308,67 +309,53 @@ def multiplicative_order(o: int) -> int:
 
 
 class _MixedTape:
-    """Shows radix-m data cells, m = 2^l * o with o odd, through their
-    residues so sub-counters can work on virtual coordinates. Layout of the
-    virtual word: l bits per data cell (its residue mod 2^l, most
-    significant bit first), then, when o > 1, one residue mod o per data
-    cell. bits maps each bit coordinate to its (physical cell, shift), and
-    residue coordinate len(bits) + j is physical cell odd_cell + j."""
+    """Shows radix-m data cells as the virtual coordinates of a view
+    (_residues), each (cell, d, q, u): digit x of its cell reads as
+    x // d % q, and writing v sets the cell to (x + (v - x // d % q) * u) % m,
+    which changes that residue to v and keeps the others for v in 0 .. q-1.
+    A larger v, which only a broken inner step writes, may differ from
+    masking v into the bits, but the word path shares the formula."""
 
-    __slots__ = ("base", "split", "bits", "odd_shift", "o", "recombine")
+    __slots__ = ("base", "view", "m")
 
-    def __init__(self, base, bits, odd_cell, o, recombine):
-        self.base = base
-        self.split = len(bits)
-        self.bits = bits
-        self.odd_shift = odd_cell - self.split
-        self.o = o
-        self.recombine = recombine
+    def __init__(self, base, view, m):
+        self.base, self.view, self.m = base, view, m
 
     def read(self, v: int) -> int:
-        if v < self.split:
-            cell, shift = self.bits[v]
-            return self.base.read(cell) >> shift & 1
-        return self.base.read(v + self.odd_shift) % self.o
+        cell, d, q, _ = self.view[v]
+        return self.base.read(cell) // d % q
 
     def read_cells(self, cells) -> tuple:
         return tuple(map(self.read, cells))
 
     def write(self, v: int, val: int) -> None:
-        if v < self.split:
-            cell, shift = self.bits[v]
-            cur = self.base.read(cell)
-            self.base.write(cell, self.recombine(cur & ~(1 << shift) | val << shift, cur))
-        else:
-            cell = v + self.odd_shift
-            cur = self.base.read(cell)
-            self.base.write(cell, self.recombine(cur, val))
+        cell, d, q, u = self.view[v]
+        x = self.base.read(cell)
+        self.base.write(cell, (x + (val - x // d % q) * u) % self.m)
 
 
-def _residues(m: int, two_k: int, o: int, n_data: int):
-    """(bits, recombine) of _MixedTape for data cells 0 .. n_data - 1, with
-    m = two_k * o: the (cell, shift) of each bit of their residues mod
-    two_k, most significant first, and the function giving the residue mod
-    m that is a mod two_k and b mod o (neither argument needs reducing
-    first)."""
-    ell = two_k.bit_length() - 1
-    bits = tuple((j, ell - 1 - p) for j in range(n_data) for p in range(ell))
-    inv_o = pow(o, -1, two_k)
-    inv_t = pow(two_k, -1, o)
-
-    def recombine(a: int, b: int) -> int:
-        return (a * o * inv_o + b * two_k * inv_t) % m
-
-    return bits, recombine
+def _residues(m: int, n_data: int):
+    """(bit view, odd view) of radix-m data cells 0 .. n_data - 1 for
+    _MixedTape, m = 2^l * o with o odd. Bit s of a cell's residue mod 2^l is
+    (cell, 2^s, 2, 2^s * e2 mod m), l per cell, most significant first; its
+    residue mod o is (cell, 1, o, e_o), and there is no odd view if o = 1.
+    e2 is 1 mod 2^l and 0 mod o, and e_o the reverse."""
+    ell = (m & -m).bit_length() - 1
+    o = m >> ell
+    e2 = o * pow(o, -1, 1 << ell) % m
+    bits = tuple((j, 1 << s, 2, (e2 << s) % m)
+                 for j in range(n_data) for s in range(ell - 1, -1, -1))
+    odd = tuple((j, 1, o, (1 - e2) % m) for j in range(n_data)) if o > 1 else ()
+    return bits, odd
 
 
-def _residue_word(virtual, n_data: int, bits, o: int, recombine) -> tuple:
-    """The word of n_data data cells that a _MixedTape over them, laid out
-    by bits, o and recombine, shows as virtual."""
+def _residue_word(virtual, view, m: int, n_data: int) -> tuple:
+    """The word of n_data radix-m data cells that a _MixedTape over them
+    with view shows as virtual."""
     tape = Tape((0,) * n_data)
-    view = _MixedTape(tape, bits, 0, o, recombine)
+    write = _MixedTape(tape, view, m).write
     for v, x in enumerate(virtual):
-        view.write(v, x)
+        write(v, x)
     return tape.word()
 
 
@@ -376,25 +363,22 @@ def _residue_word(virtual, n_data: int, bits, o: int, recombine) -> tuple:
 class _ResidueStep:
     """One whole step of a counter that lives on residues of radix-m data
     cells: run (its next_tape, or prev_tape once inverted) on one
-    _MixedTape, as a step of general_counter's pointer-driven list or as a
-    stitch_radix step. With bits it sees the bits of the residues mod 2^l;
-    with no bits, the residues mod o of cells odd_cell onward."""
+    _MixedTape with view, as a step of general_counter's pointer-driven
+    list or as a stitch_radix step."""
 
     run: Callable
     undo: Callable
-    bits: tuple
-    odd_cell: int
-    o: int
-    recombine: Callable
+    view: tuple
+    m: int
 
     def apply_tape(self, tape) -> None:
-        self.run(_MixedTape(tape, self.bits, self.odd_cell, self.o, self.recombine))
+        self.run(_MixedTape(tape, self.view, self.m))
 
     def shifted(self, d: int, inverse: bool = False) -> "_ResidueStep":
         """This step, or its inverse, on data cells d higher."""
         run, undo = (self.undo, self.run) if inverse else (self.run, self.undo)
-        return _ResidueStep(run, undo, tuple([(c + d, s) for c, s in self.bits]),
-                            self.odd_cell + d, self.o, self.recombine)
+        return _ResidueStep(run, undo, tuple([(c + d, *rest) for c, *rest in self.view]),
+                            self.m)
 
     def word_path(self, tape_fn, cell=None, g=0):
         """The word path of tape_fn, a step that runs this step on the word's
@@ -402,148 +386,93 @@ class _ResidueStep:
         None when its inner counter has no word path.
 
         The inner counter's word path (a cycle_compose counter's) steps fixed
-        virtual cells on each of its pointer words, so which physical cells a
-        step touches, and so its cost, are fixed by the inner pointer: its
-        bits, or with no bits its residues mod o. The table maps that key,
-        read from the physical word, to the inner entry's closure, pointer cell
-        and digit, the virtual cells the inner step reads and writes (seen on
-        one Tape run of the inner step), and the cost of one Tape run of
-        tape_fn on a word with that key. That run is checked against the word
-        form before anything is stored: the touched cells are read from the
-        physical list, stepped as a virtual list and written back through
-        recombine. The view and the word form read the same bits and residues
-        of a digit out of range, so such a word takes this path.
+        virtual cells on each of its pointer words, so the physical cells a
+        step touches, and so its cost, are fixed by the inner pointer as the
+        view shows it, view[:width]. The table maps that key, read from the
+        physical word, to the inner entry's closure, pointer cell and digit,
+        the coordinates the inner step reads and writes (seen on one Tape run
+        of it), and the cost of one Tape run of tape_fn on a word with that
+        key, checked against the word form before it is stored: the touched
+        coordinates read from the physical list, stepped as a virtual list
+        and written back by the view's formula. A digit out of range reads
+        the same on both, so such a word takes this path too.
 
-        The bit view fills an entry on the first word with its key. The odd
-        view fills all o^width keys on its first miss, each from that word with
-        the pointer residues replaced. Filled one key at a time during long
-        walks, its small entries fragmented the allocator's arenas: the peak
-        memory of the benchmark's walk-crt run rose from 55.5 to 61 MB; filled
-        in one pass it stays at 56.5 MB. The bit view stays lazy: a general
-        counter's first step from its start word runs it, and an eager fill
-        would add 2^width Tape runs to that step.
+        A table's first miss fills only its own key: a general counter's
+        first step from its start word runs the bit view, and 2^width Tape
+        runs there would slow its set-up. A later miss fills every key in one
+        pass, from the missing word with the key rewritten, all checked
+        before any is stored; there are at most _TABLE_BOUND keys, since only
+        an inner pointer with a table has a word path. Filled one key at a
+        time, the small entries fragmented the allocator's arenas: the peak
+        memory of the benchmark's walk-crt run rose from 55.5 to 61 MB.
         """
         inner = getattr(self.run, "word_step", None)
         entry = getattr(inner, "entry", None)
         if entry is None:
             return None
-        return (self._bit_path if self.bits else self._odd_path)(
-            tape_fn, cell, g, entry, inner.width)
-
-    def _observed(self, virtual, width, located, shapes):
-        """(located of each data cell read or written, located of each cell
-        written) by one Tape run of the inner step on virtual, each tuple
-        shared through shapes: fewer small objects pin fewer of the
-        allocator's arenas."""
-        tape = Tape(virtual)
-        self.run(tape)
-        reads = tuple([located[j] for j in sorted((tape.reads | tape.written)
-                                                  - set(range(width)))])
-        writes = tuple([located[j] for j in sorted(tape.written)])
-        return shapes.setdefault(reads, reads), shapes.setdefault(writes, writes)
-
-    def _bit_path(self, tape_fn, cell, g, entry, width):
-        bits, recombine = self.bits, self.recombine
-        key_bits = bits[:width]
-        pad = (0,) * (len(bits) - width)
-        located = [(j, c, s) for j, (c, s) in enumerate(bits)]
+        view, m, width = self.view, self.m, inner.width
+        key_view = view[:width]
+        pad = (0,) * (len(view) - width)
+        located = [(j, *x) for j, x in enumerate(view)]
         shapes = {}
-        # inner pointer bits -> (closure or None, virtual pointer bit, its new
-        #                        value, (bit, cell, shift) of each data bit read,
-        #                        (bit, cell, shift) of each bit written, cost),
-        #                        or () when the inner step has no word form
+        # key -> (closure or None, virtual pointer cell, its new value, the
+        #   (j, *view[j]) of each data coordinate read and of each written,
+        #   cost), or () when the inner step has no word form
         table = {}
 
         def form(word, key, e):
             f, v_cell, v_g, reads, writes, _ = e
             v = [*key, *pad]
-            for j, c, s in reads:
-                v[j] = word[c] >> s & 1
+            for j, c, d, q, _ in reads:
+                v[j] = word[c] // d % q
             if f is not None:
                 f(v)
             v[v_cell] = v_g
             cells = list(word)
-            for j, c, s in writes:
-                cur = cells[c]
-                cells[c] = recombine(cur & ~(1 << s) | v[j] << s, cur)
+            for j, c, d, q, u in writes:
+                x = cells[c]
+                cells[c] = (x + (v[j] - x // d % q) * u) % m
             if cell is not None:
                 cells[cell] = g
             return tuple(cells)
 
-        def fill(word, key):
+        def observed(word, key):
+            # the entry of key, from a Tape run of tape_fn on word and one of
+            # the inner step on the virtual word, checked against form
             out = tape_step(tape_fn, word)
-            virtual = [word[c] >> s & 1 for c, s in bits]
+            virtual = [word[c] // d % q for c, d, q, _ in view]
             e = entry(virtual)
             if not e:
-                table[key] = ()
-                return out
-            e = (*e[:3], *self._observed(virtual, width, located, shapes), out[1])
+                return ()
+            tape = Tape(virtual)
+            self.run(tape)
+            reads = tuple([located[j] for j in sorted((tape.reads | tape.written)
+                                                      - set(range(width)))])
+            writes = tuple([located[j] for j in sorted(tape.written)])
+            # shared tuples: fewer small objects pin fewer of the arenas
+            e = (*e[:3], shapes.setdefault(reads, reads),
+                 shapes.setdefault(writes, writes), out[1])
             _tape_cost(self, word, form(word, key, e), out)
-            table[key] = e
-            return out
+            return e
 
-        def word_step(word):
-            key = tuple([word[c] >> s & 1 for c, s in key_bits])
-            e = table.get(key)
-            if e is None:
-                return fill(word, key)
-            if not e:
-                return tape_step(tape_fn, word)
-            return form(word, key, e), e[5]
-
-        return word_step
-
-    def _odd_path(self, tape_fn, cell, g, entry, width):
-        o, recombine, lo = self.o, self.recombine, self.odd_cell
-        hi = lo + width
-        pad = ()  # zeros for the virtual cells past the pointer, set by fill
-        # inner pointer residues -> (closure or None, virtual pointer cell, its
-        #                            new value, (virtual cell, physical cell)
-        #                            of each data cell read, and of each cell
-        #                            written, cost), or () when the inner step
-        #                            has no word form
-        table = {}
-
-        def form(word, key, e):
-            f, v_cell, v_g, reads, writes, _ = e
-            v = [*key, *pad]
-            for j, c in reads:
-                v[j] = word[c] % o
-            if f is not None:
-                f(v)
-            v[v_cell] = v_g
-            cells = list(word)
-            for j, c in writes:
-                cells[c] = recombine(cells[c], v[j])
-            if cell is not None:
-                cells[cell] = g
-            return tuple(cells)
-
-        def fill(word):
-            # every inner pointer word, each checked before any is stored
-            nonlocal pad
-            n_virtual = len(word) - lo
-            pad = (0,) * (n_virtual - width)
-            located = [(j, lo + j) for j in range(n_virtual)]
-            shapes, filled = {}, {}
-            cells = list(word)
-            for key in itertools.product(range(o), repeat=width):
-                cells[lo:hi] = [recombine(x, y) for x, y in zip(word[lo:hi], key)]
-                w = tuple(cells)
-                out = tape_step(tape_fn, w)
-                virtual = [x % o for x in cells[lo:]]
-                e = entry(virtual)
-                if e:
-                    e = (*e[:3], *self._observed(virtual, width, located, shapes), out[1])
-                    _tape_cost(self, w, form(w, key, e), out)
-                filled[key] = e
+        def fill(word, key):
+            # the first miss fills its own key, a later one every key
+            tape = Tape(word)
+            mixed = _MixedTape(tape, key_view, m)
+            filled = {}
+            for k in (itertools.product(*[range(q) for _, _, q, _ in key_view])
+                      if table else (key,)):
+                if k not in table:
+                    for j, v in enumerate(k):
+                        mixed.write(j, v)
+                    filled[k] = observed(tape.word(), k)
             table.update(filled)
 
         def word_step(word):
-            key = tuple([x % o for x in word[lo:hi]])
+            key = tuple([word[c] // d % q for c, d, q, _ in key_view])
             e = table.get(key)
             if e is None:
-                fill(word)
+                fill(word, key)
                 e = table[key]
             if not e:
                 return tape_step(tape_fn, word)
@@ -555,14 +484,14 @@ class _ResidueStep:
 def stitch_radix(k: int, counter: Counter) -> Counter:
     """View a counter over bits as one over radix-2^k cells of k bits each,
     the first bit of a cell its most significant. A step is one
-    _ResidueStep over the bits of every cell, odd part 1: the inner
-    counter's whole step through a _MixedTape.
+    _ResidueStep over the bit view of every cell (_residues, o = 1): the
+    inner counter's whole step through a _MixedTape.
 
     Reads and writes then count per cell: touching any bit of a cell
     touches the cell once. When the inner counter has a word path keyed by
     its pointer (a cycle_compose counter within its table bound), so does
-    this one (_ResidueStep.word_path), keyed by the inner pointer bits and
-    matching the Tape on every word; otherwise next and prev run on a Tape.
+    this one (_ResidueStep.word_path), keyed by the inner pointer's bits
+    and matching the Tape on every word; otherwise they run on a Tape.
     """
     if (k := _at_least(k, 1, "block size")) == 1:
         return counter
@@ -572,16 +501,16 @@ def stitch_radix(k: int, counter: Counter) -> Counter:
     if inner.n % k:
         raise ValueError(f"width {inner.n} is not divisible by block size {k}")
     n_data = inner.n // k
-    bits, recombine = _residues(2 ** k, 2 ** k, 1, n_data)
+    bits, _ = _residues(2 ** k, n_data)
     domain = Domain.uniform(2 ** k, n_data)
-    step = _ResidueStep(counter.next_tape, counter.prev_tape, bits, 0, 1, recombine)
+    step = _ResidueStep(counter.next_tape, counter.prev_tape, bits, 2 ** k)
     fns = []
     for s in (step, step.shifted(0, inverse=True)):
         fn = functools.partial(_ResidueStep.apply_tape, s)
         fn.word_step = s.word_path(fn)
         fns.append(fn)
     return Counter(domain, *fns, counter.claimed_length,
-                   _residue_word(counter.start, n_data, bits, 1, recombine),
+                   _residue_word(counter.start, bits, 2 ** k, n_data),
                    claimed_reads=counter.claimed_reads,
                    claimed_writes=counter.claimed_writes,
                    recipe={"kind": "stitch", "block": k, "inner": counter.recipe})
@@ -608,8 +537,9 @@ def general_counter(m: int, n: int) -> Counter:
     it.
 
     Counter.next and prev run every rank on plain words (see
-    cycle_compose): the binary and odd steps through _ResidueStep.word_path,
-    keyed by the inner pointer's bits and residues mod o.
+    cycle_compose); the binary and odd steps take _ResidueStep.word_path on
+    the bit and odd views of _residues, keyed by the inner pointer as each
+    view shows it.
     """
     from .linear import _FACTOR_LIMIT, Field, linear_counter, row_op_count
     from .permdecomp import min_width, odd_counter
@@ -656,11 +586,10 @@ def general_counter(m: int, n: int) -> Counter:
             f"the binary part needs at least 3 bits")
 
     i, d, n_in, r = chosen
-    bits, recombine = _residues(m, 1 << ell, o, d)
+    bits, odd = _residues(m, d)
     parts = [linear_counter(f2, n_in, r)] + ([odd_counter(o, d)] if o > 1 else [])
-    steps = [_ResidueStep(p.next_tape, p.prev_tape, b, 0, o, recombine)
-             for p, b in zip(parts, (bits, ()))]
-    start = _residue_word([x for p in parts for x in p.start], d, bits, o, recombine)
+    steps = [_ResidueStep(p.next_tape, p.prev_tape, v, m) for p, v in zip(parts, (bits, odd))]
+    start = _residue_word([x for p in parts for x in p.start], bits + odd, m, d)
     lengths = {"clock": m ** i, "binary": parts[0].claimed_length,
                "odd": o ** d if o > 1 else 1}
     recipe = {"kind": "general", "m": m, "n": n, "clock": i,

@@ -406,8 +406,9 @@ class Counter:
     are cycle_compose counters over their clock) and stitch_radix over
     such a counter give theirs one. All but gray_counter's, whose steps
     all cost the same, return costs each observed on one Tape run for the
-    same key. next and prev call it when it is there (the word path) and
-    otherwise run the step on a Tape (the Tape path, tape_step). A word
+    same key (a pointer or clock word, or an inner pointer as a residue
+    view shows it). next and prev call it when it is there (the word path)
+    and otherwise run the step on a Tape (the Tape path, tape_step). A word
     path may itself take the Tape path for some steps: one whose data step
     has no word form does. measure_counter, and so audit, and materialize
     always take the Tape path, so what they report is observed on a Tape

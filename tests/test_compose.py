@@ -555,3 +555,56 @@ def test_general_counter_is_crt_product_of_its_parts(m, n):
             else:
                 loud += 1
     assert quiet and loud
+
+
+# SHA-256 of the residue counters' starts, claims, recipes, steps and trees,
+# computed before their views took the one (cell, d, q, u) formula
+RESIDUE_FINGERPRINT = "2ee31a4f8929f47c8e1fc0a6ae8d0461eec364550dd2185f5e9dd213502754f6"
+
+
+def test_residue_counters_fingerprint():
+    # every word of the small counters (and their trees up to 4,096 words),
+    # and 1,000 seeded words of the large ones, 30% of them carrying digits
+    # -1 or m; next and prev give the same words and costs as they did
+    import hashlib
+    import json
+
+    from quasigray.core import dat_to_json, materialize
+
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(repr(items).encode())
+
+    def counter(c):
+        put(c.start, c.claimed_length, c.claimed_reads, c.claimed_writes,
+            json.dumps(c.recipe, sort_keys=True))
+
+    def steps(c, words):
+        for w in words:
+            for step in (c.next, c.prev):
+                word, cost = step(w)
+                put(word, tuple(cost))
+
+    small = [general_counter(4, 6), general_counter(2, 6),
+             stitch_radix(2, linear_counter(Field(2), 3, 3)),
+             stitch_radix(2, general_counter(2, 6)), stitch_radix(3, general_counter(2, 6))]
+    for c in small:
+        counter(c)
+        steps(c, c.domain.words())
+        if c.domain.size <= 4096:
+            for fn in (c.next_tape, c.prev_tape):
+                put(json.dumps(dat_to_json(materialize(fn, c.domain))))
+    for m, n in ((4, 8), (6, 12), (8, 10), (10, 14), (12, 12)):
+        c = general_counter(m, n)
+        counter(c)
+        rng = random.Random(m * 100 + n)
+        words = []
+        for _ in range(1000):
+            w = [rng.randrange(m) for _ in range(n)]
+            if rng.random() < 0.3:
+                for j in rng.sample(range(n), rng.randrange(1, 3)):
+                    w[j] = rng.choice([-1, m])
+            words.append(tuple(w))
+        steps(c, words)
+    assert h.hexdigest() == RESIDUE_FINGERPRINT

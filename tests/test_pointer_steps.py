@@ -233,8 +233,8 @@ def test_step_stats_is_a_light_value():
     assert not hasattr(st, "__dict__")
 
 
-def _residue_step(part, bits, o, recombine):
-    return _ResidueStep(part.next_tape, part.prev_tape, bits, 0, o, recombine)
+def _residue_step(part, view, m):
+    return _ResidueStep(part.next_tape, part.prev_tape, view, m)
 
 
 def _residue_steps(m):
@@ -243,14 +243,14 @@ def _residue_steps(m):
     # bits of their residues mod 2^l and, for m = 6, a Gray counter on
     # their residues mod 3
     if m == 6:
-        bits, recombine = _residues(6, 2, 3, 3)
+        bits, odd_view = _residues(6, 3)
         binary = linear_counter(Field(2), 2, 1)
         odd = gray_counter(3, 3)
-        return 3, 1, 3, [(binary, _residue_step(binary, bits, 3, recombine)),
-                         (odd, _residue_step(odd, (), 3, recombine))]
-    bits, recombine = _residues(4, 4, 1, 2)
+        return 3, 1, 3, [(binary, _residue_step(binary, bits, 6)),
+                         (odd, _residue_step(odd, odd_view, 6))]
+    bits, _ = _residues(4, 2)
     binary = linear_counter(Field(2), 2, 2)
-    return 2, 2, 1, [(binary, _residue_step(binary, bits, 1, recombine))]
+    return 2, 2, 1, [(binary, _residue_step(binary, bits, 4))]
 
 
 @pytest.mark.parametrize("m", [6, 4])
@@ -265,7 +265,9 @@ def test_residue_step_shifted_matches_unshifted(m):
         return tuple(x % o for x in w)
 
     for part, step in steps:
-        seen, other = (bits_of, odd_of) if step.bits else (odd_of, bits_of)
+        # every coordinate of a bit view has q = 2, of an odd view q = o
+        assert {q for _, _, q, _ in step.view} in ({2}, {o})
+        seen, other = (bits_of, odd_of) if step.view[0][2] == 2 else (odd_of, bits_of)
         for w in itertools.product(range(m), repeat=n_data):
             want, stats = _run(step, w)
             # the part's whole next step on the residues the step shows it;
@@ -301,8 +303,55 @@ CELL_ORDERS = [(), (3,), (5, 4, 3, 2, 1, 0), (2, 0, 2, 4), range(5, 0, -2)]
 
 def _mixed(tape):
     # radix-6 cells 0..2 seen as 3 bits (residues mod 2), then 3 residues mod 3
-    bits, recombine = _residues(6, 2, 3, 3)
-    return _MixedTape(tape, bits, 0, 3, recombine)
+    bits, odd = _residues(6, 3)
+    return _MixedTape(tape, bits + odd, 6)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 12, 24])
+def test_residue_views_read_and_write_by_one_formula(m):
+    # every coordinate of both views of two radix-m cells, m = 2^l * o, on
+    # every digit x in -1 .. m of its cell: the read is bit s of x or x mod
+    # o, and writing any v in 0 .. q-1 gives the cell the residue mod m
+    # that recombines the new bits with the old residue mod o, or the old
+    # bits with v, leaving the other cell as it was
+    ell = (m & -m).bit_length() - 1
+    o, two = m >> ell, 1 << ell
+
+    def recombine(a, b):
+        # the residue mod m that is a mod 2^l and b mod o
+        return (a * o * pow(o, -1, two) + b * two * pow(two, -1, o)) % m
+
+    bits, odd = _residues(m, 2)
+    view = bits + odd
+    assert len(bits) == 2 * ell and len(odd) == (2 if o > 1 else 0)
+    for j, (cell, _, q, _) in enumerate(view):
+        is_bit = j < len(bits)
+        assert cell == (j // ell if is_bit else j - len(bits))
+        assert q == (2 if is_bit else o)
+        s = ell - 1 - j % ell
+        for x in range(-1, m + 1):
+            word = [(3 * x + 1) % m] * 2
+            word[cell] = x
+            assert _MixedTape(Tape(word), view, m).read(j) == (x >> s & 1 if is_bit
+                                                               else x % o)
+            for v in range(q):
+                tape = Tape(word)
+                _MixedTape(tape, view, m).write(j, v)
+                want = list(word)
+                want[cell] = (recombine(x & ~(1 << s) | v << s, x) if is_bit
+                              else recombine(x, v))
+                assert tape.word() == tuple(want)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_stitch_steps_see_the_bit_view(k):
+    # radix 4 and 8, o = 1: a stitch step is its inner step on the bit view
+    inner = linear_counter(Field(2), 3, 3)
+    c = stitch_radix(k, inner)
+    bits, odd = _residues(2 ** k, 6 // k)
+    assert odd == ()
+    assert c.next_tape.args == (_ResidueStep(inner.next_tape, inner.prev_tape, bits, 2 ** k),)
+    assert c.prev_tape.args == (_ResidueStep(inner.prev_tape, inner.next_tape, bits, 2 ** k),)
 
 
 @pytest.mark.parametrize("cells", CELL_ORDERS, ids=repr)
@@ -759,35 +808,36 @@ def test_word_path_matches_tape_path_on_seeded_words(label):
             assert word == want and cost is want_cost
 
 
-def _odd_rank_words(c):
+def _rank_words(c, j):
     """{word path of c: the pointer word, in its key order, whose step in
-    that direction is the odd residue step}: rank 1 runs it on next, and
-    rank 2 its inverse on prev."""
+    that direction is step j of the list}: rank j runs it on next, and
+    rank j + 1 its inverse on prev."""
     m, i = c.recipe["m"], c.recipe["clock"]
-    return {c._next_word: gray_unrank(1, m, i)[::-1],
-            c._prev_word: gray_unrank(2, m, i)[::-1]}
+    return {c._next_word: gray_unrank(j, m, i)[::-1],
+            c._prev_word: gray_unrank(j + 1, m, i)[::-1]}
 
 
 def _odd_table(word_fn, key):
     return _closed_over(_closed_over(word_fn, "keyed")[key], "table")
 
 
-@pytest.mark.parametrize("label", ["general(6,12)", "general(10,14)"])
-def test_odd_residue_table_is_filled_in_one_pass(label):
-    # the first odd step in each direction fills one entry per inner pointer
-    # word, each with a word form; 20,000 further steps each way add none
-    c = BIG[label]()
-    rec = c.recipe
-    o = rec["odd"]["radix"]
-    width = odd_counter(o, rec["odd"]["width"]).recipe["pointer"]
-    i = rec["clock"]
+def _assert_filled_in_one_pass(c, j, keys):
+    # the first step of residue step j in each direction fills the entry of
+    # its own key; a step with a second key fills all keys entries, one per
+    # inner pointer word, each with a word form; 20,000 further steps each
+    # way add none
+    m, i = c.recipe["m"], c.recipe["clock"]
     tables = []
-    for word_fn, key in _odd_rank_words(c).items():
+    for word_fn, key in _rank_words(c, j).items():
         w = key[::-1] + c.start[i:]
         fn = c.next_tape if word_fn is c._next_word else c.prev_tape
         assert word_fn(w) == tape_step(fn, w)
         table = _odd_table(word_fn, key)
-        assert len(table) == o ** width and all(table.values())
+        assert len(table) == 1 and all(table.values())
+        # one more on the first data cell changes its bits and residue mod o
+        w = w[:i] + ((w[i] + 1) % m,) + w[i + 1:]
+        assert word_fn(w) == tape_step(fn, w)
+        assert len(table) == keys and all(table.values())
         tables.append((table, dict(table)))
     for step in (c.next, c.prev):
         w = c.start
@@ -797,14 +847,29 @@ def test_odd_residue_table_is_filled_in_one_pass(label):
         assert table == before
 
 
+@pytest.mark.parametrize("label", ["general(6,12)", "general(10,14)"])
+def test_odd_residue_table_is_filled_in_one_pass(label):
+    c = BIG[label]()
+    rec = c.recipe
+    o = rec["odd"]["radix"]
+    width = odd_counter(o, rec["odd"]["width"]).recipe["pointer"]
+    _assert_filled_in_one_pass(c, 1, o ** width)
+
+
+def test_bit_residue_table_is_filled_in_one_pass():
+    c = general_counter(4, 8)
+    assert c.recipe["binary"]["pointer"] == 5
+    _assert_filled_in_one_pass(c, 0, 2 ** 5)
+
+
 def test_odd_residue_step_over_a_lying_inner_counter_raises():
     # the inner counter's rank-0 step lies on residues mod 3. As the odd
     # step of a pointer-driven list over radix-6 cells, a word whose inner
     # pointer residue runs it raises each way, on every retry, and the odd
     # residue table stores nothing
     inner = cycle_compose(StepList([_Liar(q=3)], Domain((3, 3, 3)), 1), 3, 1, (0, 0, 1))
-    _, recombine = _residues(6, 2, 3, 4)
-    step = _residue_step(inner, (), 3, recombine)
+    _, odd = _residues(6, 4)
+    step = _residue_step(inner, odd, 6)
     c = cycle_compose(StepList([step], Domain.uniform(6, 4), 1), 2, 1, (0, 0, 0, 0))
     for word_fn, w in ((c._next_word, (0, 3, 1, 0, 4)), (c._prev_word, (1, 4, 1, 0, 4))):
         for _ in range(3):
@@ -840,8 +905,8 @@ def test_odd_residue_word_path_that_fails_its_check_raises_every_time(direction)
     # outer word the source residue is 2, so the odd residue check itself
     # fails, on the first call and on every retry, and nothing is stored
     inner = cycle_compose(StepList([_Clamped()], Domain((3, 3, 3)), 1), 3, 1, (0, 0, 0))
-    _, recombine = _residues(6, 2, 3, 4)
-    step = _residue_step(inner, (), 3, recombine)
+    _, odd = _residues(6, 4)
+    step = _residue_step(inner, odd, 6)
     c = cycle_compose(StepList([step], Domain.uniform(6, 4), 1), 2, 1, (0, 0, 0, 0))
     if direction == "next":
         assert inner.next((0, 0, 0, 0)) == tape_step(inner.next_tape, (0, 0, 0, 0))
@@ -863,7 +928,7 @@ def test_odd_residue_step_on_digits_out_of_range(label):
     c = BIG[label]()
     m, i = c.recipe["m"], c.recipe["clock"]
     rng = random.Random(29)
-    for word_fn, key in _odd_rank_words(c).items():
+    for word_fn, key in _rank_words(c, 1).items():
         fn = c.next_tape if word_fn is c._next_word else c.prev_tape
         for _ in range(500):
             w = list(key[::-1]) + [rng.randrange(m) for _ in range(c.domain.n - i)]
