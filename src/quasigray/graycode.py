@@ -19,10 +19,11 @@ gray_counter reads its whole word, top down from cell r-1 to cell 0, with
 one tape.read_cells call, then finds the digit to move from the bottom up
 (_gray_move): b_0 is the digit sum mod m, and b_{j+1} is b_j less digit
 j, mod m. The walk stops at the first b_j that is not m-1 (or 0), after
-about 1 + 1/(m-1) cells on average. gray_next and gray_prev share it.
-That is its Tape path, which audits and materialize run. Counter.next and
-prev take its word path instead: the same _gray_move on a plain list,
-returning the cost every step has, r reads and 1 write.
+about 1 + 1/(m-1) cells on average. That is its Tape path, which audits
+and materialize run. Counter.next and prev take its word path instead:
+the same _gray_move on a plain list, returning the cost every step has,
+r reads and 1 write. gray_next and gray_prev run that word path on the
+digits mod m.
 
 gray_scan is the one Gray decode: one pass over the digits, top down,
 gives the rank and the cells a +1 and a -1 rank step move. gray_rank
@@ -109,10 +110,9 @@ def _gray_step(word, m: int, r: int, delta: int) -> tuple[int, ...]:
     _check(m, r)
     if len(word) != r:
         raise ValueError(f"expected {r} digits, got {len(word)}")
-    w = [x % m for x in reversed(word)]  # digits count mod m, as in gray_rank
-    i = _gray_move(w, m, m - 1 if delta > 0 else 0)
-    w[i] = (w[i] + delta) % m
-    return tuple(reversed(w))
+    # digits count mod m, as in gray_rank
+    step = _gray_tape_step(m, r, m - 1 if delta > 0 else 0, delta).word_step
+    return step([x % m for x in word])[0]
 
 
 def gray_next(word, m: int, r: int) -> tuple[int, ...]:

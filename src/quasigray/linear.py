@@ -536,40 +536,36 @@ def decompose_elementary(a, field: Field) -> list:
     count within n^2 + 4(n-1).
     """
     n = len(a)
-    work = [row[:] for row in a]
+    # the working matrix by column, so each emitted operation's word_fn
+    # applied to every column left-multiplies the matrix by it
+    cols = [list(c) for c in zip(*a)]
     ops: list = []
 
-    def addrow(i: int, j: int, c: int) -> None:
-        ops.append(AddRow(field, i, j, c))
-        wj = work[j]
-        wi = work[i]
-        for t in range(n):
-            if wj[t]:
-                wi[t] = field.add(wi[t], field.mul(c, wj[t]))
-
-    def scale(i: int, c: int) -> None:
-        ops.append(Scale(field, i, c))
-        work[i] = [field.mul(c, v) for v in work[i]]
+    def emit(op) -> None:
+        ops.append(op)
+        f = op.word_fn()
+        for c in cols:
+            f(c)
 
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if cols[col][r] != 0), None)
         if pivot is None:
             raise ValueError("singular matrix")
         if pivot != col:
             # swap rows col and pivot without a swap primitive
-            addrow(col, pivot, 1)
-            addrow(pivot, col, field.neg(1))
-            addrow(col, pivot, 1)
+            emit(AddRow(field, col, pivot, 1))
+            emit(AddRow(field, pivot, col, field.neg(1)))
+            emit(AddRow(field, col, pivot, 1))
             if field.char != 2:
-                scale(pivot, field.neg(1))
-        pv = work[col][col]
+                emit(Scale(field, pivot, field.neg(1)))
+        pv = cols[col][col]
         if pv != 1:
-            scale(col, field.inv(pv))
+            emit(Scale(field, col, field.inv(pv)))
         for row in range(n):
-            if row != col and work[row][col] != 0:
-                addrow(row, col, field.neg(work[row][col]))
+            if row != col and cols[col][row] != 0:
+                emit(AddRow(field, row, col, field.neg(cols[col][row])))
 
-    assert work == mat_identity(n)
+    assert cols == mat_identity(n)  # the identity is its own transpose
     return [op.inverse() for op in reversed(ops)]
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,12 +37,7 @@ class DensePermutation:
 
 def _coordinate_digits(domain: Domain):
     """Per-coordinate digit arrays for every rank, most significant first."""
-    weights = []
-    w = 1
-    for r in reversed(domain.radices):
-        weights.append(w)
-        w *= r
-    weights.reverse()
+    weights = [math.prod(domain.radices[j + 1:]) for j in range(domain.n)]
     idx = np.arange(domain.size, dtype=np.int64)
     return [(idx // weights[j]) % domain.radices[j] for j in range(domain.n)], weights
 
@@ -139,21 +134,10 @@ class AuditReport:
         return not self.problems
 
     def to_json(self) -> dict:
-        return {
-            "observed_length": self.observed_length,
-            "claimed_length": self.claimed_length,
-            "max_reads": self.max_reads,
-            "max_writes": self.max_writes,
-            "claimed_reads": self.claimed_reads,
-            "claimed_writes": self.claimed_writes,
-            "distinct": self.distinct,
-            "closed": self.closed,
-            "truncated": self.truncated,
-            "missing_count": self.missing_count,
-            "missing_sample": [list(w) for w in self.missing_sample],
-            "ok": self.ok,
-            "problems": list(self.problems),
-        }
+        out = asdict(self)
+        out["missing_sample"] = [list(w) for w in self.missing_sample]
+        problems = out.pop("problems")
+        return {**out, "ok": self.ok, "problems": problems}
 
 
 def audit(counter: Counter, max_steps: Optional[int] = None,
@@ -229,6 +213,15 @@ def search_hierarchical(radices, count_solutions: bool = False,
     those reading cell 3 to use disjoint cell-1 outputs, one output value
     per branch.
 
+    The relabelings of cell 1 that keep the pattern (those permuting
+    0..k-1 and k..m1-1 among themselves) carry a split (the k outputs the
+    branches reading cell 2 use) onto any split with the same number j of
+    values below k, and solutions onto solutions, so the search takes one
+    split per j, the first in lexicographic order, (*range(j),
+    *range(k, 2k - j)), for j from k down, and counts its solutions
+    comb(k, j) * comb(m1 - k, k - j) times over. That split sorts before
+    every split with a smaller j, so the first tree found is unchanged.
+
     The search is memoized where the first branch of each type is fully
     assigned: branch 0 (the first reading cell 2) and branch k (the first
     reading cell 3). The memo key is the canonical form of that branch's
@@ -269,8 +262,9 @@ def search_hierarchical(radices, count_solutions: bool = False,
         var_choice = (1,) * k + (2,) * (m1 - k)
         # branch k, the first reading cell 3, takes leaves first3 onwards
         first3 = k * m2
-        solutions = 0
-        for a_set in itertools.combinations(range(m1), k):
+        for j in range(k, max(0, 2 * k - m1) - 1, -1):
+            a_set = (*range(j), *range(k, 2 * k - j))
+            solutions = 0
             # a_set holds the cell-1 outputs reserved for branches reading
             # cell 2; the rest go to branches reading cell 3. Every leaf of
             # one branch type may take the same image fibers, each with a
@@ -360,7 +354,8 @@ def search_hierarchical(radices, count_solutions: bool = False,
 
             if try_leaf(0):
                 return found
-        count += math.comb(m1, k) * solutions
+            count += (math.comb(m1, k) * math.comb(k, j) * math.comb(m1 - k, k - j)
+                      * solutions)
 
     return (found, count) if count_solutions else found
 

@@ -219,10 +219,17 @@ def test_search_solution_counts(radices, count):
 
 
 def test_search_memo_node_counts():
-    # the memo visits 264,472 and 30,894 nodes on these none-cases, where
-    # the plain search visited 8,615,120 and 1,417,698
+    # the memo and one cell-1 split per relabeling class visit 127,964 and
+    # 30,894 nodes on these none-cases (264,472 and 30,894 with the memo
+    # alone), where the plain search visited 8,615,120 and 1,417,698
     assert search_hierarchical((3, 4, 4), node_budget=1_000_000) is None
     assert search_hierarchical((2, 6, 6), node_budget=200_000) is None
+
+
+def test_search_takes_one_cell1_split_per_class():
+    # (3,4,4) has k = 2 or 1 branches reading cell 2, and the relabelings of
+    # cell 1 that keep the branch pattern leave 2 + 2 of its 3 + 3 splits
+    assert search_hierarchical((3, 4, 4), node_budget=130_000) is None
 
 
 def _relabel(leaf_map, perm):
