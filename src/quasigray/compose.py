@@ -562,11 +562,10 @@ def general_counter(m: int, n: int) -> Counter:
             d = n - i
             if d < d_min or ell * d < 3:
                 return
-            for r in range(max(1, ell * d - max_in), ell * d - 1):
-                n_in = ell * d - r
-                if 2 ** r >= row_op_count(f2, n_in):
-                    yield i, d, n_in, r
-                    break
+            r = next((r for r in range(max(1, ell * d - max_in), ell * d - 1)
+                      if 2 ** r >= row_op_count(f2, ell * d - r)), None)
+            if r:
+                yield i, d, ell * d - r, r
 
     def candidates():
         yield from minimal()

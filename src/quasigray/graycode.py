@@ -39,31 +39,25 @@ from __future__ import annotations
 from .core import _STATS, Counter, Domain, _integer
 
 
-def _base_digits(i: int, m: int, r: int) -> list[int]:
-    out = []
-    for _ in range(r):
-        i, d = divmod(i, m)
-        out.append(d)
-    return out
-
-
-def _check(m: int, r: int) -> None:
+def _check(m: int, r: int, word=None) -> None:
     if _integer(m, "m") < 2 or _integer(r, "r") < 1:
         raise ValueError("need m >= 2 and r >= 1")
+    if word is not None and len(word) != r:
+        raise ValueError(f"expected {r} digits, got {len(word)}")
 
 
 def gray_unrank(i: int, m: int, r: int) -> tuple[int, ...]:
     _check(m, r)
     if not 0 <= _integer(i, "rank") < m ** r:
         raise ValueError(f"rank {i} out of range for m={m}, r={r}")
-    b = _base_digits(i, m, r) + [0]
+    b = [0] * (r + 1)  # base-m digits of i, lowest first, and a 0 above
+    for j in range(r):
+        i, b[j] = divmod(i, m)
     return tuple((b[j] - b[j + 1]) % m for j in range(r))
 
 
 def gray_rank(word, m: int, r: int) -> int:
-    _check(m, r)
-    if len(word) != r:
-        raise ValueError(f"expected {r} digits, got {len(word)}")
+    _check(m, r, word)
     return gray_scan(word, m)[0]
 
 
@@ -107,9 +101,7 @@ def _gray_move(digits, m: int, stop: int) -> int:
 
 
 def _gray_step(word, m: int, r: int, delta: int) -> tuple[int, ...]:
-    _check(m, r)
-    if len(word) != r:
-        raise ValueError(f"expected {r} digits, got {len(word)}")
+    _check(m, r, word)
     # digits count mod m, as in gray_rank
     step = _gray_tape_step(m, r, m - 1 if delta > 0 else 0, delta).word_step
     return step([x % m for x in word])[0]

@@ -13,6 +13,7 @@ as ints; every other field uses coefficient lists and Field arithmetic.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -43,20 +44,23 @@ _F2_MODULI = {
 
 _FACTOR_LIMIT = 2 ** 48
 _TRIAL_LIMIT = 2 ** 16
+# the small-prime screen and the witnesses of _is_prime: as witnesses they
+# decide every n below 3.1 * 10^23, far past _FACTOR_LIMIT
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for anything this package can reach."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -91,18 +95,13 @@ def prime_factors(n: int) -> list[int]:
     if (n := _at_least(n, 1, "n")) > _FACTOR_LIMIT:
         raise BoundExceeded(f"refusing to factor {n} > 2^48")
     out = []
-    for d in (2, 3):
+    for d in itertools.chain((2,), range(3, _TRIAL_LIMIT + 1, 2)):
+        if d * d > n:
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-    d = 5
-    while d <= _TRIAL_LIMIT and d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2
     if n == 1:
         return out
     stack = [n]
@@ -533,9 +532,19 @@ def decompose_elementary(a, field: Field) -> list:
     Applied first to last as left multiplications the result rebuilds the
     input: E_k ... E_1 = A. Row swaps are emulated by three additions and a
     scale by -1 (the scale drops out in characteristic 2), keeping the
-    count within n^2 + 4(n-1).
+    count within n^2 + 4(n-1). Raises ValueError unless a is n rows of n
+    integers in 0..q-1, or when it is singular.
     """
-    n = len(a)
+    n, q = len(a), field.q
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ValueError(f"expected {n} rows of length {n}, row {i} has length {len(row)}")
+        for j, x in enumerate(row):
+            # an entry's name is built only when it is not a plain int in range:
+            # naming every entry took about a tenth of walk-crt's set-up
+            if type(x) is not int or not 0 <= x < q:
+                if not 0 <= _integer(x, f"entry ({i}, {j})") < q:
+                    raise ValueError(f"entry ({i}, {j}) = {x} is not an element of F_{q}")
     # the working matrix by column, so each emitted operation's word_fn
     # applied to every column left-multiplies the matrix by it
     cols = [list(c) for c in zip(*a)]
@@ -597,9 +606,7 @@ def linear_counter(field: Field, n: int, r: int | None = None) -> Counter:
     q = field.q
     p, steps = _companion_ops(q, n)
     k = len(steps)
-    r_min = 1
-    while q ** r_min < k:
-        r_min += 1
+    r_min = next(r for r in itertools.count(1) if q ** r >= k)
     if r is None:
         r = r_min
     elif q ** (r := _at_least(r, 1, "pointer width")) < k:

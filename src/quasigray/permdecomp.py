@@ -235,16 +235,9 @@ def decompose_boundary(i: int, m: int, n_inner: int) -> list[RFunction]:
     if _integer(i, "increment") not in (n_inner - 1, n_inner):
         raise ValueError("this path only builds the top two increments")
     t = (m + 1) // 2
-    low = tuple(range(n_inner - 3))
-    if i == n_inner:
-        sigma = RFunction.indicator(m, n_inner, low, n_inner - 1, (0,) * len(low), t)
-        tau = RFunction.indicator(m, n_inner,
-                                  (n_inner - 3, n_inner - 2, n_inner - 1), 0,
-                                  (0, 0, 0), t)
-    else:
-        sigma = RFunction.indicator(m, n_inner, low, n_inner - 2, (0,) * len(low), t)
-        tau = RFunction.indicator(m, n_inner, (n_inner - 3, n_inner - 2), 0,
-                                  (0, 0), t)
+    low, high = tuple(range(n_inner - 3)), tuple(range(n_inner - 3, i))
+    sigma = RFunction.indicator(m, n_inner, low, i - 1, (0,) * len(low), t)
+    tau = RFunction.indicator(m, n_inner, high, 0, (0,) * len(high), t)
     ds = decompose_indicator(sigma)
     dt = decompose_indicator(tau)
     return (ds + dt) * m + (dt + ds) * m
@@ -258,14 +251,17 @@ def _indicator_size(r: int) -> int:
     return 4 + 2 * _indicator_size(r // 2) + 2 * _indicator_size(r - r // 2)
 
 
+def _increment_size(i: int, m: int, n_inner: int) -> int:
+    """Length of build_plan's list for alpha_i, by the branch that builds it."""
+    if i <= n_inner - 2:
+        return _indicator_size(i - 1)
+    return 2 * m * (_indicator_size(n_inner - 3) + _indicator_size(i - n_inner + 3))
+
+
 def plan_size(m: int, n_inner: int) -> int:
     """Length of the flattened step list build_plan would produce."""
     m, n_inner = _odd_radix(m), _at_least(n_inner, 6, "inner width")
-    total = 3  # the first three increments are 2-functions already
-    total += sum(_indicator_size(i - 1) for i in range(4, n_inner - 1))
-    total += 2 * m * (_indicator_size(n_inner - 3) + 1)
-    total += 2 * m * (_indicator_size(n_inner - 3) + _indicator_size(3))
-    return total
+    return sum(_increment_size(i, m, n_inner) for i in range(1, n_inner + 1))
 
 
 @dataclass
@@ -291,14 +287,8 @@ class DecompositionPlan:
 
 def build_plan(m: int, n_inner: int) -> DecompositionPlan:
     m, n_inner = _odd_radix(m), _at_least(n_inner, 6, "inner width")
-    per = []
-    for i in range(1, n_inner + 1):
-        if i <= 3:
-            per.append([make_alpha(i, m, n_inner)])
-        elif i <= n_inner - 2:
-            per.append(decompose_indicator(make_alpha(i, m, n_inner)))
-        else:
-            per.append(decompose_boundary(i, m, n_inner))
+    per = [decompose_indicator(make_alpha(i, m, n_inner)) if i <= n_inner - 2
+           else decompose_boundary(i, m, n_inner) for i in range(1, n_inner + 1)]
     plan = DecompositionPlan(m, n_inner, per)
     assert plan.k == plan_size(m, n_inner)
     return plan

@@ -50,16 +50,11 @@ def _rfunction_image(f: RFunction, domain: Domain) -> np.ndarray:
     if f.r == 0:
         val = np.full(domain.size, f.table.get((), 0), dtype=np.int64)
     else:
-        key = np.zeros(domain.size, dtype=np.int64)
-        for s in f.sources:
-            key = key * m + digits[s]
+        rank = Domain.uniform(m, f.r).rank  # its Horner sum runs on digit arrays too
         lut = np.zeros(m ** f.r, dtype=np.int64)
         for args, v in f.table.items():
-            flat = 0
-            for a in args:
-                flat = flat * m + a
-            lut[flat] = v
-        val = lut[key]
+            lut[rank(args)] = v
+        val = lut[rank([digits[s] for s in f.sources])]
     dt = digits[f.target]
     new = (dt + val) % m
     return np.arange(domain.size, dtype=np.int64) + (new - dt) * weights[f.target]

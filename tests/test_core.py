@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,12 @@ from quasigray.compose import (general_counter, multiplicative_order,
                                stitch_radix)
 from quasigray.graycode import gray_counter, gray_unrank
 from quasigray.linear import (AddRow, Field, Poly, Scale, companion_counter,
-                              find_primitive, linear_counter, prime_factors)
+                              companion_matrix, find_primitive, is_primitive,
+                              linear_counter, prime_factors)
 from quasigray.permdecomp import (RFunction, build_plan, cycle_isolation_check,
                                   decompose_boundary, make_alpha, odd_counter,
                                   plan_size)
-from quasigray.verify import audit, search_hierarchical
+from quasigray.verify import audit, densify, search_hierarchical
 
 
 def test_domain_basics():
@@ -167,6 +169,34 @@ def test_constructors_take_only_integer_sizes(make, what):
     for to in (float, str, bool):
         with pytest.raises(ValueError, match=f"^{what} must be an integer"):
             make(to)
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: Domain((2, 2, 2)).unrank(8), ValueError, "rank 8 out of range"),
+    (lambda: dat_validate(Query(2, (Assign(()), Assign(()))), Domain((2, 2))),
+     ValueError, "query coordinate 3 out of range"),
+    (lambda: dat_validate(Query(0, (Assign(((2, 0),)), Assign(()))), Domain((2, 2))),
+     ValueError, "assignment coordinate 3 out of range"),
+    (lambda: dat_validate("leaf", Domain((2, 2))), ValueError, "not a tree node: 'leaf'"),
+    (lambda: dat_eval("leaf", (0, 0)), ValueError, "not a tree node: 'leaf'"),
+    (lambda: dat_to_json("leaf"), ValueError, "not a tree node: 'leaf'"),
+    (lambda: dat_from_json([1]), ValueError, "tree node must be an object"),
+    (lambda: Field(5).inv(0), ZeroDivisionError, "0 has no inverse"),
+    (lambda: Poly(Field(2), ()), ValueError, "empty coefficient list"),
+    (lambda: Poly(Field(2), (0, 2)), ValueError, "coefficient out of range"),
+    (lambda: is_primitive(Poly(Field(3), (1, 2))), ValueError, "polynomial must be monic"),
+    (lambda: companion_matrix(Poly(Field(2), (1,))), ValueError,
+     "need a monic polynomial of positive degree"),
+    (lambda: companion_matrix(Poly(Field(3), (1, 2))), ValueError,
+     "need a monic polynomial of positive degree"),
+    (lambda: AddRow(Field(3), 0, 1, 0), ValueError, "multiplier must be a nonzero field element"),
+    (lambda: densify(RFunction(3, 2, (0,), 1, {}), Domain((3, 3, 3))), ValueError,
+     "domain does not match the function"),
+])
+def test_boundary_checks_raise(make, error, message):
+    # each case reaches a raise that no other test runs
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @given(st.data())

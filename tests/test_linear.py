@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -354,6 +355,28 @@ def test_decompose_random_invertible(q):
 def test_decompose_rejects_singular():
     with pytest.raises(ValueError):
         decompose_elementary([[1, 1], [1, 1]], Field(2))
+
+
+@pytest.mark.parametrize("a,message", [
+    ([[1, 0, 0], [0, 1, 0]], "expected 2 rows of length 2, row 0 has length 3"),
+    ([[1], [0, 1]], "expected 2 rows of length 2, row 0 has length 1"),
+    ([[2, 0], [0, 1]], "entry (0, 0) = 2 is not an element of F_2"),
+    ([[1, 0], [0, -1]], "entry (1, 1) = -1 is not an element of F_2"),
+    ([[1.0, 0], [0, 1]], "entry (0, 0) must be an integer, got 1.0"),
+    ([[1, 0], [0, True]], "entry (1, 1) must be an integer, got True"),
+])
+def test_decompose_rejects_malformed_matrices(a, message):
+    # before any elimination: these used to raise AssertionError or
+    # IndexError, and -1 and 1.0 were decomposed into lists that do not
+    # rebuild the input
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        decompose_elementary(a, Field(2))
+
+
+def test_field_and_row_op_equality():
+    assert Field(4) == Field(4) and hash(Field(4)) == hash(Field(4))
+    assert Field(4) != Field(2) and Field(4) != 4
+    assert AddRow(Field(4), 0, 1, 2) == AddRow(Field(4), 0, 1, 2)
 
 
 def test_linear_counter_default_pointer():

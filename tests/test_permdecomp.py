@@ -5,7 +5,7 @@ import pytest
 
 from quasigray.core import Domain, Tape, measure_counter
 from quasigray.core import dat_read_complexity, dat_write_complexity
-from quasigray.permdecomp import (DecompositionPlan, RFunction, build_plan,
+from quasigray.permdecomp import (DecompositionPlan, RFunction, _increment_size, build_plan,
                                   cycle_isolation_check, decompose_boundary,
                                   decompose_indicator, make_alpha, min_width,
                                   odd_counter, plan_size, rfunction_to_dat)
@@ -209,6 +209,13 @@ def test_plan_advances_by_one():
     w = (0, 1, 2, 0, 1, 2)
     alphas = [make_alpha(i, 3, 6) for i in range(1, 7)]
     assert _apply_list(plan.steps, w) == _apply_list(alphas, w)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_increment_sizes_match_build_plan(m):
+    # plan_size counts each alpha_i by the branch of build_plan that builds it
+    for n in range(6, 15):
+        assert build_plan(m, n).counts == [_increment_size(i, m, n) for i in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])
