@@ -299,13 +299,7 @@ def multiplicative_order(o: int) -> int:
     """The order of 2 modulo o."""
     if (o := _at_least(o, 1, "modulus")) % 2 == 0:
         raise ValueError(f"2 is not invertible modulo {o}")
-    if o == 1:
-        return 1
-    e, v = 1, 2 % o
-    while v != 1:
-        v = v * 2 % o
-        e += 1
-    return e
+    return next(e for e in itertools.count(1) if pow(2, e, o) == 1 % o)
 
 
 class _MixedTape:
@@ -325,8 +319,7 @@ class _MixedTape:
         cell, d, q, _ = self.view[v]
         return self.base.read(cell) // d % q
 
-    def read_cells(self, cells) -> tuple:
-        return tuple(map(self.read, cells))
+    read_cells = OffsetTape.read_cells
 
     def write(self, v: int, val: int) -> None:
         cell, d, q, u = self.view[v]
@@ -555,25 +548,30 @@ def general_counter(m: int, n: int) -> Counter:
     # widest inner vector with 2^n_in - 1 <= _FACTOR_LIMIT
     max_in = (_FACTOR_LIMIT + 1).bit_length() - 1
 
-    def minimal():
+    def fits(r, n_in):
+        # k row operations fix a subspace of dimension >= n_in - k, and a primitive
+        # companion matrix of width n_in >= 2 (every probed width) fixes only 0, so
+        # k >= n_in: a pointer with 2^r < n_in fails without a decomposition
+        return 2 ** r >= n_in and 2 ** r >= row_op_count(f2, n_in)
+
+    def candidates():
         # (clock, data cells, inner width, smallest Gray pointer covering
         # the row operations at that width) for each usable clock width
+        found = []
         for i in range(1, ord2 + 1):
             d = n - i
             if d < d_min or ell * d < 3:
-                return
+                break
             r = next((r for r in range(max(1, ell * d - max_in), ell * d - 1)
-                      if 2 ** r >= row_op_count(f2, ell * d - r)), None)
+                      if fits(r, ell * d - r)), None)
             if r:
-                yield i, d, ell * d - r, r
-
-    def candidates():
-        yield from minimal()
+                found.append((i, d, ell * d - r, r))
+                yield found[-1]
         # pad the pointer beyond its minimum: consecutive inner widths make
         # a co-prime one appear within ord(2 mod o) tries
-        for i, d, n_in, r in minimal():
+        for i, d, n_in, r in found:
             for extra in range(1, min(ord2, n_in - 2) + 1):
-                if 2 ** (r + extra) >= row_op_count(f2, n_in - extra):
+                if fits(r + extra, n_in - extra):
                     yield i, d, n_in - extra, r + extra
 
     chosen = next((c for c in candidates() if math.gcd(2 ** c[2] - 1, o) == 1),

@@ -262,13 +262,21 @@ def dat_validate(tree, domain: Domain) -> None:
 
 
 def dat_eval(tree, word) -> tuple[tuple[int, ...], StepStats]:
-    """Run one step of the tree on a word."""
+    """Run one step of the tree on a word. Raises ValueError when the word
+    has no digit, or no child for its digit, at a queried coordinate."""
     cells = list(word)
     reads = 0
     node = tree
-    while isinstance(node, Query):
-        node = node.children[cells[node.coord]]
-        reads += 1
+    try:
+        while isinstance(node, Query):
+            x = cells[node.coord]
+            if x < 0:
+                raise IndexError(x)
+            node = node.children[x]
+            reads += 1
+    except IndexError:
+        raise ValueError(
+            f"word {tuple(word)} has no branch at coordinate {node.coord + 1}") from None
     if not isinstance(node, Assign):
         raise ValueError(f"not a tree node: {node!r}")
     writes = 0
@@ -436,10 +444,9 @@ class Counter:
         self._n = domain.n
         self.next_tape = next_fn
         self.prev_tape = prev_fn
-        self._next_word = (getattr(next_fn, "word_step", None)
-                           or functools.partial(tape_step, next_fn))
-        self._prev_word = (getattr(prev_fn, "word_step", None)
-                           or functools.partial(tape_step, prev_fn))
+        self._next_word, self._prev_word = (
+            getattr(fn, "word_step", None) or functools.partial(tape_step, fn)
+            for fn in (next_fn, prev_fn))
         self.start = tuple(start)
         self.recipe = recipe
 

@@ -93,7 +93,7 @@ def prime_factors(n: int) -> list[int]:
     """Distinct prime factors, smallest first. Trial division handles the
     small part; Miller-Rabin plus Pollard rho split whatever is left."""
     if (n := _at_least(n, 1, "n")) > _FACTOR_LIMIT:
-        raise BoundExceeded(f"refusing to factor {n} > 2^48")
+        raise BoundExceeded(f"refusing to factor {n}: past the factoring limit 2^48")
     out = []
     for d in itertools.chain((2,), range(3, _TRIAL_LIMIT + 1, 2)):
         if d * d > n:
@@ -296,56 +296,47 @@ def _f2_is_primitive(bits: int, n: int, factors: list[int]) -> bool:
     return True
 
 
-def _check_factorable(q: int, n: int) -> None:
-    if q ** n - 1 > _FACTOR_LIMIT:
-        raise BoundExceeded(
-            f"q^n - 1 = {q ** n - 1} exceeds the factoring limit 2^48")
+def _z_generates(field: Field, coeffs, factors: list[int]) -> bool:
+    """Whether z has order q^n - 1 modulo the monic degree-n polynomial p
+    with these coefficients, given p(0) != 0 and the distinct prime factors
+    of q^n - 1: over F_2 on the packed int form of p (`_f2_is_primitive`),
+    elsewhere on coefficient lists."""
+    n = len(coeffs) - 1
+    if field.q == 2:
+        return _f2_is_primitive(sum(c << j for j, c in enumerate(coeffs)), n, factors)
+    order = field.q ** n - 1
+    one = [1] + [0] * (n - 1)
+    z = [field.neg(coeffs[0])] if n == 1 else [0, 1] + [0] * (n - 2)
+    return (_residue_pow(field, z, order, coeffs) == one
+            and all(_residue_pow(field, z, order // rho, coeffs) != one for rho in factors))
 
 
 def is_primitive(p: Poly) -> bool:
     """Whether z generates the full multiplicative group modulo p.
 
-    That forces p irreducible, so this single test suffices. Over F_2 it
-    runs on the packed int form of p (`_f2_is_primitive`), elsewhere on
-    coefficient lists. Refuses q^deg - 1 beyond the factoring limit.
+    That forces p irreducible, so this single test suffices
+    (`_z_generates`). Refuses q^deg - 1 beyond the factoring limit.
     """
-    field = p.field
     n = _at_least(p.degree, 1, "degree")
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    _check_factorable(field.q, n)
-    if p.coeffs[0] == 0:
-        return False  # divisible by z, so z is not invertible mod p
-    order = field.q ** n - 1
-    if field.q == 2:
-        bits = sum(c << j for j, c in enumerate(p.coeffs))
-        return _f2_is_primitive(bits, n, prime_factors(order))
-    one = [1] + [0] * (n - 1)
-    if n == 1:
-        z = [field.neg(p.coeffs[0])]
-    else:
-        z = [0, 1] + [0] * (n - 2)
-    if _residue_pow(field, z, order, p.coeffs) != one:
-        return False
-    for rho in prime_factors(order):
-        if _residue_pow(field, z, order // rho, p.coeffs) == one:
-            return False
-    return True
+    factors = prime_factors(p.field.q ** n - 1)
+    # p(0) = 0: divisible by z, so z is not invertible mod p
+    return p.coeffs[0] != 0 and _z_generates(p.field, p.coeffs, factors)
 
 
 def find_primitive(field: Field, n: int) -> Poly:
     """First primitive monic polynomial of degree n, ordered by comparing
     coefficient tuples from the leading coefficient down.
 
-    Over F_2 the scan runs on packed ints (1 << n) | i in ascending i and
-    factors 2^n - 1 once; it skips p(0) = 0 and, for n >= 2, polynomials
-    with an even number of terms, which z + 1 divides.
+    q^n - 1 is factored once. Over F_2 the scan runs on packed ints
+    (1 << n) | i in ascending i; it skips p(0) = 0 and, for n >= 2,
+    polynomials with an even number of terms, which z + 1 divides.
     """
     n = _at_least(n, 1, "degree")
     q = field.q
-    _check_factorable(q, n)
+    factors = prime_factors(q ** n - 1)
     if q == 2:
-        factors = prime_factors(2 ** n - 1)
         for i in range(1, 2 ** n, 2):
             if n > 1 and i.bit_count() % 2:
                 continue
@@ -354,9 +345,8 @@ def find_primitive(field: Field, n: int) -> Poly:
     else:
         for i in range(q ** n):
             coeffs = tuple((i // q ** j) % q for j in range(n)) + (1,)
-            p = Poly(field, coeffs)
-            if is_primitive(p):
-                return p
+            if coeffs[0] and _z_generates(field, coeffs, factors):
+                return Poly(field, coeffs)
     raise RuntimeError("no primitive polynomial found")  # cannot happen
 
 

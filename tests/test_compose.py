@@ -608,3 +608,26 @@ def test_residue_counters_fingerprint():
             words.append(tuple(w))
         steps(c, words)
     assert h.hexdigest() == RESIDUE_FINGERPRINT
+
+
+# SHA-256 of general_counter's choice on every even m in 2..24 and n in
+# 3..24: the recipe and claims, or the error it raises
+GENERAL_GRID_SHA256 = "1405b951a1af7867d47d3c5a2cdf1464d3837212304a04e35108d1bd03bb8327"
+
+
+def test_general_counter_width_choice_pinned_on_a_grid():
+    import hashlib
+    import json
+
+    h = hashlib.sha256()
+    for m in range(2, 25, 2):
+        for n in range(3, 25):
+            try:
+                c = general_counter(m, n)
+            except Exception as e:
+                item = (m, n, type(e).__name__, str(e))
+            else:
+                item = (m, n, json.dumps(c.recipe, sort_keys=True), c.claimed_reads,
+                        c.claimed_writes, c.claimed_length)
+            h.update(repr(item).encode())
+    assert h.hexdigest() == GENERAL_GRID_SHA256

@@ -243,6 +243,20 @@ def test_dat_eval_bit_flip():
     assert out == (0,) and st_ == StepStats(1, 1)
 
 
+NESTED = Query(0, (Assign(((0, 1),)), Query(1, (Assign(()), Assign(((1, 0),))))))
+
+
+@pytest.mark.parametrize("tree,word,coord", [
+    (FLIP, (-1,), 1), (FLIP, (2,), 1), (FLIP, (), 1),
+    (NESTED, (1, -1), 2), (NESTED, (1, 2), 2), (NESTED, (1,), 2)],
+    ids=["flip-1", "flip2", "flip-short", "nested-1", "nested2", "nested-short"])
+def test_dat_eval_rejects_a_word_with_no_branch(tree, word, coord):
+    # a digit -1 once followed the last child; 2 or a short word raised IndexError
+    with pytest.raises(ValueError, match=re.escape(
+            f"word {word} has no branch at coordinate {coord}")):
+        dat_eval(tree, word)
+
+
 def test_dat_eval_gray_example():
     tree = materialize(gray_counter(3, 2).next_tape, Domain.uniform(3, 2))
     out, st_ = dat_eval(tree, (2, 0))

@@ -225,6 +225,13 @@ def test_primitive_search_refuses_past_factoring_limit(q, n):
         is_primitive(Poly(f, (1,) * (n + 1)))
 
 
+def test_is_primitive_refuses_past_factoring_limit_whatever_p0():
+    # the limit is checked before p(0) = 0 would answer False
+    with pytest.raises(BoundExceeded, match="refusing to factor 562949953421311: "
+                       "past the factoring limit 2"):
+        is_primitive(Poly(Field(2), (0,) * 49 + (1,)))
+
+
 def test_companion_matrix_frozen():
     f2, f3 = Field(2), Field(3)
     assert companion_matrix(find_primitive(f2, 2)) == [[1, 1], [1, 0]]
@@ -327,6 +334,19 @@ def test_row_op_count_bound_f2():
     assert counts == [2, 5, 8, 11, 14, 17, 24, 23, 26]
     for n, k in zip(range(2, 11), counts):
         assert k <= n * n + 4 * (n - 1)
+
+
+def test_row_op_count_at_least_the_width():
+    # k row operations fix a subspace of dimension at least n - k, and a
+    # primitive companion matrix of degree n >= 2 fixes only 0, so k >= n:
+    # general_counter skips any pointer of fewer than n words on this bound.
+    # F_2 at n = 1 is the exception: z + 1 is the identity, no operations
+    assert row_op_count(Field(2), 1) == 0
+    for n in range(2, 49):  # every inner width general_counter can probe
+        assert row_op_count(Field(2), n) >= n, n
+    for q in (3, 4, 5, 7):
+        for n in range(1, 7):
+            assert row_op_count(Field(q), n) >= n, (q, n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 4])
