@@ -299,7 +299,10 @@ def multiplicative_order(o: int) -> int:
     """The order of 2 modulo o."""
     if (o := _at_least(o, 1, "modulus")) % 2 == 0:
         raise ValueError(f"2 is not invertible modulo {o}")
-    return next(e for e in itertools.count(1) if pow(2, e, o) == 1 % o)
+    e, x = 1, 2 % o
+    while x != 1 % o:
+        e, x = e + 1, x * 2 % o
+    return e
 
 
 class _MixedTape:

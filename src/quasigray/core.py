@@ -118,18 +118,10 @@ class StepStats(NamedTuple):
     writes: int
 
 
-class _Costs(dict):
-    """(reads, writes) -> the StepStats every step of that cost returns,
-    made on first use. A step then allocates no cost: the cyclic collector
-    never untracks a tuple subclass, so every cost a caller kept would add
-    to its work."""
-
-    def __missing__(self, key: tuple[int, int]) -> StepStats:
-        st = self[key] = tuple.__new__(StepStats, key)
-        return st
-
-
-_STATS = _Costs()
+# (reads, writes) -> the StepStats every step of that cost returns, made on
+# first use. A step then allocates no cost: the cyclic collector never
+# untracks a tuple subclass, so every cost a caller kept would add to its work.
+_cost = functools.cache(StepStats)
 
 
 class Tape:
@@ -177,7 +169,7 @@ class Tape:
         return tuple(self.cells)
 
     def stats(self) -> StepStats:
-        return _STATS[len(self.reads), self.writes]
+        return _cost(len(self.reads), self.writes)
 
 
 def tape_step(fn, word) -> tuple[tuple[int, ...], StepStats]:
@@ -185,7 +177,7 @@ def tape_step(fn, word) -> tuple[tuple[int, ...], StepStats]:
     Tape over word: the observed form of a counter step."""
     tape = Tape(word)
     fn(tape)
-    return tuple(tape.cells), _STATS[len(tape.reads), tape.writes]
+    return tuple(tape.cells), _cost(len(tape.reads), tape.writes)
 
 
 def apply_word(step, word) -> tuple[int, ...]:
@@ -283,7 +275,7 @@ def dat_eval(tree, word) -> tuple[tuple[int, ...], StepStats]:
     for coord, value in node.assignments:
         cells[coord] = value
         writes += 1
-    return tuple(cells), _STATS[reads, writes]
+    return tuple(cells), _cost(reads, writes)
 
 
 def dat_read_complexity(tree) -> int:

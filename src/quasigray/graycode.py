@@ -36,7 +36,7 @@ whose clock is a cycle_compose pointer.
 
 from __future__ import annotations
 
-from .core import _STATS, Counter, Domain, _integer
+from .core import Counter, Domain, _cost, _integer
 
 
 def _check(m: int, r: int, word=None) -> None:
@@ -135,7 +135,7 @@ def _gray_tape_step(m: int, r: int, stop: int, delta: int):
     next, 0 and -1 for prev): a tape step function whose word_step
     attribute is its word path."""
     cells = range(r - 1, -1, -1)
-    cost = _STATS[r, 1]
+    cost = _cost(r, 1)
 
     def tape_fn(tape) -> None:
         w = tape.read_cells(cells)

@@ -3,7 +3,8 @@
 A primitive polynomial's companion matrix cycles through every nonzero
 vector of F_q^n. Factoring the matrix into single-row operations and driving
 those with a Gray-code pointer gives a counter of length q^(n+r) - q^r that
-reads r+2 and writes 2 cells per step.
+reads r+2 and writes 2 cells per step. The companion counter runs all of
+those row operations in one step, the baseline that rewrites all n cells.
 
 The primitivity test has two paths. Over F_2 a polynomial is a Python int,
 bit i holding the coefficient of z^i, and residues are squared and shifted
@@ -369,51 +370,6 @@ def mat_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(field: Field, a, b) -> list[list[int]]:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for t in range(n):
-            v = a[i][t]
-            if v == 0:
-                continue
-            row = b[t]
-            oi = out[i]
-            for j in range(n):
-                if row[j]:
-                    oi[j] = field.add(oi[j], field.mul(v, row[j]))
-    return out
-
-
-def mat_vec(field: Field, a, x) -> list[int]:
-    out = []
-    for row in a:
-        v = 0
-        for c, xi in zip(row, x):
-            if c and xi:
-                v = field.add(v, field.mul(c, xi))
-        out.append(v)
-    return out
-
-
-def mat_inverse(field: Field, a) -> list[list[int]]:
-    n = len(a)
-    work = [row[:] + ident[:] for row, ident in zip(a, mat_identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = field.inv(work[col][col])
-        work[col] = [field.mul(pv, v) for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                c = work[r][col]
-                work[r] = [field.sub(v, field.mul(c, w))
-                           for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
 def _times(field: Field, k: int) -> Callable[[int], int]:
     """x -> field.mul(k, x) for any int x, from a table of the q products
     when x is a field element."""
@@ -568,10 +524,15 @@ def decompose_elementary(a, field: Field) -> list:
     return [op.inverse() for op in reversed(ops)]
 
 
-@functools.lru_cache(maxsize=None)
 def _companion_ops(q: int, n: int) -> tuple[Poly, tuple]:
     """The first primitive polynomial of degree n over F_q and the row
-    operations of its companion matrix, built once per (q, n)."""
+    operations of its companion matrix, built once per (q, n). n is checked
+    before the cache, where 3.0 and True would find (q, 3) and (q, 1)."""
+    return _companion_ops_of(q, _at_least(n, 1, "degree"))
+
+
+@functools.lru_cache(maxsize=None)
+def _companion_ops_of(q: int, n: int) -> tuple[Poly, tuple]:
     field = Field(q)
     p = find_primitive(field, n)
     return p, tuple(decompose_elementary(companion_matrix(p), field))
@@ -610,22 +571,23 @@ def linear_counter(field: Field, n: int, r: int | None = None) -> Counter:
 
 def companion_counter(field: Field, n: int) -> Counter:
     """Counter applying the companion matrix once per step, visiting every
-    nonzero vector of F_q^n. Reads and writes all n cells."""
-    p = find_primitive(field, n)
-    mat = companion_matrix(p)
-    mat_inv = mat_inverse(field, mat)
-    domain = Domain.uniform(field.q, n)
+    nonzero vector of F_q^n: linear_counter's row operations all run on one
+    read of the n cells, their inverses in reverse for prev. Reads and
+    writes all n cells."""
+    p, ops = _companion_ops(field.q, n)
 
-    def make(m):
+    def make(fns):
         def fn(tape):
-            x = [tape.read(i) for i in range(n)]
-            y = mat_vec(field, m, x)
+            x = list(tape.read_cells(range(n)))
+            for f in fns:
+                f(x)
             for i in range(n):
-                tape.write(i, y[i])
+                tape.write(i, x[i])
         return fn
 
-    return Counter(domain, make(mat), make(mat_inv), field.q ** n - 1,
-                   (0,) * (n - 1) + (1,),
+    return Counter(Domain.uniform(field.q, n), make([op.word_fn() for op in ops]),
+                   make([op.inverse().word_fn() for op in reversed(ops)]),
+                   field.q ** n - 1, (0,) * (n - 1) + (1,),
                    claimed_reads=n, claimed_writes=n,
                    recipe={"kind": "companion", "q": field.q, "n": n,
                            "polynomial": str(p)})

@@ -18,12 +18,13 @@ from quasigray.graycode import (gray_counter, gray_next, gray_prev, gray_rank,
 from quasigray.linear import (AddRow, Field, Scale, companion_counter,
                               companion_matrix, decompose_elementary,
                               find_primitive, linear_counter, mat_identity,
-                              mat_inverse, row_op_count)
+                              row_op_count)
 from quasigray.permdecomp import (RFunction, cycle_isolation_check,
                                   decompose_boundary, decompose_indicator,
                                   make_alpha, odd_counter)
 from quasigray.verify import audit, cycle_lengths, densify, perm_equal, \
     search_hierarchical
+from matrices import mat_inverse
 
 
 def _base_grid():

@@ -10,9 +10,10 @@ from quasigray.core import Domain, StepStats, measure_counter, tape_step
 from quasigray.graycode import gray_counter, gray_rank, gray_unrank
 from quasigray.linear import (Field, companion_counter, companion_matrix,
                               decompose_elementary, find_primitive,
-                              linear_counter, mat_vec)
+                              linear_counter)
 from quasigray.permdecomp import odd_counter
 from quasigray.verify import audit
+from matrices import mat_vec
 
 
 def _companion_steps(n):
@@ -273,6 +274,15 @@ def test_multiplicative_order():
         multiplicative_order(6)
     with pytest.raises(ValueError):
         multiplicative_order(0)
+
+
+def test_multiplicative_order_agrees_with_pow_brute_force():
+    # a running product of 2s: O(ord) multiplications, so an order near
+    # 5 * 10^5 comes back at once
+    assert multiplicative_order(999983) == 499991
+    for o in range(1, 500, 2):
+        assert multiplicative_order(o) == next(
+            e for e in range(1, o + 1) if pow(2, e, o) == 1 % o)
 
 
 def test_general_counter_recipe_even_radix_with_odd_part():

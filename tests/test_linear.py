@@ -10,8 +10,8 @@ from quasigray.linear import (AddRow, Field, Poly, Scale, _F2_MODULI,
                               companion_counter, companion_matrix,
                               decompose_elementary, find_primitive,
                               is_primitive, linear_counter, mat_identity,
-                              mat_inverse, mat_mul, mat_vec, prime_factors,
-                              row_op_count)
+                              prime_factors, row_op_count)
+from matrices import mat_inverse, mat_mul, mat_vec
 
 
 def test_prime_factors_small():
@@ -262,6 +262,33 @@ def test_companion_counter_cycles_nonzero_vectors(q, n):
     rep = measure_counter(c)
     assert rep.closed and rep.distinct
     assert rep.observed_length == q ** n - 1
+
+
+@pytest.mark.parametrize("q,n", [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 6)]
+                         + [(q, n) for q in (4, 5) for n in range(1, 5)])
+def test_companion_steps_match_matrix_oracle(q, n):
+    # every word, not only the orbit: next is C x and prev is C^-1 x, both
+    # at cost (n, n), with C built from the polynomial, not the row operations
+    f = Field(q)
+    c = companion_counter(f, n)
+    mat = companion_matrix(find_primitive(f, n))
+    inv = mat_inverse(f, mat)
+    for x in c.domain.words():
+        assert c.next(x) == (tuple(mat_vec(f, mat, x)), (n, n))
+        assert c.prev(x) == (tuple(mat_vec(f, inv, x)), (n, n))
+    assert c.recipe["polynomial"] == linear_counter(f, n).recipe["polynomial"]
+
+
+@pytest.mark.parametrize("warm,call", [
+    (lambda: row_op_count(Field(2), 3), lambda: row_op_count(Field(2), 3.0)),
+    (lambda: row_op_count(Field(2), 1), lambda: row_op_count(Field(2), True)),
+    (lambda: linear_counter(Field(2), 3), lambda: companion_counter(Field(2), 3.0)),
+], ids=["row-ops-float", "row-ops-bool", "companion-float"])
+def test_degree_check_does_not_depend_on_the_cache(warm, call):
+    # the cache key (2, 3) equals (2, 3.0), and (2, 1) equals (2, True)
+    warm()
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        call()
 
 
 def test_mat_inverse():
