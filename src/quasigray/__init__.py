@@ -16,12 +16,12 @@ from .linear import (AddRow, Field, Poly, Scale, companion_counter,
                      companion_matrix, decompose_elementary, find_primitive,
                      is_primitive, linear_counter, prime_factors)
 from .permdecomp import (DecompositionPlan, RFunction, build_plan,
-                         cycle_isolation_check, decompose_boundary,
-                         decompose_indicator, make_alpha, min_width,
-                         odd_counter, plan_size, rfunction_to_dat)
+                         decompose_boundary, decompose_indicator, make_alpha,
+                         min_width, odd_counter, plan_size, rfunction_to_dat)
 from .compose import (StepList, crt_compose, cycle_compose, general_counter,
                       multiplicative_order, stitch_radix)
-from .verify import (AuditReport, DensePermutation, audit, cycle_lengths,
-                     densify, perm_equal, search_hierarchical)
+from .verify import (AuditReport, DensePermutation, audit,
+                     cycle_isolation_check, cycle_lengths, densify, perm_equal,
+                     search_hierarchical)
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ class BoundExceeded(RuntimeError):
 
 
 def _integer(x, what: str) -> int:
-    """operator.index(x), so numpy integers pass; a bool, or anything
-    operator.index refuses, raises ValueError naming what."""
+    """operator.index(x), so any integer type with __index__ passes; a bool,
+    or anything operator.index refuses, raises ValueError naming what."""
     if type(x) is int:  # the common case, checked first: set-up runs this often
         return x
     if type(x) is not bool:
@@ -184,6 +184,19 @@ def apply_word(step, word) -> tuple[int, ...]:
     """The word step.apply_tape leaves on a fresh tape over word: the word
     form of a primitive step, from the same code the counters run."""
     return tape_step(step.apply_tape, word)[0]
+
+
+class _Primitive:
+    """A step that rewrites one cell: RFunction, Scale or AddRow. Each gives
+    apply_tape; shifted(d, inverse), itself or its inverse on coordinates d
+    higher; and word_fn(), apply_tape on a plain list of digits, changed in
+    place: the same arithmetic on any digits, with nothing counted."""
+
+    __slots__ = ()
+    apply = apply_word
+
+    def inverse(self):
+        return self.shifted(0, inverse=True)
 
 
 class OffsetTape:

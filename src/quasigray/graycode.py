@@ -48,11 +48,7 @@ def _check(m: int, r: int, word=None) -> None:
 
 def gray_unrank(i: int, m: int, r: int) -> tuple[int, ...]:
     _check(m, r)
-    if not 0 <= _integer(i, "rank") < m ** r:
-        raise ValueError(f"rank {i} out of range for m={m}, r={r}")
-    b = [0] * (r + 1)  # base-m digits of i, lowest first, and a 0 above
-    for j in range(r):
-        i, b[j] = divmod(i, m)
+    b = (*reversed(Domain.uniform(m, r).unrank(i)), 0)  # base-m digits, lowest first
     return tuple((b[j] - b[j + 1]) % m for j in range(r))
 
 

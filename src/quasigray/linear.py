@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .compose import StepList, cycle_compose
-from .core import BoundExceeded, Counter, Domain, _at_least, _integer, apply_word
+from .core import BoundExceeded, Counter, Domain, _Primitive, _at_least, _integer
 
 # One irreducible modulus over F_2 per extension degree, bit i holding the
 # coefficient of z^i. Degree 16 is as far as the field table goes.
@@ -118,6 +118,18 @@ def prime_factors(n: int) -> list[int]:
     return out + sorted(found)
 
 
+def _power(mul: Callable, a, e: int, one):
+    """a^e under the product mul with identity one, by square-and-multiply."""
+    e = _at_least(e, 0, "exponent")
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, a)
+        a = mul(a, a)
+        e >>= 1
+    return acc
+
+
 class Field:
     """F_q arithmetic with elements encoded as integers 0..q-1.
 
@@ -167,14 +179,7 @@ class Field:
         return acc
 
     def pow(self, a: int, e: int) -> int:
-        e = _at_least(e, 0, "exponent")
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return acc
+        return _power(self.mul, a, e, 1)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -250,14 +255,8 @@ def _residue_mul(field: Field, a: list[int], b: list[int], p) -> list[int]:
 
 
 def _residue_pow(field: Field, base: list[int], e: int, p) -> list[int]:
-    n = len(p) - 1
-    acc = [1] + [0] * (n - 1)
-    while e:
-        if e & 1:
-            acc = _residue_mul(field, acc, base, p)
-        base = _residue_mul(field, base, base, p)
-        e >>= 1
-    return acc
+    return _power(lambda a, b: _residue_mul(field, a, b, p), base, e,
+                  [1] + [0] * (len(p) - 2))
 
 
 def _f2_is_primitive(bits: int, n: int, factors: list[int]) -> bool:
@@ -381,7 +380,7 @@ def _times(field: Field, k: int) -> Callable[[int], int]:
 
 
 @dataclass(frozen=True)
-class Scale:
+class Scale(_Primitive):
     """Row operation x_i <- c * x_i."""
 
     field: Field
@@ -396,11 +395,7 @@ class Scale:
     def apply_tape(self, tape) -> None:
         tape.write(self.i, self.field.mul(self.c, tape.read(self.i)))
 
-    apply = apply_word
-
     def word_fn(self) -> Callable[[list], None]:
-        """apply_tape on a plain list of digits, changed in place: the same
-        arithmetic on any digits, with nothing counted."""
         i, times = self.i, _times(self.field, self.c)
 
         def f(c: list) -> None:
@@ -412,9 +407,6 @@ class Scale:
         return Scale(self.field, self.i + d,
                      self.field.inv(self.c) if inverse else self.c)
 
-    def inverse(self) -> "Scale":
-        return self.shifted(0, inverse=True)
-
     def matrix(self, n: int) -> list[list[int]]:
         mat = mat_identity(n)
         mat[self.i][self.i] = self.c
@@ -422,7 +414,7 @@ class Scale:
 
 
 @dataclass(frozen=True)
-class AddRow:
+class AddRow(_Primitive):
     """Row operation x_i <- x_i + c * x_j."""
 
     field: Field
@@ -440,11 +432,7 @@ class AddRow:
         v = self.field.mul(self.c, tape.read(self.j))
         tape.write(self.i, self.field.add(tape.read(self.i), v))
 
-    apply = apply_word
-
     def word_fn(self) -> Callable[[list], None]:
-        """apply_tape on a plain list of digits, changed in place: the same
-        arithmetic on any digits, with nothing counted."""
         i, j, q = self.i, self.j, self.field.q
         if self.field.modulus is None:
             k = self.c
@@ -462,9 +450,6 @@ class AddRow:
         """This operation, or its inverse, on rows i + d and j + d."""
         return AddRow(self.field, self.i + d, self.j + d,
                       self.field.neg(self.c) if inverse else self.c)
-
-    def inverse(self) -> "AddRow":
-        return self.shifted(0, inverse=True)
 
     def matrix(self, n: int) -> list[list[int]]:
         mat = mat_identity(n)

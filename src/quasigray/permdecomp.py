@@ -15,13 +15,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .compose import StepList, cycle_compose
-from .core import Counter, Domain, _at_least, _integer, apply_word, materialize
+from .core import Counter, Domain, _Primitive, _at_least, _integer, materialize
 
 
-class RFunction:
+class RFunction(_Primitive):
     """Adds table(sources) to the target coordinate, modulo m.
 
     Missing table entries mean add 0. Only the target cell ever changes and
@@ -86,11 +84,7 @@ class RFunction:
         target = self.target
         tape.write(target, (read(target) + self.table.get(args, 0)) % self.m)
 
-    apply = apply_word
-
     def word_fn(self) -> Callable[[list], None]:
-        """apply_tape on a plain list of digits, changed in place: the same
-        arithmetic on any digits, with nothing counted."""
         get, m, t, src = self.table.get, self.m, self.target, self.sources
         if len(src) == 1:
             (a,) = src
@@ -119,9 +113,6 @@ class RFunction:
         out.table = ({k: m - v for k, v in self.table.items()} if inverse
                      else self.table)
         return out
-
-    def inverse(self) -> "RFunction":
-        return self.shifted(0, inverse=True)
 
     def __repr__(self) -> str:
         src = ",".join(f"x{s + 1}" for s in self.sources)
@@ -181,44 +172,6 @@ def decompose_indicator(f: RFunction) -> list[RFunction]:
     la_inv = [g.inverse() for g in reversed(la)]
     lb_inv = [g.inverse() for g in reversed(lb)]
     return [gamma, *la, gamma_inv, *lb, gamma, *la_inv, gamma_inv, *lb_inv]
-
-
-def cycle_isolation_check(sigma: dict, tau: dict, ell: int) -> bool:
-    """Verify the interleaving identity for two ell-cycles that share
-    exactly one moved point: (sigma tau)^ell (tau sigma)^ell = sigma^2.
-
-    Permutations are dicts over their moved points; the check runs on dense
-    tables over the union of the two supports. Raises if either input is
-    not a permutation of its support or not a single ell-cycle, or the
-    supports overlap in more or fewer than one point; returns whether the
-    identity held.
-    """
-    from .verify import DensePermutation, cycle_lengths  # verify imports this module
-
-    ell = _integer(ell, "cycle length")
-    for perm in (sigma, tau):
-        if set(perm.values()) != set(perm):
-            raise ValueError("not a permutation of its support")
-    points = list(dict.fromkeys([*sigma, *tau]))
-    index = {x: i for i, x in enumerate(points)}
-    domain = Domain((len(points),))
-    single = [1] * (len(points) - ell) + [ell]
-    tables = []
-    for perm, name in ((sigma, "first"), (tau, "second")):
-        image = np.arange(len(points), dtype=np.int64)
-        image[[index[x] for x in perm]] = [index[y] for y in perm.values()]
-        if cycle_lengths(DensePermutation(domain, image)) != single:
-            raise ValueError(f"{name} permutation is not a single {ell}-cycle")
-        tables.append(image)
-    shared = set(sigma) & set(tau)
-    if len(shared) != 1:
-        raise ValueError(f"supports share {len(shared)} points, need exactly 1")
-    s, t = tables
-    st, ts = s[t], t[s]  # as tables, a[b] applies b first
-    lhs = np.arange(len(points), dtype=np.int64)
-    for table in [ts] * ell + [st] * ell:
-        lhs = table[lhs]
-    return bool(np.array_equal(lhs, s[s]))
 
 
 def decompose_boundary(i: int, m: int, n_inner: int) -> list[RFunction]:

@@ -1,5 +1,6 @@
-"""Brute-force oracles: dense permutation tables, orbit audits against
-claimed bounds, and the exhaustive search over hierarchical step trees."""
+"""Brute-force oracles: dense permutation tables, orbit audits against claimed
+bounds, the exhaustive search over hierarchical step trees, and
+cycle_isolation_check, the identity behind the odd boundary increments."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Assign, BoundExceeded, Counter, Domain, Query, _at_least,
-                   measure_counter)
+                   _integer, measure_counter)
 from .permdecomp import RFunction
 
 DENSIFY_LIMIT = 2 ** 24
@@ -35,18 +36,13 @@ class DensePermutation:
         return int(self.image[i])
 
 
-def _coordinate_digits(domain: Domain):
-    """Per-coordinate digit arrays for every rank, most significant first."""
-    weights = [math.prod(domain.radices[j + 1:]) for j in range(domain.n)]
-    idx = np.arange(domain.size, dtype=np.int64)
-    return [(idx // weights[j]) % domain.radices[j] for j in range(domain.n)], weights
-
-
 def _rfunction_image(f: RFunction, domain: Domain) -> np.ndarray:
     if domain.radices != (f.m,) * f.n:
         raise ValueError("domain does not match the function")
-    digits, weights = _coordinate_digits(domain)
     m = f.m
+    weights = [m ** (f.n - 1 - j) for j in range(f.n)]
+    idx = np.arange(domain.size, dtype=np.int64)
+    digits = [idx // w % m for w in weights]  # per coordinate, for every rank
     if f.r == 0:
         val = np.full(domain.size, f.table.get((), 0), dtype=np.int64)
     else:
@@ -57,12 +53,16 @@ def _rfunction_image(f: RFunction, domain: Domain) -> np.ndarray:
         val = lut[rank([digits[s] for s in f.sources])]
     dt = digits[f.target]
     new = (dt + val) % m
-    return np.arange(domain.size, dtype=np.int64) + (new - dt) * weights[f.target]
+    return idx + (new - dt) * weights[f.target]
 
 
 def _step_image(step, domain: Domain) -> np.ndarray:
     if isinstance(step, RFunction):
         return _rfunction_image(step, domain)
+    if isinstance(step, DensePermutation):
+        if step.domain != domain:
+            raise ValueError("domain does not match the permutation")
+        return step.image
     apply = step.apply if hasattr(step, "apply") else step
     imgs = np.empty(domain.size, dtype=np.int64)
     for idx, w in enumerate(domain.words()):
@@ -72,7 +72,8 @@ def _step_image(step, domain: Domain) -> np.ndarray:
 
 def densify(obj, domain: Domain) -> DensePermutation:
     """Tabulate a permutation of the domain given as a counter, a single
-    step, a word function, or a list of steps applied first to last."""
+    step, a word function, or a list of steps (DensePermutations over the
+    domain among them) applied first to last."""
     if domain.size > DENSIFY_LIMIT:
         raise BoundExceeded(f"domain size {domain.size} exceeds 2^24")
     if isinstance(obj, (list, tuple)):
@@ -107,6 +108,38 @@ def cycle_lengths(perm: DensePermutation) -> list[int]:
             ln += 1
         out.append(ln)
     return sorted(out)
+
+
+def cycle_isolation_check(sigma: dict, tau: dict, ell: int) -> bool:
+    """Verify the interleaving identity for two ell-cycles that share
+    exactly one moved point: (sigma tau)^ell (tau sigma)^ell = sigma^2.
+
+    Permutations are dicts over their moved points, densified over one
+    cell that ranges over the union of the supports. Raises if either is
+    not a permutation of its support or not a single ell-cycle, or the
+    supports share more or fewer than one point; returns whether the
+    identity held.
+    """
+    ell = _integer(ell, "cycle length")
+    for perm in (sigma, tau):
+        if set(perm.values()) != set(perm):
+            raise ValueError("not a permutation of its support")
+    points = list(dict.fromkeys([*sigma, *tau]))
+    index = {x: i for i, x in enumerate(points)}
+    domain = Domain((len(points),))
+    single = [1] * (len(points) - ell) + [ell]
+    perms = []
+    for perm, name in ((sigma, "first"), (tau, "second")):
+        image = [index[perm.get(x, x)] for x in points]
+        perms.append(densify(lambda w, image=image: (image[w[0]],), domain))
+        if cycle_lengths(perms[-1]) != single:
+            raise ValueError(f"{name} permutation is not a single {ell}-cycle")
+    shared = set(sigma) & set(tau)
+    if len(shared) != 1:
+        raise ValueError(f"supports share {len(shared)} points, need exactly 1")
+    s, t = perms
+    # densify runs a list first to last, so [s, t] is tau sigma
+    return perm_equal(densify([s, t] * ell + [t, s] * ell, domain), densify([s, s], domain))
 
 
 @dataclass

@@ -19,11 +19,10 @@ from quasigray.linear import (AddRow, Field, Scale, companion_counter,
                               companion_matrix, decompose_elementary,
                               find_primitive, linear_counter, mat_identity,
                               row_op_count)
-from quasigray.permdecomp import (RFunction, cycle_isolation_check,
-                                  decompose_boundary, decompose_indicator,
-                                  make_alpha, odd_counter)
-from quasigray.verify import audit, cycle_lengths, densify, perm_equal, \
-    search_hierarchical
+from quasigray.permdecomp import (RFunction, decompose_boundary,
+                                  decompose_indicator, make_alpha, odd_counter)
+from quasigray.verify import audit, cycle_isolation_check, cycle_lengths, densify, \
+    perm_equal, search_hierarchical
 from matrices import mat_inverse
 
 

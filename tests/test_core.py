@@ -17,10 +17,9 @@ from quasigray.graycode import gray_counter, gray_unrank
 from quasigray.linear import (AddRow, Field, Poly, Scale, companion_counter,
                               companion_matrix, find_primitive, is_primitive,
                               linear_counter, prime_factors)
-from quasigray.permdecomp import (RFunction, build_plan, cycle_isolation_check,
-                                  decompose_boundary, make_alpha, odd_counter,
-                                  plan_size)
-from quasigray.verify import audit, densify, search_hierarchical
+from quasigray.permdecomp import (RFunction, build_plan, decompose_boundary,
+                                  make_alpha, odd_counter, plan_size)
+from quasigray.verify import audit, cycle_isolation_check, densify, search_hierarchical
 
 
 def test_domain_basics():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasigray.core import BoundExceeded, Tape, measure_counter
 from quasigray.linear import (AddRow, Field, Poly, Scale, _F2_MODULI,
-                              _f2_is_primitive, _residue_pow,
+                              _f2_is_primitive, _residue_mul, _residue_pow,
                               companion_counter, companion_matrix,
                               decompose_elementary, find_primitive,
                               is_primitive, linear_counter, mat_identity,
@@ -471,3 +471,29 @@ def test_linear_counter_prev_roundtrip():
 def test_linear_counter_pointer_too_small():
     with pytest.raises(ValueError):
         linear_counter(Field(2), 3, r=1)  # 5 ops need at least 3 pointer bits
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16])
+def test_field_pow_is_the_repeated_product(q):
+    f = Field(q)
+    for a in f.elements():
+        acc = 1
+        for e in range(2 * q + 2):
+            assert f.pow(a, e) == acc, (a, e)
+            acc = f.mul(acc, a)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_residue_pow_is_the_repeated_residue_product(q):
+    f = Field(q)
+    p = find_primitive(f, 3).coeffs
+    for base in ([0, 1, 0], [2, 0, 1], [1, 1, 1]):
+        acc = [1, 0, 0]
+        for e in range(40):
+            assert _residue_pow(f, base, e, p) == acc, (base, e)
+            acc = _residue_mul(f, acc, base, p)
+
+
+def test_field_pow_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="exponent must be at least 0"):
+        Field(3).pow(2, -1)

@@ -6,9 +6,9 @@ import pytest
 from quasigray.core import Domain, Tape, measure_counter
 from quasigray.core import dat_read_complexity, dat_write_complexity
 from quasigray.permdecomp import (DecompositionPlan, RFunction, _increment_size, build_plan,
-                                  cycle_isolation_check, decompose_boundary,
-                                  decompose_indicator, make_alpha, min_width,
-                                  odd_counter, plan_size, rfunction_to_dat)
+                                  decompose_boundary, decompose_indicator, make_alpha,
+                                  min_width, odd_counter, plan_size, rfunction_to_dat)
+from quasigray.verify import cycle_isolation_check
 
 
 def test_rfunction_validation():

@@ -12,8 +12,8 @@ from quasigray.linear import Field, Scale, companion_counter, linear_counter
 from quasigray.permdecomp import (RFunction, decompose_indicator, make_alpha,
                                   odd_counter)
 from quasigray.verify import (DensePermutation, SEARCH_DOMAIN_LIMIT, audit,
-                              cycle_lengths, densify, perm_equal,
-                              _leaf_map_form, search_hierarchical)
+                              cycle_isolation_check, cycle_lengths, densify,
+                              perm_equal, _leaf_map_form, search_hierarchical)
 
 
 def test_densify_counter():
@@ -40,6 +40,24 @@ def test_densify_list_composes_in_order():
     w = (0, 1, 2, 0)
     assert both.apply_rank(d.rank(w)) == d.rank(g.apply(f.apply(w)))
     assert both.is_bijection()
+
+
+def test_densify_list_takes_dense_permutations():
+    d = Domain.uniform(3, 4)
+    f, g = make_alpha(2, 3, 4), make_alpha(3, 3, 4)
+    pf, pg = densify(f, d), densify(g, d)
+    assert perm_equal(densify([pf, g, pg, f], d), densify([f, g, g, f], d))
+    with pytest.raises(ValueError, match="domain does not match the permutation"):
+        densify([densify(gray_counter(3, 3), Domain.uniform(3, 3))], d)
+
+
+def test_cycle_isolation_check_on_long_cycles():
+    # 2,001 points: the left side composes 4 * 1001 dense tables
+    ell = 1001
+    sigma = {i: (i + 1) % ell for i in range(ell)}
+    path = [0, *range(ell, 2 * ell - 1)]
+    tau = {path[i]: path[(i + 1) % ell] for i in range(ell)}
+    assert cycle_isolation_check(sigma, tau, ell)
 
 
 def test_densify_decomposition_equivalence():
