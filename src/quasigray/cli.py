@@ -10,7 +10,8 @@ import os
 import sys
 
 from .compose import crt_compose, general_counter
-from .core import BoundExceeded, dat_to_json, word_format, word_parse
+from .core import (BoundExceeded, _format_words, dat_to_json, word_format,
+                   word_parse)
 from .graycode import gray_counter
 from .linear import Field, Scale, _companion_ops, companion_counter, linear_counter
 from .permdecomp import build_plan, odd_counter
@@ -22,7 +23,10 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 
 DEFAULT_STEP_CAP = 2 ** 27
-# words gen formats before one write to stdout
+# words gen formats before one write to stdout; core._format_words turns a
+# chunk into text in one bytes pass when every radix is at most 10 and no
+# digit is out of 0..9, else word by word through the template, with the
+# same bytes either way
 GEN_CHUNK = 1024
 
 
@@ -122,12 +126,11 @@ def _cmd_gen(args) -> int:
     step = counter.prev if args.dir == "prev" else counter.next
     write = sys.stdout.write
     for lo in range(0, emit, GEN_CHUNK):
-        lines = []
+        words = []
         for _ in range(min(GEN_CHUNK, emit - lo)):
-            lines.append(word_format(w, counter.domain))
+            words.append(w)
             w, _stats = step(w)
-        lines.append("")
-        write("\n".join(lines))
+        write(_format_words(words, counter.domain))
     if capped:
         print(f"stopped after {emit} of {limit} words; raise QGC_MAX_STEPS "
               f"or pass --unbounded", file=sys.stderr)

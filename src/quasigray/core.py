@@ -596,4 +596,30 @@ def word_parse(text: str, domain: Domain) -> tuple[int, ...]:
 
 
 def word_format(word, domain: Domain) -> str:
+    """The text form of a word: domain.template filled with its digits.
+    gen prints its words a chunk at a time through _format_words, which
+    calls this per word only when the domain has a separator or a digit is
+    out of 0..9, and otherwise gives the same bytes in one pass."""
     return domain.template % tuple(word)
+
+
+# digit bytes 0..9 become '0'..'9' and 0xff a newline; any other byte becomes
+# 0x80, on which the ascii decode raises
+_DIGIT_TEXT = bytes(range(48, 58)) + b"\x80" * 245 + b"\n"
+
+
+def _format_words(words, domain: Domain) -> str:
+    """The text of a list of words, each as word_format gives it and followed
+    by a newline. On a domain with no separator (every radix at most 10) the
+    whole list is turned into text in one bytes pass; a digit outside 0..9
+    makes that pass raise or fail its line count, and then, as on a domain
+    with a separator, each word goes through word_format. Both paths give
+    the same text."""
+    if not domain.separator:
+        try:
+            raw = b"\xff".join([*map(bytes, words), b""])
+            if raw.count(0xff) == len(words):  # else a digit 255 reads as a line end
+                return raw.translate(_DIGIT_TEXT).decode("ascii")
+        except (TypeError, ValueError):  # a digit bytes() or the decode refuses
+            pass
+    return "".join([word_format(w, domain) + "\n" for w in words])

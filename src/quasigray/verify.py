@@ -42,7 +42,6 @@ def _rfunction_image(f: RFunction, domain: Domain) -> np.ndarray:
     m = f.m
     weights = [m ** (f.n - 1 - j) for j in range(f.n)]
     idx = np.arange(domain.size, dtype=np.int64)
-    digits = [idx // w % m for w in weights]  # per coordinate, for every rank
     if f.r == 0:
         val = np.full(domain.size, f.table.get((), 0), dtype=np.int64)
     else:
@@ -50,8 +49,10 @@ def _rfunction_image(f: RFunction, domain: Domain) -> np.ndarray:
         lut = np.zeros(m ** f.r, dtype=np.int64)
         for args, v in f.table.items():
             lut[rank(args)] = v
-        val = lut[rank([digits[s] for s in f.sources])]
-    dt = digits[f.target]
+        # digit arrays of the sources and the target only: the other
+        # coordinates stay as they are
+        val = lut[rank([idx // weights[s] % m for s in f.sources])]
+    dt = idx // weights[f.target] % m
     new = (dt + val) % m
     return idx + (new - dt) * weights[f.target]
 

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from quasigray import cli
+from quasigray import cli, core
 from quasigray.cli import main
-from quasigray.core import word_format, word_parse
+from quasigray.core import Counter, Domain, StepStats, word_format, word_parse
 
 
 def run(capsys, *argv):
@@ -73,6 +73,8 @@ GEN_RUNS = [
     ["gen", "--kind", "base", "--m", "12", "--n", "2", "--dir", "prev"],
     ["gen", "--kind", "odd", "--m", "3", "--n", "11", "--limit", "3000"],
     ["gen", "--kind", "base", "--m", "3", "--n", "2", "--limit", "0"],
+    ["gen", "--kind", "base", "--m", "10", "--n", "3", "--limit", "1500"],
+    ["gen", "--kind", "base", "--m", "11", "--n", "2"],
 ]
 
 
@@ -90,6 +92,47 @@ def test_gen_writes_the_bytes_of_one_line_per_word(capsys, monkeypatch, argv, ch
         want.append(word_format(w, counter.domain) + "\n")
         w, _ = step(w)
     assert code == 0 and err == "" and out == "".join(want)
+
+
+# a cycle over Z_10^2 whose step also writes digits out of range: 10 and 255
+# (bytes with no digit text), -1 (no byte at all) and 2.5 (no integer)
+_BAD_CYCLE = [(0, 0), (10, 1), (1, 1), (-1, 2), (2, 2), (255, 3), (3, 3), (2.5, 4),
+              (9, 9)]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, cli.GEN_CHUNK])
+def test_gen_prints_out_of_range_digits_as_word_format(capsys, monkeypatch, chunk):
+    after = dict(zip(_BAD_CYCLE, _BAD_CYCLE[1:] + _BAD_CYCLE[:1]))
+
+    def broken(args):
+        def step(tape):
+            raise AssertionError("gen steps through the word path")
+        step.word_step = lambda w: (after[tuple(w)], StepStats(1, 1))
+        return Counter(Domain.uniform(10, 2), step, step, len(_BAD_CYCLE), (0, 0))
+
+    monkeypatch.setattr(cli, "_build_counter", broken)
+    monkeypatch.setattr(cli, "GEN_CHUNK", chunk)
+    code, out, err = run(capsys, "gen", "--kind", "base", "--m", "10", "--n", "2",
+                         "--limit", "20")
+    want = (_BAD_CYCLE * 3)[:20]
+    assert code == 0 and err == ""
+    assert out == "".join(word_format(w, Domain.uniform(10, 2)) + "\n" for w in want)
+    assert out.splitlines()[:9] == ["00", "101", "11", "-12", "22", "2553", "33", "24",
+                                    "99"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "odd", "--m", "3", "--n", "11", "--limit", "3000"],
+    ["gen", "--kind", "base", "--m", "10", "--n", "3", "--limit", "1500"],
+], ids=" ".join)
+def test_gen_formats_clean_words_with_no_separator_in_one_pass(capsys, monkeypatch,
+                                                               argv):
+    def per_word(word, domain):
+        raise AssertionError("a chunk of in-range digits went through the template")
+
+    monkeypatch.setattr(core, "word_format", per_word)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.count("\n") == int(argv[-1])
 
 
 def test_gen_cap_message_follows_every_word(monkeypatch):

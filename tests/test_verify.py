@@ -31,6 +31,17 @@ def test_densify_rfunction_matches_generic_path():
     assert fast.is_bijection()
 
 
+@pytest.mark.parametrize("sources,target,table", [
+    ((), 2, {(): 1}),
+    ((4,), 1, {(0,): 1, (2,): 2}),
+    ((4, 1), 2, {(0, 1): 1, (2, 0): 2, (1, 2): 1}),
+], ids=["r0", "r1-source-above-target", "r2-descending-sources"])
+def test_densify_rfunction_reads_only_its_sources_and_target(sources, target, table):
+    d = Domain.uniform(3, 5)
+    f = RFunction(3, 5, sources, target, table)
+    assert perm_equal(densify(f, d), densify(f.apply, d))
+
+
 def test_densify_list_composes_in_order():
     d = Domain.uniform(3, 4)
     f = make_alpha(2, 3, 4)
