@@ -23,9 +23,12 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 
 DEFAULT_STEP_CAP = 2 ** 27
-# words gen formats before one write to stdout; core._format_words turns a
-# chunk into text in one bytes pass when every radix is at most 10 and no
-# digit is out of 0..9, else word by word through the template, with the
+# words gen steps with one Counter.walk call and formats before one write to
+# stdout. The walk decodes a Gray or cycle_compose pointer once per chunk and
+# then steps by rank (a pointer digit out of range, a pointer past the table
+# bound or a stitch counter iterates next or prev instead); core._format_words
+# turns a chunk into text in one bytes pass when every radix is at most 10 and
+# no digit is out of 0..9, else word by word through the template, with the
 # same bytes either way
 GEN_CHUNK = 1024
 
@@ -123,14 +126,11 @@ def _cmd_gen(args) -> int:
     cap = _step_cap(args)
     capped = cap is not None and limit > cap
     emit = cap if capped else limit
-    step = counter.prev if args.dir == "prev" else counter.next
     write = sys.stdout.write
     for lo in range(0, emit, GEN_CHUNK):
-        words = []
-        for _ in range(min(GEN_CHUNK, emit - lo)):
-            words.append(w)
-            w, _stats = step(w)
-        write(_format_words(words, counter.domain))
+        after = counter.walk(w, min(GEN_CHUNK, emit - lo), args.dir)
+        write(_format_words([w, *after[:-1]], counter.domain))
+        w = after[-1]
     if capped:
         print(f"stopped after {emit} of {limit} words; raise QGC_MAX_STEPS "
               f"or pass --unbounded", file=sys.stderr)

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Counter, Domain, OffsetTape, Tape, _at_least, _integer, tape_step
+from .core import (Counter, Domain, OffsetTape, Tape, _at_least, _integer, _iterate,
+                   tape_step)
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
 from .graycode import gray_rank, gray_scan, gray_unrank  # noqa: F401
@@ -50,9 +51,10 @@ def _tape_cost(step, word, got, out):
     return out[1]
 
 
-def _word_step(tape_fn, pointer: dict, project, r: int):
-    """The word path of tape_fn, a cycle_compose step over a pointer of r
-    cells: a function of a word giving what tape_step(tape_fn, word) gives.
+def _word_step(tape_fn, pointer: dict, project, m: int, r: int, delta: int):
+    """The word path of tape_fn, a cycle_compose step over a Gray pointer
+    of r radix-m cells that moves its rank by delta: a function of a word
+    giving what tape_step(tape_fn, word) gives.
 
     Its table is keyed like pointer, the Tape path's table, by the pointer
     cells r-1 .. 0. It maps a pointer word to (the list form of the data
@@ -75,9 +77,17 @@ def _word_step(tape_fn, pointer: dict, project, r: int):
     The function's entry attribute gives the table entry of a word's
     pointer word, filled from that word if new, and its width attribute is
     r; _ResidueStep.word_path reads an inner counter's steps through them.
+
+    Its walk attribute is the word_walk of tape_fn (see Counter.walk): it
+    decodes the pointer's rank once with gray_scan and steps through a
+    list, indexed by rank and allocated on the first walk, of the same
+    entries the table holds, filling each through word_step on the first
+    word of its rank. A () entry takes keyed, as word_step does. A pointer
+    digit out of range iterates word_step instead.
     """
     table = {}
     keyed = {}
+    by_rank = []
     top = slice(r - 1, None, -1)  # pointer cells r-1 .. 0, in the key order of pointer
 
     def fill(word, key):
@@ -122,8 +132,35 @@ def _word_step(tape_fn, pointer: dict, project, r: int):
             fill(word, key)
         return table.get(key, ())
 
+    def walk(word, count):
+        ptr = word[:r]
+        if not all([type(d) is int and 0 <= d < m for d in ptr]):
+            return _iterate(word_step, word, count)
+        if not by_rank:
+            by_rank.extend([None] * m ** r)
+        size = len(by_rank)
+        rank = gray_scan(ptr, m)[0]
+        cells = list(word)
+        out = []
+        for _ in range(count):
+            e = by_rank[rank]
+            if e:
+                f, cell, g, _ = e
+                if f is not None:
+                    f(cells)
+                cells[cell] = g
+                w = tuple(cells)
+            else:  # not filled yet, or a () entry
+                w = word_step(tuple(cells))[0]
+                by_rank[rank] = entry(cells)
+                cells = list(w)
+            out.append(w)
+            rank = (rank + delta) % size
+        return out
+
     word_step.entry = entry
     word_step.width = r
+    word_step.walk = walk
     return word_step
 
 
@@ -150,7 +187,10 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     That is the Tape path, which audits and materialize run. Within the
     bound, Counter.next and prev take a word path (_word_step) on a plain
     list, keyed like the table, which gives the word and cost a Tape run
-    gives on every word, digits in range or not.
+    gives on every word, digits in range or not; and Counter.walk (so gen)
+    decodes the pointer's rank once per call and steps through the word
+    path's entries by rank, iterating the word path instead when a pointer
+    digit is out of range. Past the bound, walk iterates next or prev.
     """
     pointer_start = gray_unrank(0, m, r)  # checks m and r
     k = len(steps.steps)
@@ -195,9 +235,11 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
             shift(j).apply_tape(tape)
 
     if store:
-        next_fn.word_step = _word_step(next_fn, table, lambda e: e[:3], r)
-        prev_fn.word_step = _word_step(prev_fn, table, lambda e: (
-            None if e[3] is None else shift(e[3]), e[4], e[5]), r)
+        for fn, project, delta in (
+                (next_fn, lambda e: e[:3], 1),
+                (prev_fn, lambda e: (None if e[3] is None else shift(e[3]), e[4], e[5]), -1)):
+            fn.word_step = _word_step(fn, table, project, m, r, delta)
+            fn.word_walk = fn.word_step.walk
 
     start = pointer_start + tuple(start_inner)
     return Counter(Domain((m,) * r + steps.domain.radices), next_fn, prev_fn,

@@ -427,6 +427,16 @@ class Counter:
     always take the Tape path, so what they report is observed on a Tape
     (one Tape reused for every step of a walk).
 
+    walk(word, count, direction) gives the count words that follow word,
+    exactly the words of count calls of next (or prev), without their
+    costs; gen prints its words through it, one call per chunk. A step
+    function may carry a word_walk attribute, a function of a word and a
+    count that gives that list: gray_counter's and cycle_compose's (within
+    its pointer table bound, crt products included) decode the pointer's
+    rank once and then step by rank, and fall back to iterating the word
+    path when a pointer digit is out of range. Without one (stitch_radix
+    counters, pointers past the bound), walk iterates the word path.
+
     next and prev take a tuple or a list and raise ValueError on a word of
     the wrong length, but do not check digit ranges per step. A word path
     follows the Tape on every word, digits in range or not: a digit out of
@@ -452,6 +462,9 @@ class Counter:
         self._next_word, self._prev_word = (
             getattr(fn, "word_step", None) or functools.partial(tape_step, fn)
             for fn in (next_fn, prev_fn))
+        self._next_walk, self._prev_walk = (
+            getattr(fn, "word_walk", None) or functools.partial(_iterate, step)
+            for fn, step in ((next_fn, self._next_word), (prev_fn, self._prev_word)))
         self.start = tuple(start)
         self.recipe = recipe
 
@@ -465,10 +478,29 @@ class Counter:
             raise ValueError(f"expected {self._n} digits, got {len(word)}")
         return self._prev_word(word)
 
+    def walk(self, word, count: int, direction: str = "next") -> list[tuple[int, ...]]:
+        """The count words that follow word in direction, "next" or "prev":
+        what count calls of next or prev give, the first from word."""
+        if direction not in ("next", "prev"):
+            raise ValueError("direction must be 'next' or 'prev'")
+        if len(word) != self._n:
+            raise ValueError(f"expected {self._n} digits, got {len(word)}")
+        count = _at_least(count, 0, "count")
+        return (self._next_walk if direction == "next" else self._prev_walk)(word, count)
+
     def __repr__(self) -> str:
         kind = (self.recipe or {}).get("kind", "?")
         return (f"Counter(kind={kind}, domain={self.domain.radices}, "
                 f"length={self.claimed_length})")
+
+
+def _iterate(word_step, word, count: int) -> list[tuple[int, ...]]:
+    """The count words word_step, a word path, gives from word on."""
+    out = []
+    for _ in range(count):
+        word = word_step(word)[0]
+        out.append(word)
+    return out
 
 
 class Visited:

@@ -23,7 +23,8 @@ about 1 + 1/(m-1) cells on average. That is its Tape path, which audits
 and materialize run. Counter.next and prev take its word path instead:
 the same _gray_move on a plain list, returning the cost every step has,
 r reads and 1 write. gray_next and gray_prev run that word path on the
-digits mod m.
+digits mod m. Counter.walk steps the rank's base-m digits as an odometer
+instead, after one decode per call.
 
 gray_scan is the one Gray decode: one pass over the digits, top down,
 gives the rank and the cells a +1 and a -1 rank step move. gray_rank
@@ -36,7 +37,7 @@ whose clock is a cycle_compose pointer.
 
 from __future__ import annotations
 
-from .core import Counter, Domain, _cost, _integer
+from .core import Counter, Domain, _cost, _integer, _iterate
 
 
 def _check(m: int, r: int, word=None) -> None:
@@ -118,6 +119,9 @@ def gray_counter(m: int, r: int) -> Counter:
     down from cell r-1 to cell 0, and writes the one digit _gray_move
     picks. The word path (Counter.next and prev) moves the same digit of a
     plain list and returns StepStats(r, 1), the cost of every Tape step.
+    Counter.walk (so gen) decodes the word's rank once and keeps its base-m
+    digits as an odometer, moving the digit _gray_move would pick; a digit
+    out of range, or not an int, makes it iterate the word path instead.
     """
     start = gray_unrank(0, m, r)  # checks m and r
     return Counter(Domain.uniform(m, r), _gray_tape_step(m, r, m - 1, 1),
@@ -144,5 +148,32 @@ def _gray_tape_step(m: int, r: int, stop: int, delta: int):
         w[j] = (w[j] + delta) % m
         return tuple(w), cost
 
+    def word_walk(word, count):
+        if not all([type(d) is int and 0 <= d < m for d in word]):
+            return _iterate(word_step, word, count)
+        # the rank's base-m digits b_j, lowest first, as an odometer: a step
+        # resets the b_j equal to stop below the lowest other one, moves that
+        # one by delta, and so moves Gray digit j by delta; on a wrap every
+        # b_j resets and the top cell moves, as in _gray_move
+        b, s = [0] * r, 0
+        for j in range(r - 1, -1, -1):
+            s = b[j] = (s + word[j]) % m
+        reset = m - 1 - stop
+        cells = list(word)
+        out = []
+        for _ in range(count):
+            j = 0
+            while j < r and b[j] == stop:
+                b[j] = reset
+                j += 1
+            if j == r:
+                j = r - 1
+            else:
+                b[j] += delta
+            cells[j] = (cells[j] + delta) % m
+            out.append(tuple(cells))
+        return out
+
     tape_fn.word_step = word_step
+    tape_fn.word_walk = word_walk
     return tape_fn

@@ -4,6 +4,7 @@ cycle_isolation_check, the identity behind the odd boundary increments."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -74,13 +75,24 @@ def _step_image(step, domain: Domain) -> np.ndarray:
 def densify(obj, domain: Domain) -> DensePermutation:
     """Tabulate a permutation of the domain given as a counter, a single
     step, a word function, or a list of steps (DensePermutations over the
-    domain among them) applied first to last."""
+    domain among them) applied first to last. A step object that occurs
+    more than once in a list is tabulated once, while the images kept for
+    reuse hold at most DENSIFY_LIMIT entries in all; past that, each
+    occurrence is tabulated afresh."""
     if domain.size > DENSIFY_LIMIT:
         raise BoundExceeded(f"domain size {domain.size} exceeds 2^24")
     if isinstance(obj, (list, tuple)):
+        occurs = collections.Counter(map(id, obj))
+        room = DENSIFY_LIMIT // domain.size  # images the kept ones may total
+        kept = {}
         total = np.arange(domain.size, dtype=np.int64)
         for step in obj:
-            total = _step_image(step, domain)[total]
+            image = kept.get(id(step))
+            if image is None:
+                image = _step_image(step, domain)
+                if occurs[id(step)] > 1 and len(kept) < room:
+                    kept[id(step)] = image
+            total = image[total]
         return DensePermutation(domain, total)
     if isinstance(obj, Counter):
         step = obj.next

@@ -75,6 +75,12 @@ GEN_RUNS = [
     ["gen", "--kind", "base", "--m", "3", "--n", "2", "--limit", "0"],
     ["gen", "--kind", "base", "--m", "10", "--n", "3", "--limit", "1500"],
     ["gen", "--kind", "base", "--m", "11", "--n", "2"],
+    ["gen", "--kind", "odd", "--m", "3", "--n", "11", "--dir", "prev", "--limit", "3000"],
+    ["gen", "--kind", "general", "--m", "4", "--n", "8", "--limit", "3000"],
+    ["gen", "--kind", "general", "--m", "4", "--n", "8", "--dir", "prev", "--limit", "3000"],
+    ["gen", "--kind", "linear", "--q", "2", "--n", "10", "--dir", "prev"],
+    ["gen", "--kind", "crt", "--components", "base:m=2,n=1;base:m=3,n=1",
+     "--dir", "prev", "--limit", "7"],
 ]
 
 
@@ -133,6 +139,27 @@ def test_gen_formats_clean_words_with_no_separator_in_one_pass(capsys, monkeypat
     monkeypatch.setattr(core, "word_format", per_word)
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == "" and out.count("\n") == int(argv[-1])
+
+
+@pytest.mark.parametrize("direction", ["next", "prev"])
+def test_gen_makes_one_walk_call_per_chunk(capsys, monkeypatch, direction):
+    calls = []
+    walk = Counter.walk
+
+    def counted(self, word, count, d="next"):
+        calls.append((count, d))
+        return walk(self, word, count, d)
+
+    def no_step(self, word):
+        raise AssertionError("gen stepped a word with next or prev")
+
+    monkeypatch.setattr(Counter, "walk", counted)
+    monkeypatch.setattr(Counter, "next", no_step)
+    monkeypatch.setattr(Counter, "prev", no_step)
+    code, out, err = run(capsys, "gen", "--kind", "odd", "--m", "3", "--n", "11",
+                         "--dir", direction, "--limit", "3000")
+    assert code == 0 and err == "" and out.count("\n") == 3000
+    assert calls == [(cli.GEN_CHUNK, direction)] * 2 + [(3000 - 2 * cli.GEN_CHUNK, direction)]
 
 
 def test_gen_cap_message_follows_every_word(monkeypatch):

@@ -1123,3 +1123,105 @@ def test_out_of_range_data_digits_take_the_word_path(monkeypatch, label):
             assert word == want and cost is want_cost
         assert runs.count(fn) <= sum(map(len, caches)) - before
     assert all(len(t) <= _pointer_words(c) for t in _tables(c))
+
+
+def _iterated(c, word, count, direction):
+    """The count words count calls of c.next or c.prev give from word."""
+    step = c.next if direction == "next" else c.prev
+    out = []
+    for _ in range(count):
+        word = step(word)[0]
+        out.append(word)
+    return out
+
+
+def test_walk_matches_iterated_steps_on_the_zoo():
+    # from the start and from one seeded word, over a whole claimed cycle and
+    # two steps more: at least one pointer (or base Gray) revolution, so the
+    # rank wraps
+    from test_fingerprint import _zoo
+
+    rng = random.Random(31)
+    for label, c in _zoo():
+        count = c.claimed_length + 2
+        for w in (c.start, tuple(rng.randrange(b) for b in c.domain.radices)):
+            for direction in ("next", "prev"):
+                assert c.walk(w, count, direction) == _iterated(c, w, count, direction), (
+                    label, w, direction)
+
+
+@pytest.mark.parametrize("m,r", [(m, r) for m in range(2, 6) for r in range(1, 5)])
+def test_gray_walk_matches_iterated_steps_from_every_word(m, r):
+    c = gray_counter(m, r)
+    assert c.next_tape.word_walk is c._next_walk and c.prev_tape.word_walk is c._prev_walk
+    for w in c.domain.words():
+        for direction in ("next", "prev"):
+            assert c.walk(w, m ** r + 1, direction) == _iterated(c, w, m ** r + 1, direction)
+
+
+def test_pointer_walk_steps_through_the_table_entries_by_rank():
+    # after a walk over a whole revolution, the rank list holds, for each
+    # rank, the very entry the key table holds for its pointer word
+    c = odd_counter(3, 11)
+    m, r = 3, c.recipe["pointer"]
+    size = m ** r
+    for walk, word_fn, direction in ((c._next_walk, c._next_word, "next"),
+                                     (c._prev_walk, c._prev_word, "prev")):
+        assert _closed_over(walk, "by_rank") == []  # allocated on the first walk
+        c.walk(c.start, size + 1, direction)
+        by_rank, table = _closed_over(walk, "by_rank"), _closed_over(word_fn, "table")
+        assert len(by_rank) == len(table) == size
+        assert all(by_rank[i] is table[gray_unrank(i, m, r)[::-1]] for i in range(size))
+
+
+WALK_FALLBACKS = {
+    # a pointer digit out of range, negative or not an int
+    "base(3,3) digit 3": (lambda: gray_counter(3, 3), (3, 1, 0)),
+    "base(3,3) digit -1": (lambda: gray_counter(3, 3), (0, -1, 2)),
+    # float digits: the odometer's sums would round unlike _gray_move's
+    "base(3,3) digits 1.3, 0.7": (lambda: gray_counter(3, 3), (0, 1.3, 0.7)),
+    "odd(3,11) pointer digit 5": (lambda: odd_counter(3, 11), (0, 5) + (1,) * 9),
+    "linear(F2,5) pointer digit -1": (lambda: linear_counter(Field(2), 5),
+                                      (1, -1, 0, 0, 1, 0, 1, 1, 0)),
+    # a float key finds the entry of its int twin, stepped first
+    "crt(84) clock digit 1.0": (_crt84, (1.0, 1, 0, 1, 1, 0)),
+    # data digits out of range keep the rank walk and its table entries
+    "general(4,6) data digit 7": (lambda: general_counter(4, 6), None),
+    "crt(84) data digit -3": (_crt84, None),
+    # no word_walk: a pointer past the table bound and a stitch counter
+    "linear(F2,4,13) past the bound": (lambda: linear_counter(Field(2), 4, r=13), None),
+    "stitch(2,linear(F2,3,3))": (lambda: stitch_radix(2, linear_counter(Field(2), 3, 3)),
+                                 None),
+}
+
+
+@pytest.mark.parametrize("label", list(WALK_FALLBACKS))
+def test_walk_fallbacks_match_iterated_steps(label):
+    make, word = WALK_FALLBACKS[label]
+    c = make()
+    rng = random.Random(41)
+    if "data digit" in label:
+        word = _bad_data_word(rng, c, _pointer_cells(c))
+    words = [word] if word else [c.start, tuple(rng.randrange(b) for b in c.domain.radices)]
+    if "past the bound" in label or "stitch" in label:
+        assert not hasattr(c.next_tape, "word_walk") and not hasattr(c.prev_tape, "word_walk")
+    if label.startswith("crt(84) clock"):
+        c.next(tuple(map(int, word)))
+        c.prev(tuple(map(int, word)))
+    for w in words:
+        for direction in ("next", "prev"):
+            # the same words, or the same exception
+            assert (_outcome(c.walk, w, 300, direction)
+                    == _outcome(_iterated, c, w, 300, direction))
+            assert c.walk(w, 0, direction) == []
+
+
+@pytest.mark.parametrize("label", ["base(3,4)", "odd(3,11)", "crt(84)",
+                                   "stitch(2,linear(F2,3,3))"])
+def test_walk_checks_its_arguments(label):
+    c = WHOLE_DOMAIN[label][0]()
+    assert c.walk(c.start, 0) == [] and c.walk(list(c.start), 1) == [c.next(c.start)[0]]
+    for bad, args in (("expected", (c.start[1:], 2)), ("direction", (c.start, 2, "up")),
+                      ("count", (c.start, -1)), ("count", (c.start, 2.0))):
+        with pytest.raises(ValueError, match=bad):
+            c.walk(*args)

@@ -1,3 +1,5 @@
+import collections
+import copy
 import itertools
 import math
 import random
@@ -5,11 +7,12 @@ import random
 import numpy as np
 import pytest
 
+from quasigray import verify
 from quasigray.core import (BoundExceeded, Counter, Domain, dat_eval,
                             dat_to_json, dat_validate)
 from quasigray.graycode import gray_counter
 from quasigray.linear import Field, Scale, companion_counter, linear_counter
-from quasigray.permdecomp import (RFunction, decompose_indicator, make_alpha,
+from quasigray.permdecomp import (RFunction, build_plan, decompose_indicator, make_alpha,
                                   odd_counter)
 from quasigray.verify import (DensePermutation, SEARCH_DOMAIN_LIMIT, audit,
                               cycle_isolation_check, cycle_lengths, densify,
@@ -51,6 +54,28 @@ def test_densify_list_composes_in_order():
     w = (0, 1, 2, 0)
     assert both.apply_rank(d.rank(w)) == d.rank(g.apply(f.apply(w)))
     assert both.is_bijection()
+
+
+@pytest.mark.parametrize("room", [None, 1, 2])
+def test_densify_tabulates_a_repeated_step_once_within_its_cap(monkeypatch, room):
+    # an odd plan repeats its step objects; fresh copies give the same
+    # permutation. room is how many images the cap keeps (None: the default)
+    plan = build_plan(3, 8).steps
+    d = Domain.uniform(3, 8)
+    occurs = collections.Counter(map(id, plan))
+    assert len(occurs) < len(plan)
+    want = densify([copy.copy(f) for f in plan], d)
+    if room is not None:
+        monkeypatch.setattr(verify, "DENSIFY_LIMIT", d.size * room + d.size - 1)
+    calls = []
+    image = verify._step_image
+    monkeypatch.setattr(verify, "_step_image", lambda f, dom: calls.append(f) or image(f, dom))
+    assert perm_equal(densify(plan, d), want)
+    if room is None:
+        assert len(calls) == len(occurs)
+    else:
+        kept = [k for k in dict.fromkeys(map(id, plan)) if occurs[k] > 1][:room]
+        assert len(calls) == len(plan) - sum(occurs[k] - 1 for k in kept)
 
 
 def test_densify_list_takes_dense_permutations():
