@@ -1,11 +1,14 @@
 """Composition engines: step lists driven by a Gray pointer over Z_m^r
-(cycle_compose), co-prime counter products (crt_compose, a Gray pointer
-over one _ComponentStep per further component), and the residue views
-(_MixedTape over the (cell, d, q, u) coordinates of _residues) that general
-and stitch counters step their parts on. Each engine's steps run on a Tape;
-their word paths (_word_step, and the word_path of _ResidueStep and
-_ComponentStep it delegates to) give the same word and cost as a Tape run
-on every word, digits in range or not."""
+(cycle_compose, one _pointer_step per direction), co-prime counter
+products (crt_compose, a Gray pointer over one _ComponentStep per further
+component), and the residue views (_MixedTape over the (cell, d, q, u)
+coordinates of _residues) that general and stitch counters step their
+parts on. Each engine's steps run on a Tape. A pointer step keeps one
+table per direction, one entry per pointer word, that its Tape path, its
+word path and its walk all read; the word path gives the same word and
+cost as a Tape run on every word, digits in range or not, through the
+entry's word form or the word_path of a _ResidueStep or _ComponentStep.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from .core import (Counter, Domain, OffsetTape, Tape, _at_least, _integer, _iter
                    tape_step)
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
-from .graycode import gray_rank, gray_scan, gray_unrank  # noqa: F401
+from .graycode import _valid_digits, gray_rank, gray_scan, gray_unrank  # noqa: F401
 
 
 # widest pointer, in words, that cycle_compose steps through a table
@@ -36,7 +39,7 @@ class StepList:
     writes the same cells on every word may also offer word_fn(), a
     function that does what apply_tape does to a list of digits, in place;
     cycle_compose's word path then runs it. A step whose cost varies with
-    its data cells may offer word_path instead (see _word_step)."""
+    its data cells may offer word_path instead (see _pointer_step)."""
 
     steps: Sequence
     domain: Domain
@@ -51,117 +54,142 @@ def _tape_cost(step, word, got, out):
     return out[1]
 
 
-def _word_step(tape_fn, pointer: dict, project, m: int, r: int, delta: int):
-    """The word path of tape_fn, a cycle_compose step over a Gray pointer
-    of r radix-m cells that moves its rank by delta: a function of a word
-    giving what tape_step(tape_fn, word) gives.
+def _pointer_step(shift, k: int, m: int, r: int, delta: int, store: bool):
+    """One direction of a cycle_compose step over a Gray pointer of r
+    radix-m cells and k steps (delta +1 for next, -1 for prev): a tape
+    step function. shift(j) is step j on the caller's tape, shift(~j) its
+    inverse. Within the table bound (store), its word_step and word_walk
+    attributes are its word path and walk.
 
-    Its table is keyed like pointer, the Tape path's table, by the pointer
-    cells r-1 .. 0. It maps a pointer word to (the list form of the data
-    step or None, the pointer cell it writes, the digit written, the step's
-    cost), or to () when the data step has no word_fn. An entry is filled
-    on the first word with that pointer word: tape_fn runs once on it on a
-    Tape, filling the pointer entry; project(pointer entry) gives this
-    direction's data step and pointer write, and _tape_cost checks the word
-    form against the run and gives the entry its cost. The cost is fixed by
-    the pointer word, since each data step reads and writes fixed cells
-    whatever their digits. A word with no pointer entry (a pointer digit
-    out of range) stores nothing, so the table holds at most one entry per
-    pointer word.
+    Its table maps a pointer word, cells r-1 .. 0, to one entry: (the data
+    step or None, the pointer cell the step writes, the digit written, the
+    word form or word path, the cost). On a miss, entry builds the first
+    three fields with gray_scan, which is all the Tape path reads, and
+    stores the entry only when store is set and every digit is an int in
+    0 .. m-1.
 
-    A () entry, from the first word on, hands the word to keyed[pointer
-    word]: step.word_path(tape_fn, cell, g), the word path of a step whose
-    cost varies with its data cells (_ResidueStep, _ComponentStep), or
-    else the Tape path.
+    The word path fills the last two fields from one Tape run on the first
+    word with that pointer word: _tape_cost checks the data step's word
+    form (word_fn, or None) against the run and gives the cost, which the
+    pointer word fixes, since each such step reads and writes fixed cells.
+    A step whose cost varies with its data cells keeps its own word path,
+    step.word_path(fn, cell, g) (_ResidueStep, _ComponentStep), or else
+    the Tape path, in the fourth field, and None as the cost. A word with
+    no stored entry takes the Tape path. The word path's entry attribute
+    gives the filled entry of a word's pointer word, or None, and its
+    width attribute is r: _ResidueStep.word_path reads an inner counter's
+    steps through them.
 
-    The function's entry attribute gives the table entry of a word's
-    pointer word, filled from that word if new, and its width attribute is
-    r; _ResidueStep.word_path reads an inner counter's steps through them.
-
-    Its walk attribute is the word_walk of tape_fn (see Counter.walk): it
-    decodes the pointer's rank once with gray_scan and steps through a
-    list, indexed by rank and allocated on the first walk, of the same
-    entries the table holds, filling each through word_step on the first
-    word of its rank. A () entry takes keyed, as word_step does. A pointer
-    digit out of range iterates word_step instead.
+    walk (see Counter.walk) decodes the pointer's rank once and steps
+    through by_rank, the table's own filled entries indexed by rank,
+    allocated on the first walk and filled through the word path; an
+    entry that holds a word path takes it on every step. A pointer digit
+    out of range or not an int iterates the word path instead.
     """
+    size = m ** r
+    cells = range(r - 1, -1, -1)
+    top = slice(r - 1, None, -1)  # pointer cells r-1 .. 0, the key order
     table = {}
-    keyed = {}
     by_rank = []
-    top = slice(r - 1, None, -1)  # pointer cells r-1 .. 0, in the key order of pointer
+
+    def entry(key):
+        rank, up, down = gray_scan(key[::-1], m)
+        # next runs step rank and then moves cell up; prev moves cell down
+        # and then runs the inverse of step rank - 1
+        cell, i = (up, rank) if delta > 0 else (down, (rank - 1) % size)
+        e = (None if i >= k else shift(i if delta > 0 else ~i), cell,
+             (key[r - 1 - cell] + delta) % m, None, None)
+        if store and _valid_digits(key, m):
+            table[key] = e
+        return e
+
+    if delta > 0:
+        def tape_fn(tape) -> None:
+            key = tape.read_cells(cells)
+            step, cell, g, _, _ = table.get(key) or entry(key)
+            if step is not None:
+                step.apply_tape(tape)
+            tape.write(cell, g)
+    else:
+        def tape_fn(tape) -> None:
+            key = tape.read_cells(cells)
+            step, cell, g, _, _ = table.get(key) or entry(key)
+            tape.write(cell, g)
+            if step is not None:
+                step.apply_tape(tape)
+
+    if not store:
+        return tape_fn
 
     def fill(word, key):
         out = tape_step(tape_fn, word)
-        if (e := pointer.get(key)) is None:
-            return out
-        step, cell, g = project(e)
+        if (e := table.get(key)) is None:
+            return out  # no pointer word
+        step, cell, g, _, _ = e
         f = None
         if step is not None:
             word_fn = getattr(step, "word_fn", None)
             if word_fn is None:
                 path = getattr(step, "word_path", None)
-                table[key] = ()
-                keyed[key] = (path and path(tape_fn, cell, g)
-                              or functools.partial(tape_step, tape_fn))
-                return keyed[key](word)
+                path = path and path(tape_fn, cell, g) or functools.partial(tape_step, tape_fn)
+                table[key] = (step, cell, g, path, None)
+                return path(word)
             f = word_fn()
-        cells = list(word)
+        w = list(word)
         if f is not None:
-            f(cells)
-        cells[cell] = g
-        table[key] = (f, cell, g, _tape_cost(step, word, tuple(cells), out))
+            f(w)
+        w[cell] = g
+        table[key] = (step, cell, g, f, _tape_cost(step, word, tuple(w), out))
         return out
 
     def word_step(word):
         key = tuple(word[top])
         e = table.get(key)
-        if e:
-            f, cell, g, cost = e
-            cells = list(word)
+        if e is not None:
+            _, cell, g, f, cost = e
+            if cost is not None:
+                w = list(word)
+                if f is not None:
+                    f(w)
+                w[cell] = g
+                return tuple(w), cost
             if f is not None:
-                f(cells)
-            cells[cell] = g
-            return tuple(cells), cost
-        if e is None:
-            return fill(word, key)
-        return keyed[key](word)
+                return f(word)
+        return fill(word, key)
 
-    def entry(word):
-        key = tuple(word[top])
-        if key not in table:
-            fill(word, key)
-        return table.get(key, ())
+    def filled(word):
+        word_step(word)
+        return table.get(tuple(word[top]))
 
     def walk(word, count):
-        ptr = word[:r]
-        if not all([type(d) is int and 0 <= d < m for d in ptr]):
+        if not _valid_digits(word[:r], m):
             return _iterate(word_step, word, count)
         if not by_rank:
-            by_rank.extend([None] * m ** r)
-        size = len(by_rank)
-        rank = gray_scan(ptr, m)[0]
-        cells = list(word)
+            by_rank.extend([None] * size)
+        rank = gray_scan(word[:r], m)[0]
+        w = list(word)
         out = []
         for _ in range(count):
             e = by_rank[rank]
-            if e:
-                f, cell, g, _ = e
+            if e is not None and e[4] is not None:
+                _, cell, g, f, _ = e
                 if f is not None:
-                    f(cells)
-                cells[cell] = g
-                w = tuple(cells)
-            else:  # not filled yet, or a () entry
-                w = word_step(tuple(cells))[0]
-                by_rank[rank] = entry(cells)
-                cells = list(w)
-            out.append(w)
+                    f(w)
+                w[cell] = g
+                nxt = tuple(w)
+            else:  # not filled yet, or a word path
+                nxt = word_step(tuple(w))[0]
+                by_rank[rank] = table[tuple(w[top])]
+                w = list(nxt)
+            out.append(nxt)
             rank = (rank + delta) % size
         return out
 
-    word_step.entry = entry
+    word_step.entry = filled
     word_step.width = r
-    word_step.walk = walk
-    return word_step
+    tape_fn.word_step = word_step
+    tape_fn.word_walk = walk
+    return tape_fn
 
 
 def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
@@ -174,23 +202,24 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     cycle through <pointer start, start_inner> has length m^r * ell.
 
     A step reads the r pointer cells with one read_cells call, top down
-    from cell r-1 to cell 0, and looks the word up in a table. On a miss,
-    gray_scan decodes it into the rank, which picks the step, and the one
-    pointer digit the Gray step moves, which is the pointer's single write.
-    The table stores pointer words only, and only when the pointer has at
-    most _TABLE_BOUND words: a wider pointer, or a key with a digit out of
-    range, is decoded on every step; entry is the one place that decides
-    what a pointer word is. Step j is shifted by r, to run on the caller's
-    tape, on the first step from the pointer word of rank j, and its
-    inverse the first time prev runs it, through one cache.
+    from cell r-1 to cell 0, and looks the word up in its direction's
+    table (_pointer_step). On a miss, gray_scan decodes it into the rank,
+    which picks the step, and the one pointer digit the Gray step moves,
+    which is the pointer's single write. A table stores pointer words only,
+    every digit an int in 0 .. m-1, and only when the pointer has at most
+    _TABLE_BOUND words: a wider pointer, or any other key, is decoded on
+    every step. Step j is shifted by r, to run on the caller's tape, on
+    the first next step from the pointer word of rank j, and its inverse
+    the first time prev runs it, through one cache. prev writes the pointer
+    before it runs the inverse step.
 
     That is the Tape path, which audits and materialize run. Within the
-    bound, Counter.next and prev take a word path (_word_step) on a plain
-    list, keyed like the table, which gives the word and cost a Tape run
-    gives on every word, digits in range or not; and Counter.walk (so gen)
-    decodes the pointer's rank once per call and steps through the word
-    path's entries by rank, iterating the word path instead when a pointer
-    digit is out of range. Past the bound, walk iterates next or prev.
+    bound, Counter.next and prev take the word path on a plain list, from
+    the same table entry, which gives the word and cost a Tape run gives on
+    every word, digits in range or not; and Counter.walk (so gen) decodes
+    the pointer's rank once per call and steps through the table's entries
+    by rank, iterating the word path instead when a pointer digit is out of
+    range or not an int. Past the bound, walk iterates next or prev.
     """
     pointer_start = gray_unrank(0, m, r)  # checks m and r
     k = len(steps.steps)
@@ -198,7 +227,6 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     if k_prime < k:
         raise ValueError(f"pointer cycle {k_prime} shorter than step list {k}")
     steps.domain.validate(start_inner)
-    cells = range(r - 1, -1, -1)
 
     @functools.cache
     def shift(j):
@@ -206,41 +234,8 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
         return (steps.steps[j].shifted(r) if j >= 0
                 else steps.steps[~j].shifted(r, inverse=True))
 
-    # pointer word, cells r-1 .. 0 -> (next step or None, up cell and digit,
-    #   shift key of the prev step or None, down cell and digit)
-    table = {}
-    store = k_prime <= _TABLE_BOUND
-
-    def entry(key):
-        j, up, down = gray_scan(key[::-1], m)
-        jp = (j - 1) % k_prime
-        e = (shift(j) if j < k else None, up, (key[r - 1 - up] + 1) % m,
-             ~jp if jp < k else None, down, (key[r - 1 - down] - 1) % m)
-        if store and 0 <= min(key) and max(key) < m:
-            table[key] = e  # a digit out of range is no pointer word
-        return e
-
-    def next_fn(tape) -> None:
-        key = tape.read_cells(cells)
-        step, up, g, _, _, _ = table.get(key) or entry(key)
-        if step is not None:
-            step.apply_tape(tape)
-        tape.write(up, g)
-
-    def prev_fn(tape) -> None:
-        key = tape.read_cells(cells)
-        _, _, _, j, down, g = table.get(key) or entry(key)
-        tape.write(down, g)
-        if j is not None:
-            shift(j).apply_tape(tape)
-
-    if store:
-        for fn, project, delta in (
-                (next_fn, lambda e: e[:3], 1),
-                (prev_fn, lambda e: (None if e[3] is None else shift(e[3]), e[4], e[5]), -1)):
-            fn.word_step = _word_step(fn, table, project, m, r, delta)
-            fn.word_walk = fn.word_step.walk
-
+    next_fn, prev_fn = (_pointer_step(shift, k, m, r, delta, k_prime <= _TABLE_BOUND)
+                        for delta in (1, -1))
     start = pointer_start + tuple(start_inner)
     return Counter(Domain((m,) * r + steps.domain.radices), next_fn, prev_fn,
                    k_prime * steps.ell, start, claimed_reads=claimed_reads,
@@ -427,7 +422,7 @@ class _ResidueStep:
         virtual cells on each of its pointer words, so the physical cells a
         step touches, and so its cost, are fixed by the inner pointer as the
         view shows it, view[:width]. The table maps that key, read from the
-        physical word, to the inner entry's closure, pointer cell and digit,
+        physical word, to the inner entry's word form, pointer cell and digit,
         the coordinates the inner step reads and writes (seen on one Tape run
         of it), and the cost of one Tape run of tape_fn on a word with that
         key, checked against the word form before it is stored: the touched
@@ -455,7 +450,8 @@ class _ResidueStep:
         shapes = {}
         # key -> (closure or None, virtual pointer cell, its new value, the
         #   (j, *view[j]) of each data coordinate read and of each written,
-        #   cost), or () when the inner step has no word form
+        #   cost), or () when the inner entry has no word form or the key
+        #   is no inner pointer word
         table = {}
 
         def form(word, key, e):
@@ -480,15 +476,16 @@ class _ResidueStep:
             out = tape_step(tape_fn, word)
             virtual = [word[c] // d % q for c, d, q, _ in view]
             e = entry(virtual)
-            if not e:
+            if e is None or e[4] is None:  # no pointer word, or no word form
                 return ()
+            _, v_cell, v_g, f, _ = e
             tape = Tape(virtual)
             self.run(tape)
             reads = tuple([located[j] for j in sorted((tape.reads | tape.written)
                                                       - set(range(width)))])
             writes = tuple([located[j] for j in sorted(tape.written)])
             # shared tuples: fewer small objects pin fewer of the arenas
-            e = (*e[:3], shapes.setdefault(reads, reads),
+            e = (f, v_cell, v_g, shapes.setdefault(reads, reads),
                  shapes.setdefault(writes, writes), out[1])
             _tape_cost(self, word, form(word, key, e), out)
             return e

@@ -420,10 +420,13 @@ class Counter:
     such a counter give theirs one. All but gray_counter's, whose steps
     all cost the same, return costs each observed on one Tape run for the
     same key (a pointer or clock word, or an inner pointer as a residue
-    view shows it). next and prev call it when it is there (the word path)
-    and otherwise run the step on a Tape (the Tape path, tape_step). A word
-    path may itself take the Tape path for some steps: one whose data step
-    has no word form does. measure_counter, and so audit, and materialize
+    view shows it). A cycle_compose step keeps one table per direction,
+    one entry per pointer word, which its Tape path, word path and walk
+    all read; it stores a key only when every digit is an int in range.
+    next and prev call the word path when it is there and otherwise run
+    the step on a Tape (the Tape path, tape_step). A word path may itself
+    take the Tape path for some steps: one whose data step has no word
+    form does. measure_counter, and so audit, and materialize
     always take the Tape path, so what they report is observed on a Tape
     (one Tape reused for every step of a walk).
 
@@ -433,8 +436,9 @@ class Counter:
     function may carry a word_walk attribute, a function of a word and a
     count that gives that list: gray_counter's and cycle_compose's (within
     its pointer table bound, crt products included) decode the pointer's
-    rank once and then step by rank, and fall back to iterating the word
-    path when a pointer digit is out of range. Without one (stitch_radix
+    rank once and then step by rank, cycle_compose's through its table's
+    own entries, and fall back to iterating the word path when a pointer
+    digit is out of range or not an int. Without one (stitch_radix
     counters, pointers past the bound), walk iterates the word path.
 
     next and prev take a tuple or a list and raise ValueError on a word of

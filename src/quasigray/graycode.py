@@ -28,11 +28,14 @@ instead, after one decode per call.
 
 gray_scan is the one Gray decode: one pass over the digits, top down,
 gives the rank and the cells a +1 and a -1 rank step move. gray_rank
-runs it, and so does compose.cycle_compose on a pointer word it has not
-stored, after reading the word top down from cell r-1 to cell 0 with one
+runs it, and so does each direction of a compose.cycle_compose step on a
+pointer word that its one table for that direction has not stored, after
+reading the word top down from cell r-1 to cell 0 with one
 tape.read_cells call. That read order is the query order of every
 materialized base and pointer-driven counter tree, crt products included,
-whose clock is a cycle_compose pointer.
+whose clock is a cycle_compose pointer. That table stores a pointer word
+only when every digit is an int in 0 .. m-1 (_valid_digits), and the walks
+of gray_counter and of a cycle_compose pointer step by rank only from one.
 """
 
 from __future__ import annotations
@@ -79,6 +82,11 @@ def gray_scan(ptr, m: int) -> tuple[int, int, int]:
             down = j
         j -= 1
     return rank, up, down
+
+
+def _valid_digits(digits, m: int) -> bool:
+    """Whether every digit is an int in 0 .. m-1."""
+    return all([type(d) is int and 0 <= d < m for d in digits])
 
 
 def _gray_move(digits, m: int, stop: int) -> int:
@@ -149,7 +157,7 @@ def _gray_tape_step(m: int, r: int, stop: int, delta: int):
         return tuple(w), cost
 
     def word_walk(word, count):
-        if not all([type(d) is int and 0 <= d < m for d in word]):
+        if not _valid_digits(word, m):
             return _iterate(word_step, word, count)
         # the rank's base-m digits b_j, lowest first, as an odometer: a step
         # resets the b_j equal to stop below the lowest other one, moves that

@@ -446,10 +446,11 @@ def test_inverses_are_shifted_once_and_only_for_prev(r):
     assert sorted(shifted_inverses) == list(range(k))
 
 
-@pytest.mark.parametrize("r,scans_per_word", [(6, 1), (7, 2)], ids=["table", "past-bound"])
+@pytest.mark.parametrize("r,scans_per_word", [(6, 2), (7, 4)], ids=["table", "past-bound"])
 def test_only_pointers_within_the_bound_build_a_table(monkeypatch, r, scans_per_word):
     # with the bound lowered to 64 words, a 2^6-word pointer scans each word
-    # once, on its first step; a 2^7-word pointer scans on every step
+    # once per direction, on its first step that way; a 2^7-word pointer
+    # scans on every step. Two revolutions each way tell the two apart
     scans = []
 
     def counting_scan(ptr, m):
@@ -461,9 +462,9 @@ def test_only_pointers_within_the_bound_build_a_table(monkeypatch, r, scans_per_
     c = cycle_compose(StepList([_Idle(i, []) for i in range(50)], Domain((2,)), 1),
                       2, r, (0,))
     w = c.start
-    for _ in range(2 ** r):
+    for _ in range(2 * 2 ** r):
         w, _ = c.next(w)
-    for _ in range(2 ** r):
+    for _ in range(2 * 2 ** r):
         w, _ = c.prev(w)
     assert w == c.start and len(scans) == scans_per_word * 2 ** r
 
@@ -509,11 +510,24 @@ def _closed_over(fn, name):
 
 
 def _tables(c):
-    """The tables of c that hold one entry per key at most: the Tape
-    path's pointer table, where c has one, and the word path's two tables
-    (keyed by pointer word, clock word or inner pointer bits)."""
-    return [_closed_over(f, "table") for f in (c.next_tape, c._next_word, c._prev_word)
-            if "table" in getattr(f, "__code__", _tables.__code__).co_freevars]
+    """The tables of c that hold one entry per key at most, one per
+    direction: the table a pointer step's Tape path and word path share
+    (keyed by pointer or clock word), or a stitch counter's residue table
+    (keyed by inner pointer bits)."""
+    tables = {}
+    for f in (c.next_tape, c.prev_tape, c._next_word, c._prev_word):
+        if "table" in getattr(f, "__code__", _tables.__code__).co_freevars:
+            table = _closed_over(f, "table")
+            tables[id(table)] = table
+    return list(tables.values())
+
+
+def _word_paths(word_fn):
+    """{pointer word: the word path its entry holds} in the table of
+    word_fn, one direction of a pointer step's word path: the entries of
+    data steps with no word form, each filled with no cost."""
+    return {key: e[3] for key, e in _closed_over(word_fn, "table").items()
+            if e[3] is not None and e[4] is None}
 
 
 def _has_word_path(c):
@@ -573,30 +587,28 @@ def test_word_path_matches_tape_path_on_every_word(label):
         # to its word path, which caches the one cost its component's steps
         # all have
         for fn in (c._next_word, c._prev_word):
-            table, keyed = _closed_over(fn, "table"), _closed_over(fn, "keyed")
-            assert len([e for e in table.values() if not e]) == len(keyed) == 2
-            assert [len(_closed_over(k, "costs")) for k in keyed.values()] == [1, 1]
+            paths = _word_paths(fn)
+            assert [len(_closed_over(p, "costs")) for p in paths.values()] == [1, 1]
         return
     if label.startswith("stitch"):
         # every inner pointer word has a word form
         assert all(all(t.values()) for t in tables)
         return
     # Only the general counter's residue step (rank 0; its odd part is 1)
-    # has no fixed cost: its entry is () and its word goes to the residue
-    # step's own word path, one entry per inner pointer word. The other
-    # ranks only move the pointer
+    # has no fixed cost: its entry holds the residue step's own word path,
+    # one entry per inner pointer word. The other ranks only move the
+    # pointer
     for fn in (c._next_word, c._prev_word):
-        table, keyed = _closed_over(fn, "table"), _closed_over(fn, "keyed")
-        tape_only = [e for e in table.values() if not e]
-        pointer_only = [e for e in table.values() if e and e[0] is None]
+        table, paths = _closed_over(fn, "table"), _word_paths(fn)
+        pointer_only = [e for e in table.values() if e[0] is None]
         if label.startswith("general"):
-            assert len(tape_only) == 1 and len(pointer_only) == len(table) - 1
-            (residue,) = keyed.values()
+            assert len(paths) == 1 and len(pointer_only) == len(table) - 1
+            (residue,) = paths.values()
             inner = _closed_over(residue, "table")
             assert len(inner) == 2 ** c.recipe["binary"]["pointer"]
             assert all(inner.values())
         else:
-            assert not tape_only and not keyed
+            assert not paths
 
 
 class _Liar:
@@ -818,7 +830,7 @@ def _rank_words(c, j):
 
 
 def _odd_table(word_fn, key):
-    return _closed_over(_closed_over(word_fn, "keyed")[key], "table")
+    return _closed_over(_word_paths(word_fn)[key], "table")
 
 
 def _assert_filled_in_one_pass(c, j, keys):
@@ -957,9 +969,11 @@ def test_steps_without_a_word_path_match_the_tape_path(kind):
             want, want_cost = tape_step(fn, w)
             assert word == want and cost is want_cost
     if kind == "no-word-form":
-        # the 50 ranks that run an _Idle step are Tape-only entries
-        for table in _tables(c)[1:]:
-            assert sum(1 for e in table.values() if not e) == 50
+        # the 50 ranks that run an _Idle step hold the Tape path
+        for word_fn in (c._next_word, c._prev_word):
+            paths = _word_paths(word_fn)
+            assert len(paths) == 50
+            assert all(isinstance(p, functools.partial) for p in paths.values())
 
 
 def test_audit_observes_costs_on_a_tape():
@@ -1062,8 +1076,8 @@ def _delegates(c, word_fn):
     path is one, under the empty pointer word."""
     if c.recipe["kind"] == "stitch":
         return {(): word_fn}
-    keyed = _closed_over(word_fn, "keyed")
-    return {k: d for k, d in keyed.items() if not isinstance(d, functools.partial)}
+    return {k: d for k, d in _word_paths(word_fn).items()
+            if not isinstance(d, functools.partial)}
 
 
 def _cache(delegate):
@@ -1160,18 +1174,59 @@ def test_gray_walk_matches_iterated_steps_from_every_word(m, r):
 
 
 def test_pointer_walk_steps_through_the_table_entries_by_rank():
-    # after a walk over a whole revolution, the rank list holds, for each
-    # rank, the very entry the key table holds for its pointer word
+    # each direction keeps one table, which its Tape path, word path and
+    # walk share. After a walk over a whole revolution, the rank list
+    # holds, for each rank, the very entry the table holds for its pointer
+    # word, filled with its word form and cost
     c = odd_counter(3, 11)
     m, r = 3, c.recipe["pointer"]
     size = m ** r
-    for walk, word_fn, direction in ((c._next_walk, c._next_word, "next"),
-                                     (c._prev_walk, c._prev_word, "prev")):
+    assert _closed_over(c.next_tape, "table") is not _closed_over(c.prev_tape, "table")
+    for walk, word_fn, tape_fn, direction in (
+            (c._next_walk, c._next_word, c.next_tape, "next"),
+            (c._prev_walk, c._prev_word, c.prev_tape, "prev")):
+        table = _closed_over(tape_fn, "table")
+        assert _closed_over(word_fn, "table") is table is _closed_over(walk, "table")
         assert _closed_over(walk, "by_rank") == []  # allocated on the first walk
         c.walk(c.start, size + 1, direction)
-        by_rank, table = _closed_over(walk, "by_rank"), _closed_over(word_fn, "table")
+        by_rank = _closed_over(walk, "by_rank")
         assert len(by_rank) == len(table) == size
         assert all(by_rank[i] is table[gray_unrank(i, m, r)[::-1]] for i in range(size))
+        assert all(len(e) == 5 and type(e[4]) is StepStats for e in by_rank)
+
+
+FLOAT_TWINS = {
+    "odd(3,11)": (lambda: odd_counter(3, 11), 5),
+    "linear(F2,5)": (lambda: linear_counter(Field(2), 5), 4),
+    "general(4,8)": (lambda: general_counter(4, 8), 1),
+    "crt(84)": (_crt84, 2),
+}
+
+
+@pytest.mark.parametrize("label", list(FLOAT_TWINS))
+def test_a_float_pointer_word_stores_no_entry(label):
+    # for each pointer rank and direction, a fresh counter first steps the
+    # word whose pointer digits are floats (a rank that runs a data step
+    # raises TypeError there), then the int word of the same rank: next,
+    # prev and walk from it give what a counter that never saw a float
+    # gives, with int digits only
+    make, r = FLOAT_TWINS[label]
+    ref = make()
+    m = ref.domain.radices[0]
+    count = 3
+    for rank in range(m ** r):
+        word = gray_unrank(rank, m, r) + ref.start[r:]
+        twin = tuple(map(float, word[:r])) + word[r:]
+        want = [ref.next(word), ref.prev(word)] + [ref.walk(word, count, d)
+                                                   for d in ("next", "prev")]
+        for direction in ("next", "prev"):
+            c = make()
+            _outcome(getattr(c, direction), twin)
+            got = [c.next(word), c.prev(word)] + [c.walk(word, count, d)
+                                                  for d in ("next", "prev")]
+            assert got == want, (rank, direction)
+            words = [got[0][0], got[1][0], *got[2], *got[3]]
+            assert all(type(d) is int for w in words for d in w)
 
 
 WALK_FALLBACKS = {
