@@ -3,11 +3,9 @@
 products (crt_compose, a Gray pointer over one _ComponentStep per further
 component), and the residue views (_MixedTape over the (cell, d, q, u)
 coordinates of _residues) that general and stitch counters step their
-parts on. Each engine's steps run on a Tape. A pointer step keeps one
-table per direction, one entry per pointer word, that its Tape path, its
-word path and its walk all read; the word path gives the same word and
-cost as a Tape run on every word, digits in range or not, through the
-entry's word form or the word_path of a _ResidueStep or _ComponentStep.
+parts on. Each engine's steps run on a Tape; a pointer step's word path
+and walk (_pointer_step) give the words and costs of Tape runs on every
+word, digits in range or not.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import (Counter, Domain, OffsetTape, Tape, _at_least, _integer, _iterate,
-                   tape_step)
+from .core import (Counter, Domain, OffsetTape, Tape, _TapeBase, _at_least, _integer,
+                   _iterate, tape_step)
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
 from .graycode import _valid_digits, gray_rank, gray_scan, gray_unrank  # noqa: F401
@@ -37,9 +35,10 @@ class StepList:
     Each step must offer apply_tape(tape) and shifted(d, inverse=False),
     the step or its inverse moved d coordinates up. A step that reads and
     writes the same cells on every word may also offer word_fn(), a
-    function that does what apply_tape does to a list of digits, in place;
-    cycle_compose's word path then runs it. A step whose cost varies with
-    its data cells may offer word_path instead (see _pointer_step)."""
+    function that does what apply_tape does to a list of digits, in place,
+    for cycle_compose's word path to run; a _Primitive's apply_tape runs
+    that same function on the tape. A step whose cost varies with its data
+    cells may offer word_path instead (see _pointer_step)."""
 
     steps: Sequence
     domain: Domain
@@ -342,7 +341,7 @@ def multiplicative_order(o: int) -> int:
     return e
 
 
-class _MixedTape:
+class _MixedTape(_TapeBase):
     """Shows radix-m data cells as the virtual coordinates of a view
     (_residues), each (cell, d, q, u): digit x of its cell reads as
     x // d % q, and writing v sets the cell to (x + (v - x // d % q) * u) % m,
@@ -358,8 +357,6 @@ class _MixedTape:
     def read(self, v: int) -> int:
         cell, d, q, _ = self.view[v]
         return self.base.read(cell) // d % q
-
-    read_cells = OffsetTape.read_cells
 
     def write(self, v: int, val: int) -> None:
         cell, d, q, u = self.view[v]

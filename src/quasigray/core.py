@@ -124,20 +124,35 @@ class StepStats(NamedTuple):
 _cost = functools.cache(StepStats)
 
 
-class Tape:
+class _TapeBase:
+    """The base of Tape, OffsetTape and compose._MixedTape, over their own
+    read(i) and write(i, v). tape[i] calls read(i) and tape[i] = v calls
+    write(i, v) by name, so an override sees them; read_cells(cells) is the
+    tuple of read(i) for i in cells, read in that order."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i: int) -> int:
+        return self.read(i)
+
+    def __setitem__(self, i: int, v: int) -> None:
+        self.write(i, v)
+
+    def read_cells(self, cells) -> tuple:
+        return tuple(map(self.read, cells))
+
+
+class Tape(_TapeBase):
     """One step's view of a word.
 
     Reading a coordinate counts once no matter how often it is re-read, and
     reading back a value the step itself wrote is free. Every executed
     assignment counts as a write, including rewrites of the same value.
 
-    Every tape class offers read_cells(cells), the tuple of read(i) for i in
-    cells, read in that order.
-
     read, read_cells and write only index cells (cells[i], cells[i] = v),
     so materialize can replay a step on a Tape whose cells are a dict;
-    word() and measure_counter take cells to be a list.
-    """
+    word() and measure_counter take cells to be a list. read_cells counts
+    as the base class's does, but reads cells directly before any write."""
 
     __slots__ = ("cells", "reads", "written", "writes")
 
@@ -188,18 +203,28 @@ def apply_word(step, word) -> tuple[int, ...]:
 
 class _Primitive:
     """A step that rewrites one cell: RFunction, Scale or AddRow. Each gives
-    apply_tape; shifted(d, inverse), itself or its inverse on coordinates d
-    higher; and word_fn(), apply_tape on a plain list of digits, changed in
-    place: the same arithmetic on any digits, with nothing counted."""
+    shifted(d, inverse), itself or its inverse on coordinates d higher, and
+    _form(), its word form: a function that changes cells, a list of digits
+    or a tape, in place, reading the sources in order and then the target
+    and writing the target once. word_fn() builds it once per object and
+    returns that closure; apply_tape(tape) runs the same closure on a tape."""
 
     __slots__ = ()
     apply = apply_word
+
+    def word_fn(self) -> Callable[[list], None]:
+        if (f := getattr(self, "_fn", None)) is None:
+            object.__setattr__(self, "_fn", f := self._form())  # Scale, AddRow are frozen
+        return f
+
+    def apply_tape(self, tape) -> None:
+        self.word_fn()(tape)
 
     def inverse(self):
         return self.shifted(0, inverse=True)
 
 
-class OffsetTape:
+class OffsetTape(_TapeBase):
     """Window onto a larger tape, shifted by a fixed coordinate offset."""
 
     __slots__ = ("base", "offset")
@@ -210,9 +235,6 @@ class OffsetTape:
 
     def read(self, i: int) -> int:
         return self.base.read(i + self.offset)
-
-    def read_cells(self, cells) -> tuple:
-        return tuple(map(self.read, cells))
 
     def write(self, i: int, v: int) -> None:
         self.base.write(i + self.offset, v)
@@ -420,13 +442,10 @@ class Counter:
     such a counter give theirs one. All but gray_counter's, whose steps
     all cost the same, return costs each observed on one Tape run for the
     same key (a pointer or clock word, or an inner pointer as a residue
-    view shows it). A cycle_compose step keeps one table per direction,
-    one entry per pointer word, which its Tape path, word path and walk
-    all read; it stores a key only when every digit is an int in range.
-    next and prev call the word path when it is there and otherwise run
-    the step on a Tape (the Tape path, tape_step). A word path may itself
-    take the Tape path for some steps: one whose data step has no word
-    form does. measure_counter, and so audit, and materialize
+    view shows it). next and prev call the word path when it is there and
+    otherwise run the step on a Tape (the Tape path, tape_step). A word
+    path may itself take the Tape path for some steps: one whose data step
+    has no word form does. measure_counter, and so audit, and materialize
     always take the Tape path, so what they report is observed on a Tape
     (one Tape reused for every step of a walk).
 

@@ -24,18 +24,18 @@ and materialize run. Counter.next and prev take its word path instead:
 the same _gray_move on a plain list, returning the cost every step has,
 r reads and 1 write. gray_next and gray_prev run that word path on the
 digits mod m. Counter.walk steps the rank's base-m digits as an odometer
-instead, after one decode per call.
+instead, after one gray_scan per call.
 
 gray_scan is the one Gray decode: one pass over the digits, top down,
-gives the rank and the cells a +1 and a -1 rank step move. gray_rank
-runs it, and so does each direction of a compose.cycle_compose step on a
-pointer word that its one table for that direction has not stored, after
-reading the word top down from cell r-1 to cell 0 with one
-tape.read_cells call. That read order is the query order of every
-materialized base and pointer-driven counter tree, crt products included,
-whose clock is a cycle_compose pointer. That table stores a pointer word
-only when every digit is an int in 0 .. m-1 (_valid_digits), and the walks
-of gray_counter and of a cycle_compose pointer step by rank only from one.
+gives the rank and the cells a +1 and a -1 rank step move. gray_rank and
+gray_counter's walk run it, and so does each direction of a
+compose.cycle_compose step on a pointer word its table for that direction
+has not stored, after reading the word top down from cell r-1 to cell 0
+with one tape.read_cells call. That read order is the query order of
+every materialized base and pointer-driven counter tree, crt products
+included. That table stores a pointer word only when every digit is an
+int in 0 .. m-1 (_valid_digits), and the walks of gray_counter and of a
+cycle_compose pointer step by rank only from one.
 """
 
 from __future__ import annotations
@@ -163,9 +163,7 @@ def _gray_tape_step(m: int, r: int, stop: int, delta: int):
         # resets the b_j equal to stop below the lowest other one, moves that
         # one by delta, and so moves Gray digit j by delta; on a wrap every
         # b_j resets and the top cell moves, as in _gray_move
-        b, s = [0] * r, 0
-        for j in range(r - 1, -1, -1):
-            s = b[j] = (s + word[j]) % m
+        b = [*reversed(Domain.uniform(m, r).unrank(gray_scan(word, m)[0]))]
         reset = m - 1 - stop
         cells = list(word)
         out = []

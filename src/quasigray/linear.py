@@ -392,10 +392,7 @@ class Scale(_Primitive):
         if not 0 < _integer(self.c, "scale factor") < self.field.q:
             raise ValueError("scale factor must be a nonzero field element")
 
-    def apply_tape(self, tape) -> None:
-        tape.write(self.i, self.field.mul(self.c, tape.read(self.i)))
-
-    def word_fn(self) -> Callable[[list], None]:
+    def _form(self) -> Callable[[list], None]:
         i, times = self.i, _times(self.field, self.c)
 
         def f(c: list) -> None:
@@ -428,22 +425,18 @@ class AddRow(_Primitive):
         if not 0 < _integer(self.c, "multiplier") < self.field.q:
             raise ValueError("multiplier must be a nonzero field element")
 
-    def apply_tape(self, tape) -> None:
-        v = self.field.mul(self.c, tape.read(self.j))
-        tape.write(self.i, self.field.add(tape.read(self.i), v))
-
-    def word_fn(self) -> Callable[[list], None]:
+    def _form(self) -> Callable[[list], None]:
         i, j, q = self.i, self.j, self.field.q
         if self.field.modulus is None:
             k = self.c
 
             def f(c: list) -> None:
-                c[i] = (c[i] + k * c[j]) % q
+                c[i] = (k * c[j] + c[i]) % q
         else:
             times = _times(self.field, self.c)
 
             def f(c: list) -> None:
-                c[i] ^= times(c[j])
+                c[i] = times(c[j]) ^ c[i]
         return f
 
     def shifted(self, d: int, inverse: bool = False) -> "AddRow":

@@ -24,11 +24,10 @@ class RFunction(_Primitive):
 
     Missing table entries mean add 0. Only the target cell ever changes and
     addition is invertible, so these are bijections regardless of the
-    table. Applying one reads the sources plus the target and writes the
-    target, whether or not the increment is zero.
-    """
+    table. A step reads and writes as every _Primitive does, even when the
+    increment is zero."""
 
-    __slots__ = ("m", "n", "sources", "target", "table")
+    __slots__ = ("m", "n", "sources", "target", "table", "_fn")
 
     def __init__(self, m: int, n: int, sources, target: int, table: dict):
         sources = tuple([_integer(s, "source") for s in sources])
@@ -78,27 +77,21 @@ class RFunction(_Primitive):
     def value(self, args) -> int:
         return self.table.get(tuple(args), 0)
 
-    def apply_tape(self, tape) -> None:
-        read = tape.read
-        args = tuple([read(s) for s in self.sources])
-        target = self.target
-        tape.write(target, (read(target) + self.table.get(args, 0)) % self.m)
-
-    def word_fn(self) -> Callable[[list], None]:
+    def _form(self) -> Callable[[list], None]:
         get, m, t, src = self.table.get, self.m, self.target, self.sources
         if len(src) == 1:
             (a,) = src
 
             def f(c: list) -> None:
-                c[t] = (c[t] + get((c[a],), 0)) % m
+                c[t] = (get((c[a],), 0) + c[t]) % m
         elif len(src) == 2:
             a, b = src
 
             def f(c: list) -> None:
-                c[t] = (c[t] + get((c[a], c[b]), 0)) % m
+                c[t] = (get((c[a], c[b]), 0) + c[t]) % m
         else:
             def f(c: list) -> None:
-                c[t] = (c[t] + get(tuple([c[s] for s in src]), 0)) % m
+                c[t] = (get(tuple([c[s] for s in src]), 0) + c[t]) % m
         return f
 
     def shifted(self, d: int, inverse: bool = False) -> "RFunction":

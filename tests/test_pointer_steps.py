@@ -1,8 +1,9 @@
 """Pointer-driven steps on the caller's tape: shifted primitives and residue
-steps, the pointer read order, bulk reads on every tape class, the pointer
-table and its bound, whole-domain agreement with the materialized trees,
-the audit walk against a plain reference walk, the word path against the
-Tape path, and the input contract at the Counter boundary."""
+steps, the pointer and primitive read orders, bulk reads on every tape
+class, the pointer table and its bound, whole-domain agreement with the
+materialized trees, the audit walk against a plain reference walk, the
+word path against the Tape path, and the input contract at the Counter
+boundary."""
 
 import functools
 import itertools
@@ -98,6 +99,73 @@ def test_pointer_is_read_top_down_before_any_data_cell(r):
             fn(tape)
             assert tape.order[:r] == list(range(r - 1, -1, -1))
             assert all(j >= r for j in tape.order[r:])
+
+
+class _LoggingTape(Tape):
+    """A Tape that logs each read and write, in order, as ("r", i) or ("w", i)."""
+
+    def __init__(self, word):
+        super().__init__(word)
+        self.log = []
+
+    def read(self, i: int) -> int:
+        self.log.append(("r", i))
+        return super().read(i)
+
+    def write(self, i: int, v: int) -> None:
+        self.log.append(("w", i))
+        super().write(i, v)
+
+
+def _one_cell_steps():
+    # RFunctions with 0 to 3 sources over radix 3 and 4, and Scale and
+    # AddRow over F_3 and F_4, sources below and above the target
+    out = []
+    for m in (3, 4):
+        for src, t in [((), 2), ((4,), 1), ((3, 0), 4), ((1, 4, 2), 0)]:
+            table = {k: (sum(k) + 1) % m for k in itertools.product(range(m), repeat=len(src))}
+            out.append(RFunction(m, 5, src, t, table))
+        f = Field(m)
+        out += [Scale(f, 3, m - 1), AddRow(f, 1, 4, 2), AddRow(f, 4, 0, 1)]
+    return out
+
+
+def _sources_target(p):
+    if isinstance(p, RFunction):
+        return p.sources, p.target
+    return ((p.j,), p.i) if isinstance(p, AddRow) else ((), p.i)
+
+
+@pytest.mark.parametrize("prim", _one_cell_steps(), ids=repr)
+@pytest.mark.parametrize("view", ["tape", "offset", "mixed"])
+def test_primitive_reads_its_sources_in_order_then_its_target(prim, view):
+    # apply_tape reads the sources in order, then the target, and writes the
+    # target once, on the tape's own read and write: a Tape subclass that
+    # overrides them sees every subscript. The word form is built once
+    q = prim.m if isinstance(prim, RFunction) else prim.field.q
+    rng = random.Random(5)
+    for p in (prim, prim.inverse(), prim.shifted(2), prim.shifted(2, inverse=True)):
+        assert p.word_fn() is p.word_fn()
+        src, t = _sources_target(p)
+        n = max((*src, t)) + 1
+        word = tuple(rng.randrange(q) for _ in range(n))
+        if view == "tape":
+            cell = list(range(n))
+            base = tape = _LoggingTape(word)
+        elif view == "offset":
+            cell = [v + 3 for v in range(n)]
+            base = _LoggingTape((0, 1, 2) + word)
+            tape = OffsetTape(base, 3)
+        else:  # virtual cell v is physical cell n-1-v
+            cell = list(range(n - 1, -1, -1))
+            base = _LoggingTape(word[::-1])
+            tape = _MixedTape(base, tuple((c, 1, q, 1) for c in cell), q)
+        p.apply_tape(tape)
+        # a _MixedTape reads a cell's digit again to write its residue
+        again = [("r", cell[t])] if view == "mixed" else []
+        assert base.log == ([("r", cell[s]) for s in src] + [("r", cell[t])] + again
+                            + [("w", cell[t])])
+        assert [base.cells[c] for c in cell] == list(p.apply(word))
 
 
 def _crt84():
