@@ -5,7 +5,8 @@ component), and the residue views (_MixedTape over the (cell, d, q, u)
 coordinates of _residues) that general and stitch counters step their
 parts on. Each engine's steps run on a Tape; a pointer step's word path
 and walk (_pointer_step) give the words and costs of Tape runs on every
-word, digits in range or not.
+word, digits in range or not, and a walk steps a residue view by its
+word path's cursor (_ResidueStep.word_path).
 """
 
 from __future__ import annotations
@@ -77,13 +78,16 @@ def _pointer_step(shift, k: int, m: int, r: int, delta: int, store: bool):
     no stored entry takes the Tape path. The word path's entry attribute
     gives the filled entry of a word's pointer word, or None, and its
     width attribute is r: _ResidueStep.word_path reads an inner counter's
-    steps through them.
+    steps through them, and its delta attribute gives their direction.
 
     walk (see Counter.walk) decodes the pointer's rank once and steps
     through by_rank, the table's own filled entries indexed by rank,
-    allocated on the first walk and filled through the word path; an
-    entry that holds a word path takes it on every step. A pointer digit
-    out of range or not an int iterates the word path instead.
+    allocated on the first walk and filled through the word path. An
+    entry that holds a word path with a cursor (_ResidueStep.word_path)
+    steps the walk's list through one cursor per rank and call, made the
+    first time the rank comes up; any other word path, or a cursor refused
+    for a digit out of range, is taken on every step. A pointer digit out
+    of range or not an int iterates the word path instead.
     """
     size = m ** r
     cells = range(r - 1, -1, -1)
@@ -168,6 +172,7 @@ def _pointer_step(shift, k: int, m: int, r: int, delta: int, store: bool):
         rank = gray_scan(word[:r], m)[0]
         w = list(word)
         out = []
+        cursors = {}  # rank -> its word path's cursor on w, or None
         for _ in range(count):
             e = by_rank[rank]
             if e is not None and e[4] is not None:
@@ -175,17 +180,23 @@ def _pointer_step(shift, k: int, m: int, r: int, delta: int, store: bool):
                 if f is not None:
                     f(w)
                 w[cell] = g
-                nxt = tuple(w)
             else:  # not filled yet, or a word path
-                nxt = word_step(tuple(w))[0]
-                by_rank[rank] = table[tuple(w[top])]
-                w = list(nxt)
-            out.append(nxt)
+                if e is not None and rank not in cursors:
+                    cursor = getattr(e[3], "cursor", None)
+                    cursors[rank] = cursor and cursor(w)
+                advance = cursors.get(rank)
+                if advance:
+                    advance()
+                else:
+                    nxt = word_step(tuple(w))[0]
+                    by_rank[rank] = table[tuple(w[top])]
+                    w[:] = nxt
+            out.append(tuple(w))
             rank = (rank + delta) % size
         return out
 
     word_step.entry = filled
-    word_step.width = r
+    word_step.width, word_step.delta = r, delta
     tape_fn.word_step = word_step
     tape_fn.word_walk = walk
     return tape_fn
@@ -218,7 +229,10 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     every word, digits in range or not; and Counter.walk (so gen) decodes
     the pointer's rank once per call and steps through the table's entries
     by rank, iterating the word path instead when a pointer digit is out of
-    range or not an int. Past the bound, walk iterates next or prev.
+    range or not an int. A rank whose step runs on a residue view (a
+    general counter's binary and odd steps) steps by that view's cursor,
+    which decodes the inner pointer once per call. Past the bound, walk
+    iterates next or prev.
     """
     pointer_start = gray_unrank(0, m, r)  # checks m and r
     k = len(steps.steps)
@@ -435,6 +449,21 @@ class _ResidueStep:
         an inner pointer with a table has a word path. Filled one key at a
         time, the small entries fragmented the allocator's arenas: the peak
         memory of the benchmark's walk-crt run rose from 55.5 to 61 MB.
+
+        Its cursor attribute serves _pointer_step's walk, so a general
+        counter's binary and odd steps; a stitch_radix counter's walk
+        iterates its word path. cursor(cells), for a list that is then
+        changed only by advance and by writes to other residues or cells,
+        gives advance, which does to cells what word_step does, in place,
+        or None when a digit of a view cell is not an int in 0 .. m-1. It reads the virtual word once, decodes the inner
+        pointer's rank with gray_scan, and on each call steps that virtual
+        list by the rank's table entry, held in by_rank (one per inner
+        pointer word, shared by every cursor of this path), writes back
+        the written coordinates and g, and moves the rank by the inner
+        step's delta. A () entry takes the Tape path and reads the view
+        afresh. In a general counter the other view writes other residues
+        of the same cells and the clock writes other cells, so the virtual
+        word stays current through a walk.
         """
         inner = getattr(self.run, "word_step", None)
         entry = getattr(inner, "entry", None)
@@ -451,27 +480,35 @@ class _ResidueStep:
         #   is no inner pointer word
         table = {}
 
-        def form(word, key, e):
-            f, v_cell, v_g, reads, writes, _ = e
-            v = [*key, *pad]
-            for j, c, d, q, _ in reads:
-                v[j] = word[c] // d % q
+        def virtual_of(word):
+            # the virtual list the view shows
+            return [word[c] // d % q for c, d, q, _ in view]
+
+        def put(e, v, cells):
+            # step the virtual list v by entry e and write it back to cells
+            f, v_cell, v_g, _, writes, _ = e
             if f is not None:
                 f(v)
             v[v_cell] = v_g
-            cells = list(word)
             for j, c, d, q, u in writes:
                 x = cells[c]
                 cells[c] = (x + (v[j] - x // d % q) * u) % m
             if cell is not None:
                 cells[cell] = g
+
+        def form(word, key, e):
+            v = [*key, *pad]
+            for j, c, d, q, _ in e[3]:
+                v[j] = word[c] // d % q
+            cells = list(word)
+            put(e, v, cells)
             return tuple(cells)
 
         def observed(word, key):
             # the entry of key, from a Tape run of tape_fn on word and one of
             # the inner step on the virtual word, checked against form
             out = tape_step(tape_fn, word)
-            virtual = [word[c] // d % q for c, d, q, _ in view]
+            virtual = virtual_of(word)
             e = entry(virtual)
             if e is None or e[4] is None:  # no pointer word, or no word form
                 return ()
@@ -510,6 +547,37 @@ class _ResidueStep:
                 return tape_step(tape_fn, word)
             return form(word, key, e), e[5]
 
+        radix, delta = key_view[0][2], inner.delta
+        size = radix ** width
+        by_rank = []  # inner rank -> its table entry, allocated on first use
+
+        def cursor(cells):
+            # None when a digit of a view cell is not an int in 0 .. m-1
+            if not _valid_digits([cells[c] for c, *_ in view], m):
+                return None
+            if not by_rank:
+                by_rank.extend([None] * size)
+            v = virtual_of(cells)
+            rank = gray_scan(v[:width], radix)[0]
+
+            def advance():
+                nonlocal rank
+                e = by_rank[rank]
+                if e is None:
+                    key = tuple(v[:width])
+                    if key not in table:
+                        fill(tuple(cells), key)
+                    e = by_rank[rank] = table[key]
+                if e:
+                    put(e, v, cells)
+                else:  # the Tape path, then the view read afresh
+                    cells[:] = tape_step(tape_fn, cells)[0]
+                    v[:] = virtual_of(cells)
+                rank = (rank + delta) % size
+
+            return advance
+
+        word_step.cursor = cursor
         return word_step
 
 
@@ -571,7 +639,7 @@ def general_counter(m: int, n: int) -> Counter:
     Counter.next and prev run every rank on plain words (see
     cycle_compose); the binary and odd steps take _ResidueStep.word_path on
     the bit and odd views of _residues, keyed by the inner pointer as each
-    view shows it.
+    view shows it, and Counter.walk steps them by that path's cursor.
     """
     from .linear import _FACTOR_LIMIT, Field, linear_counter, row_op_count
     from .permdecomp import min_width, odd_counter

@@ -220,6 +220,16 @@ class _Primitive:
     def apply_tape(self, tape) -> None:
         self.word_fn()(tape)
 
+    def __getstate__(self) -> dict:
+        # all but the cached form, a local closure that pickle cannot store;
+        # word_fn() builds it again
+        names = getattr(self, "__dict__", None) or type(self).__slots__
+        return {k: getattr(self, k) for k in names if k != "_fn" and hasattr(self, k)}
+
+    def __setstate__(self, state: dict) -> None:
+        for k, v in state.items():
+            object.__setattr__(self, k, v)  # Scale, AddRow are frozen
+
     def inverse(self):
         return self.shifted(0, inverse=True)
 
@@ -457,8 +467,11 @@ class Counter:
     its pointer table bound, crt products included) decode the pointer's
     rank once and then step by rank, cycle_compose's through its table's
     own entries, and fall back to iterating the word path when a pointer
-    digit is out of range or not an int. Without one (stitch_radix
-    counters, pointers past the bound), walk iterates the word path.
+    digit is out of range or not an int. A general counter's binary and
+    odd steps go through a residue cursor, which decodes the inner
+    pointer's rank once per call and steps by it
+    (_ResidueStep.word_path). Without a word_walk (stitch_radix counters,
+    pointers past the bound), walk iterates the word path.
 
     next and prev take a tuple or a list and raise ValueError on a word of
     the wrong length, but do not check digit ranges per step. A word path

@@ -8,6 +8,7 @@ boundary."""
 import functools
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -634,6 +635,19 @@ def test_word_fn_matches_apply_tape(m, prim):
             cells = list(w)
             f(cells)
             assert tuple(cells) == apply_word(p, w)
+
+
+@pytest.mark.parametrize("m,prim", PRIMITIVES, ids=repr)
+def test_primitive_pickles_after_its_word_fn_is_built(m, prim):
+    # the cached form is left out and built again: the copy has the same
+    # fields, and the same word on every word of digits 0 .. m-1
+    for p in (prim, prim.shifted(1, inverse=True)):
+        p.word_fn()
+        copy = pickle.loads(pickle.dumps(p))
+        assert type(copy) is type(p) and copy.__getstate__() == p.__getstate__()
+        assert not isinstance(p, (Scale, AddRow)) or copy == p
+        for w in itertools.product(range(m), repeat=p.n if isinstance(p, RFunction) else 4):
+            assert apply_word(copy, w) == apply_word(p, w)
 
 
 @pytest.mark.parametrize("label", list(WHOLE_DOMAIN))
@@ -1348,3 +1362,81 @@ def test_walk_checks_its_arguments(label):
                       ("count", (c.start, -1)), ("count", (c.start, 2.0))):
         with pytest.raises(ValueError, match=bad):
             c.walk(*args)
+
+
+def _inner_pointer_words(c):
+    """The most words an inner pointer of the general counter c has: its
+    binary part's, or its odd part's when it has one and that is more."""
+    rec = c.recipe
+    words = [2 ** rec["binary"]["pointer"]]
+    if rec["odd"]:
+        o, d = rec["odd"]["radix"], rec["odd"]["width"]
+        words.append(o ** odd_counter(o, d).recipe["pointer"])
+    return max(words)
+
+
+def _residue_paths(c, direction):
+    """The residue word paths the walk of c in direction keeps, one per
+    outer rank that runs a binary or odd step, as {rank: path}."""
+    walk = c._next_walk if direction == "next" else c._prev_walk
+    return {rank: e[3] for rank, e in enumerate(_closed_over(walk, "by_rank"))
+            if e is not None and e[4] is None}
+
+
+def _assert_cursor_holds_the_table(path):
+    """The by-rank list of path's cursors holds, for every inner rank, the
+    very entry path's table holds for that inner pointer word, and has at
+    most _TABLE_BOUND entries."""
+    by_rank, table = _closed_over(path.cursor, "by_rank"), _closed_over(path, "table")
+    radix, width = (_closed_over(path.cursor, x) for x in ("radix", "width"))
+    assert len(by_rank) == radix ** width <= compose._TABLE_BOUND
+    assert all(by_rank[i] is table[gray_unrank(i, radix, width)]
+               for i in range(radix ** width))
+
+
+# bit views of 1, 2, 2 and 1 bits a cell, odd views of o = 3, none, 3 and 5
+CURSOR_GENERAL = [(6, 12), (4, 8), (12, 12), (10, 14)]
+
+
+@pytest.mark.parametrize("direction", ["next", "prev"])
+@pytest.mark.parametrize("m,n", CURSOR_GENERAL)
+def test_general_walk_by_cursor_matches_iterated_steps(m, n, direction):
+    # from the start and two seeded words, over 1, 7 and enough steps for
+    # each inner pointer to wrap twice
+    c = general_counter(m, n)
+    wraps = 2 * m ** c.recipe["clock"] * _inner_pointer_words(c) + 3
+    rng = random.Random(m * n)
+    for w in (c.start, *(tuple(rng.randrange(m) for _ in range(n)) for _ in range(2))):
+        for count in (1, 7, wraps):
+            assert c.walk(w, count, direction) == _iterated(c, w, count, direction), (w, count)
+    # float data digits make no cursor
+    i = c.recipe["clock"]
+    w = c.start[:i] + tuple(map(float, c.start[i:]))
+    assert c.walk(w, 300, direction) == _iterated(c, w, 300, direction)
+    paths = _residue_paths(c, direction)
+    assert len(paths) == (2 if c.recipe["odd"] else 1)
+    for path in paths.values():
+        _assert_cursor_holds_the_table(path)
+
+
+@pytest.mark.parametrize("direction", ["next", "prev"])
+def test_warm_walk_calls_no_residue_word_path(direction):
+    # after a first chunk, a walk runs the binary and odd steps by cursor
+    # alone: the residue word paths, each wrapped in a counter that keeps
+    # its cursor, are not called, while iterated steps call them
+    c = general_counter(6, 12)
+    walk = c._next_walk if direction == "next" else c._prev_walk
+    table, by_rank = _closed_over(walk, "table"), _closed_over(walk, "by_rank")
+    w = c.walk(c.start, 1024, direction)[-1]
+    calls = []
+    for rank, path in _residue_paths(c, direction).items():
+        def counted(word, path=path):
+            calls.append(word)
+            return path(word)
+
+        counted.cursor = path.cursor
+        e = by_rank[rank]
+        table[gray_unrank(rank, 6, 1)[::-1]] = by_rank[rank] = (*e[:3], counted, None)
+    got = c.walk(w, 3000, direction)
+    assert calls == []
+    assert got == _iterated(c, w, 3000, direction) and len(calls) == 1000
