@@ -26,9 +26,7 @@ DEFAULT_STEP_CAP = 2 ** 27
 # words gen steps with one Counter.walk call and formats before one write to
 # stdout. The walk decodes a Gray or cycle_compose pointer once per chunk and
 # then steps by rank, through the entries of the pointer's table for that
-# direction, and a residue view by the inner pointer's rank (a pointer
-# digit out of range or not an int, or a pointer past the table bound,
-# iterates next or prev instead);
+# direction, and a residue view by the inner pointer's rank;
 # core._format_words turns a chunk into text in one bytes pass when every
 # radix is at most 10 and no digit is out of 0..9, else word by word through
 # the template, with the same bytes either way

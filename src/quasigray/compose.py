@@ -4,9 +4,9 @@ products (crt_compose, a Gray pointer over one _ComponentStep per further
 component), and the residue views (_MixedTape over the (cell, d, q, u)
 coordinates of _residues) that general and stitch counters step their
 parts on. Each engine's steps run on a Tape; a pointer step's word path
-and walk (_pointer_step) give the words and costs of Tape runs on every
-word, digits in range or not, and a walk steps a residue view by its
-word path's cursor (_ResidueStep.word_path).
+(_pointer_step) gives the words and costs of Tape runs on every word,
+digits in range or not, its walk steps by the pointer's rank, and a walk
+steps a residue view by its word path's cursor (_ResidueStep.word_path).
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import (Counter, Domain, OffsetTape, Tape, _TapeBase, _at_least, _integer,
-                   _iterate, tape_step)
+from .core import (Counter, Domain, OffsetTape, Tape, _TapeBase, _at_least, _in_domain,
+                   _integer, tape_step)
 # gray_rank is not called here but stays a module attribute: the traced
 # benchmark run rebinds compose.gray_rank and compose.gray_unrank
-from .graycode import _valid_digits, gray_rank, gray_scan, gray_unrank  # noqa: F401
+from .graycode import gray_rank, gray_scan, gray_unrank  # noqa: F401
 
 
 # widest pointer, in words, that cycle_compose steps through a table
@@ -65,8 +65,8 @@ def _pointer_step(shift, k: int, m: int, r: int, delta: int, store: bool):
     step or None, the pointer cell the step writes, the digit written, the
     word form or word path, the cost). On a miss, entry builds the first
     three fields with gray_scan, which is all the Tape path reads, and
-    stores the entry only when store is set and every digit is an int in
-    0 .. m-1.
+    stores the entry only when store is set and the key is a pointer word
+    (_in_domain).
 
     The word path fills the last two fields from one Tape run on the first
     word with that pointer word: _tape_cost checks the data step's word
@@ -82,27 +82,29 @@ def _pointer_step(shift, k: int, m: int, r: int, delta: int, store: bool):
 
     walk (see Counter.walk) decodes the pointer's rank once and steps
     through by_rank, the table's own filled entries indexed by rank,
-    allocated on the first walk and filled through the word path. An
-    entry that holds a word path with a cursor (_ResidueStep.word_path)
-    steps the walk's list through one cursor per rank and call, made the
-    first time the rank comes up; any other word path, or a cursor refused
-    for a digit out of range, is taken on every step. A pointer digit out
-    of range or not an int iterates the word path instead.
+    allocated on the first walk and filled through the word path. It
+    applies a fixed-cost word form in place, steps a word path with a
+    cursor (_ResidueStep.word_path) through one cursor per rank and call,
+    made the first time the rank comes up, and takes any other word path
+    on every step.
     """
     size = m ** r
     cells = range(r - 1, -1, -1)
     top = slice(r - 1, None, -1)  # pointer cells r-1 .. 0, the key order
+    radices = (m,) * r
     table = {}
     by_rank = []
 
     def entry(key):
         rank, up, down = gray_scan(key[::-1], m)
         # next runs step rank and then moves cell up; prev moves cell down
-        # and then runs the inverse of step rank - 1
+        # and then runs the inverse of step rank - 1. The step is indexed by
+        # an int, so a float key picks the step its int twin picks
         cell, i = (up, rank) if delta > 0 else (down, (rank - 1) % size)
+        i = int(i)
         e = (None if i >= k else shift(i if delta > 0 else ~i), cell,
              (key[r - 1 - cell] + delta) % m, None, None)
-        if store and _valid_digits(key, m):
+        if store and _in_domain(key, radices):
             table[key] = e
         return e
 
@@ -165,32 +167,29 @@ def _pointer_step(shift, k: int, m: int, r: int, delta: int, store: bool):
         return table.get(tuple(word[top]))
 
     def walk(word, count):
-        if not _valid_digits(word[:r], m):
-            return _iterate(word_step, word, count)
         if not by_rank:
             by_rank.extend([None] * size)
         rank = gray_scan(word[:r], m)[0]
         w = list(word)
         out = []
-        cursors = {}  # rank -> its word path's cursor on w, or None
+        cursors = {}  # rank -> its word path's cursor on w
         for _ in range(count):
             e = by_rank[rank]
-            if e is not None and e[4] is not None:
-                _, cell, g, f, _ = e
+            if e is None:  # filled through the word path
+                word_step(w)
+                e = by_rank[rank] = table[tuple(w[top])]
+            _, cell, g, f, cost = e
+            if cost is not None:  # a fixed-cost word form
                 if f is not None:
                     f(w)
                 w[cell] = g
-            else:  # not filled yet, or a word path
-                if e is not None and rank not in cursors:
-                    cursor = getattr(e[3], "cursor", None)
-                    cursors[rank] = cursor and cursor(w)
-                advance = cursors.get(rank)
-                if advance:
-                    advance()
-                else:
-                    nxt = word_step(tuple(w))[0]
-                    by_rank[rank] = table[tuple(w[top])]
-                    w[:] = nxt
+            elif (advance := cursors.get(rank)) is not None:  # this call's cursor
+                advance()
+            elif hasattr(f, "cursor"):  # a word path's cursor, made on first use
+                advance = cursors[rank] = f.cursor(w)
+                advance()
+            else:  # a word path without a cursor
+                w[:] = f(tuple(w))[0]
             out.append(tuple(w))
             rank = (rank + delta) % size
         return out
@@ -228,11 +227,10 @@ def cycle_compose(steps: StepList, m: int, r: int, start_inner, *,
     the same table entry, which gives the word and cost a Tape run gives on
     every word, digits in range or not; and Counter.walk (so gen) decodes
     the pointer's rank once per call and steps through the table's entries
-    by rank, iterating the word path instead when a pointer digit is out of
-    range or not an int. A rank whose step runs on a residue view (a
-    general counter's binary and odd steps) steps by that view's cursor,
-    which decodes the inner pointer once per call. Past the bound, walk
-    iterates next or prev.
+    by rank. A rank whose step runs on a residue view (a general counter's
+    binary and odd steps) steps by that view's cursor, which decodes the
+    inner pointer once per call. Past the bound, walk iterates next or
+    prev.
     """
     pointer_start = gray_unrank(0, m, r)  # checks m and r
     k = len(steps.steps)
@@ -452,18 +450,17 @@ class _ResidueStep:
 
         Its cursor attribute serves _pointer_step's walk, so a general
         counter's binary and odd steps; a stitch_radix counter's walk
-        iterates its word path. cursor(cells), for a list that is then
-        changed only by advance and by writes to other residues or cells,
-        gives advance, which does to cells what word_step does, in place,
-        or None when a digit of a view cell is not an int in 0 .. m-1. It reads the virtual word once, decodes the inner
-        pointer's rank with gray_scan, and on each call steps that virtual
-        list by the rank's table entry, held in by_rank (one per inner
-        pointer word, shared by every cursor of this path), writes back
-        the written coordinates and g, and moves the rank by the inner
-        step's delta. A () entry takes the Tape path and reads the view
-        afresh. In a general counter the other view writes other residues
-        of the same cells and the clock writes other cells, so the virtual
-        word stays current through a walk.
+        iterates its word path. cursor(cells), for a word of the domain as
+        a list that is then changed only by advance and by writes to other
+        residues or cells, gives advance, which does to cells what
+        word_step does, in place. It reads the virtual word once, decodes
+        the inner pointer's rank with gray_scan, and on each call steps
+        that virtual list by the rank's table entry, held in by_rank (one
+        per inner pointer word, shared by every cursor of this path),
+        writes back the written coordinates and g, and moves the rank by
+        the inner step's delta. In a general counter the other view writes
+        other residues of the same cells and the clock writes other cells,
+        so the virtual word stays current through a walk.
         """
         inner = getattr(self.run, "word_step", None)
         entry = getattr(inner, "entry", None)
@@ -552,9 +549,6 @@ class _ResidueStep:
         by_rank = []  # inner rank -> its table entry, allocated on first use
 
         def cursor(cells):
-            # None when a digit of a view cell is not an int in 0 .. m-1
-            if not _valid_digits([cells[c] for c, *_ in view], m):
-                return None
             if not by_rank:
                 by_rank.extend([None] * size)
             v = virtual_of(cells)
@@ -568,11 +562,7 @@ class _ResidueStep:
                     if key not in table:
                         fill(tuple(cells), key)
                     e = by_rank[rank] = table[key]
-                if e:
-                    put(e, v, cells)
-                else:  # the Tape path, then the view read afresh
-                    cells[:] = tape_step(tape_fn, cells)[0]
-                    v[:] = virtual_of(cells)
+                put(e, v, cells)
                 rank = (rank + delta) % size
 
             return advance

@@ -462,14 +462,13 @@ class Counter:
     walk(word, count, direction) gives the count words that follow word,
     exactly the words of count calls of next (or prev), without their
     costs; gen prints its words through it, one call per chunk. A step
-    function may carry a word_walk attribute, a function of a word and a
-    count that gives that list: gray_counter's and cycle_compose's (within
-    its pointer table bound, crt products included) decode the pointer's
-    rank once and then step by rank, cycle_compose's through its table's
-    own entries, and fall back to iterating the word path when a pointer
-    digit is out of range or not an int. A general counter's binary and
-    odd steps go through a residue cursor, which decodes the inner
-    pointer's rank once per call and steps by it
+    function may carry a word_walk attribute, a function of a word of the
+    domain and a count that gives that list: gray_counter's and
+    cycle_compose's (within its pointer table bound, crt products
+    included) decode the pointer's rank once and then step by rank,
+    cycle_compose's through its table's own entries. A general counter's
+    binary and odd steps go through a residue cursor, which decodes the
+    inner pointer's rank once per call and steps by it
     (_ResidueStep.word_path). Without a word_walk (stitch_radix counters,
     pointers past the bound), walk iterates the word path.
 
@@ -516,18 +515,31 @@ class Counter:
 
     def walk(self, word, count: int, direction: str = "next") -> list[tuple[int, ...]]:
         """The count words that follow word in direction, "next" or "prev":
-        what count calls of next or prev give, the first from word."""
+        what count calls of next or prev give, the first from word.
+
+        Only a word of the domain, every digit an int in its coordinate's
+        range, reaches a word_walk; from any other word walk iterates next
+        or prev."""
         if direction not in ("next", "prev"):
             raise ValueError("direction must be 'next' or 'prev'")
         if len(word) != self._n:
             raise ValueError(f"expected {self._n} digits, got {len(word)}")
         count = _at_least(count, 0, "count")
-        return (self._next_walk if direction == "next" else self._prev_walk)(word, count)
+        step, walk = ((self._next_word, self._next_walk) if direction == "next"
+                      else (self._prev_word, self._prev_walk))
+        if not _in_domain(word, self.domain.radices):
+            return _iterate(step, word, count)
+        return walk(word, count)
 
     def __repr__(self) -> str:
         kind = (self.recipe or {}).get("kind", "?")
         return (f"Counter(kind={kind}, domain={self.domain.radices}, "
                 f"length={self.claimed_length})")
+
+
+def _in_domain(digits, radices) -> bool:
+    """Whether every digit is an int in 0 .. r-1, r its coordinate's radix."""
+    return all([type(d) is int and 0 <= d < r for d, r in zip(digits, radices)])
 
 
 def _iterate(word_step, word, count: int) -> list[tuple[int, ...]]:

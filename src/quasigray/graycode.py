@@ -33,14 +33,12 @@ compose.cycle_compose step on a pointer word its table for that direction
 has not stored, after reading the word top down from cell r-1 to cell 0
 with one tape.read_cells call. That read order is the query order of
 every materialized base and pointer-driven counter tree, crt products
-included. That table stores a pointer word only when every digit is an
-int in 0 .. m-1 (_valid_digits), and the walks of gray_counter and of a
-cycle_compose pointer step by rank only from one.
+included.
 """
 
 from __future__ import annotations
 
-from .core import Counter, Domain, _cost, _integer, _iterate
+from .core import Counter, Domain, _cost, _integer
 
 
 def _check(m: int, r: int, word=None) -> None:
@@ -84,11 +82,6 @@ def gray_scan(ptr, m: int) -> tuple[int, int, int]:
     return rank, up, down
 
 
-def _valid_digits(digits, m: int) -> bool:
-    """Whether every digit is an int in 0 .. m-1."""
-    return all([type(d) is int and 0 <= d < m for d in digits])
-
-
 def _gray_move(digits, m: int, stop: int) -> int:
     """Index in digits, a Gray word listed top cell first, of the digit a
     step moves: the lowest cell j whose b_j is not stop, else the top cell.
@@ -128,8 +121,7 @@ def gray_counter(m: int, r: int) -> Counter:
     picks. The word path (Counter.next and prev) moves the same digit of a
     plain list and returns StepStats(r, 1), the cost of every Tape step.
     Counter.walk (so gen) decodes the word's rank once and keeps its base-m
-    digits as an odometer, moving the digit _gray_move would pick; a digit
-    out of range, or not an int, makes it iterate the word path instead.
+    digits as an odometer, moving the digit _gray_move would pick.
     """
     start = gray_unrank(0, m, r)  # checks m and r
     return Counter(Domain.uniform(m, r), _gray_tape_step(m, r, m - 1, 1),
@@ -157,8 +149,6 @@ def _gray_tape_step(m: int, r: int, stop: int, delta: int):
         return tuple(w), cost
 
     def word_walk(word, count):
-        if not _valid_digits(word, m):
-            return _iterate(word_step, word, count)
         # the rank's base-m digits b_j, lowest first, as an odometer: a step
         # resets the b_j equal to stop below the lowest other one, moves that
         # one by delta, and so moves Gray digit j by delta; on a wrap every

@@ -11,6 +11,7 @@ import math
 import pickle
 import random
 
+import numpy
 import pytest
 
 from quasigray import compose
@@ -1288,8 +1289,8 @@ FLOAT_TWINS = {
 @pytest.mark.parametrize("label", list(FLOAT_TWINS))
 def test_a_float_pointer_word_stores_no_entry(label):
     # for each pointer rank and direction, a fresh counter first steps the
-    # word whose pointer digits are floats (a rank that runs a data step
-    # raises TypeError there), then the int word of the same rank: next,
+    # word whose pointer digits are floats (to what its int twin steps to),
+    # then the int word of the same rank: next,
     # prev and walk from it give what a counter that never saw a float
     # gives, with int digits only
     make, r = FLOAT_TWINS[label]
@@ -1315,14 +1316,14 @@ WALK_FALLBACKS = {
     # a pointer digit out of range, negative or not an int
     "base(3,3) digit 3": (lambda: gray_counter(3, 3), (3, 1, 0)),
     "base(3,3) digit -1": (lambda: gray_counter(3, 3), (0, -1, 2)),
-    # float digits: the odometer's sums would round unlike _gray_move's
+    # float digits: a word outside the domain iterates next or prev
     "base(3,3) digits 1.3, 0.7": (lambda: gray_counter(3, 3), (0, 1.3, 0.7)),
     "odd(3,11) pointer digit 5": (lambda: odd_counter(3, 11), (0, 5) + (1,) * 9),
     "linear(F2,5) pointer digit -1": (lambda: linear_counter(Field(2), 5),
                                       (1, -1, 0, 0, 1, 0, 1, 1, 0)),
     # a float key finds the entry of its int twin, stepped first
     "crt(84) clock digit 1.0": (_crt84, (1.0, 1, 0, 1, 1, 0)),
-    # data digits out of range keep the rank walk and its table entries
+    # data digits out of range iterate next or prev too
     "general(4,6) data digit 7": (lambda: general_counter(4, 6), None),
     "crt(84) data digit -3": (_crt84, None),
     # no word_walk: a pointer past the table bound and a stitch counter
@@ -1409,7 +1410,7 @@ def test_general_walk_by_cursor_matches_iterated_steps(m, n, direction):
     for w in (c.start, *(tuple(rng.randrange(m) for _ in range(n)) for _ in range(2))):
         for count in (1, 7, wraps):
             assert c.walk(w, count, direction) == _iterated(c, w, count, direction), (w, count)
-    # float data digits make no cursor
+    # float data digits iterate next or prev
     i = c.recipe["clock"]
     w = c.start[:i] + tuple(map(float, c.start[i:]))
     assert c.walk(w, 300, direction) == _iterated(c, w, 300, direction)
@@ -1440,3 +1441,112 @@ def test_warm_walk_calls_no_residue_word_path(direction):
     got = c.walk(w, 3000, direction)
     assert calls == []
     assert got == _iterated(c, w, 3000, direction) and len(calls) == 1000
+
+
+@pytest.mark.parametrize("label", list(FLOAT_TWINS))
+def test_a_float_pointer_word_steps_as_its_int_twin_fresh_or_warm(label):
+    # for each pointer rank and direction, the word whose pointer digits are
+    # floats steps to the word and cost of its int twin: on the word path
+    # and on the Tape path of a fresh counter, and on the word path of a
+    # counter that stepped the int word first
+    make, r = FLOAT_TWINS[label]
+    warm = make()
+    m = warm.domain.radices[0]
+    for rank in range(m ** r):
+        word = gray_unrank(rank, m, r) + warm.start[r:]
+        twin = tuple(map(float, word[:r])) + word[r:]
+        for direction in ("next", "prev"):
+            want = getattr(warm, direction)(word)
+            got = [getattr(make(), direction)(twin),
+                   tape_step(getattr(make(), direction + "_tape"), twin),
+                   getattr(warm, direction)(twin)]
+            assert got == [want] * 3, (rank, direction)
+
+
+ONE_CHECK = {
+    "base(3,4)": lambda: gray_counter(3, 4),
+    "odd(3,11)": lambda: odd_counter(3, 11),
+    "linear(F2,5)": lambda: linear_counter(Field(2), 5),
+    "general(6,12)": lambda: general_counter(6, 12),
+    "general(12,12)": lambda: general_counter(12, 12),
+    "crt(84)": _crt84,
+}
+
+
+def _off_domain(rng, c, kind):
+    """A seeded word of c with one digit outside the domain: cell 0 (a
+    pointer or clock cell) out of range, the last cell (a data cell but on
+    base) out of range, or a negative, an integral float, a bool or a
+    numpy int in a random cell."""
+    radices = c.domain.radices
+    w = [rng.randrange(b) for b in radices]
+    i = {"pointer": 0, "data": len(w) - 1}.get(kind, rng.randrange(len(w)))
+    w[i] = {"pointer": radices[i], "data": radices[i], "negative": -1 - w[i],
+            "float": float(w[i]), "bool": True, "numpy": numpy.int64(w[i])}[kind]
+    return tuple(w)
+
+
+@pytest.mark.parametrize("label", list(ONE_CHECK))
+def test_walk_from_a_word_outside_the_domain_iterates_next_or_prev(label):
+    # Counter.walk tests the digits once: from a word outside the domain it
+    # gives the iterated steps and never calls the counter's own walk
+    c = ONE_CHECK[label]()
+
+    def refused(word, count):
+        raise AssertionError(f"walk engine called on {word}")
+
+    c._next_walk = c._prev_walk = refused
+    rng = random.Random(47)
+    for kind in ("pointer", "data", "negative", "float", "bool", "numpy"):
+        for _ in range(5):
+            w = _off_domain(rng, c, kind)
+            for direction in ("next", "prev"):
+                assert (_outcome(c.walk, w, 40, direction)
+                        == _outcome(_iterated, c, w, 40, direction)), (kind, w, direction)
+
+
+@pytest.mark.parametrize("m,n", CURSOR_GENERAL)
+def test_cursor_entries_all_hold_a_word_form(m, n):
+    # after walks that wrap every inner pointer twice, no entry of a
+    # cursor's by-rank list is missing or empty (the Tape path's mark)
+    c = general_counter(m, n)
+    count = 2 * m ** c.recipe["clock"] * _inner_pointer_words(c) + 3
+    for direction in ("next", "prev"):
+        c.walk(c.start, count, direction)
+        for path in _residue_paths(c, direction).values():
+            by_rank = _closed_over(path.cursor, "by_rank")
+            assert by_rank and all(by_rank)
+
+
+GARBAGE = {
+    "general(4,8)": lambda: general_counter(4, 8),
+    "general(12,12)": lambda: general_counter(12, 12),
+    "general(10,14)": lambda: general_counter(10, 14),
+    "odd(3,11)": lambda: odd_counter(3, 11),
+    "crt(84)": _crt84,
+}
+
+
+@pytest.mark.parametrize("label", list(GARBAGE))
+def test_garbage_data_digits_step_as_on_a_tape_and_walk_as_iterated_steps(label):
+    # seeded words with out-of-range ints, negatives, and integral and
+    # non-integral floats in one to three data cells: next and prev give
+    # what a Tape run gives, and walk what iterated steps give (or the
+    # same exception)
+    c = GARBAGE[label]()
+    pointer = _pointer_cells(c)
+    data = [i for i in range(c.domain.n) if i not in pointer]
+    rng = random.Random(59)
+    for _ in range(300):
+        w = [rng.randrange(b) for b in c.domain.radices]
+        for i in rng.sample(data, rng.randrange(1, 4)):
+            b = c.domain.radices[i]
+            w[i] = rng.choice([b, b + 3, -1, -b, float(rng.randrange(b)),
+                               rng.randrange(b) + 0.5, b + 1.25, -0.75])
+        w = tuple(w)
+        for direction in ("next", "prev"):
+            tape_fn = c.next_tape if direction == "next" else c.prev_tape
+            assert (_outcome(getattr(c, direction), w)
+                    == _outcome(tape_step, tape_fn, w)), (w, direction)
+            assert (_outcome(c.walk, w, 20, direction)
+                    == _outcome(_iterated, c, w, 20, direction)), (w, direction)
