@@ -75,10 +75,10 @@ def _pointer_step(shift, k: int, m: int, r: int, delta: int, store: bool):
     A step whose cost varies with its data cells keeps its own word path,
     step.word_path(fn, cell, g) (_ResidueStep, _ComponentStep), or else
     the Tape path, in the fourth field, and None as the cost. A word with
-    no stored entry takes the Tape path. The word path's entry attribute
-    gives the filled entry of a word's pointer word, or None, and its
-    width attribute is r: _ResidueStep.word_path reads an inner counter's
-    steps through them, and its delta attribute gives their direction.
+    no stored entry takes the Tape path. The Tape step function's pointer
+    attribute, (lookup, r, delta), gives a key's entry as the Tape path
+    finds it, the width and the direction: _ResidueStep.word_path reads an
+    inner counter's steps through it.
 
     walk (see Counter.walk) decodes the pointer's rank once and steps
     through by_rank, the table's own filled entries indexed by rank,
@@ -162,10 +162,6 @@ def _pointer_step(shift, k: int, m: int, r: int, delta: int, store: bool):
                 return f(word)
         return fill(word, key)
 
-    def filled(word):
-        word_step(word)
-        return table.get(tuple(word[top]))
-
     def walk(word, count):
         if not by_rank:
             by_rank.extend([None] * size)
@@ -194,8 +190,7 @@ def _pointer_step(shift, k: int, m: int, r: int, delta: int, store: bool):
             rank = (rank + delta) % size
         return out
 
-    word_step.entry = filled
-    word_step.width, word_step.delta = r, delta
+    tape_fn.pointer = (lambda key: table.get(key) or entry(key)), r, delta
     tape_fn.word_step = word_step
     tape_fn.word_walk = walk
     return tape_fn
@@ -427,17 +422,19 @@ class _ResidueStep:
         data cells and then, when cell is given, writes g to pointer cell cell;
         None when its inner counter has no word path.
 
-        The inner counter's word path (a cycle_compose counter's) steps fixed
-        virtual cells on each of its pointer words, so the physical cells a
-        step touches, and so its cost, are fixed by the inner pointer as the
+        The inner counter (a cycle_compose counter within its table bound)
+        steps fixed virtual cells on each of its pointer words, so the cells
+        a step touches, and so its cost, are fixed by the inner pointer as the
         view shows it, view[:width]. The table maps that key, read from the
-        physical word, to the inner entry's word form, pointer cell and digit,
-        the coordinates the inner step reads and writes (seen on one Tape run
-        of it), and the cost of one Tape run of tape_fn on a word with that
-        key, checked against the word form before it is stored: the touched
-        coordinates read from the physical list, stepped as a virtual list
-        and written back by the view's formula. A digit out of range reads
-        the same on both, so such a word takes this path too.
+        physical word, to an entry built from the inner pointer's Tape-path
+        entry for the key (its pointer attribute): the data step's word form,
+        the pointer cell and digit, the coordinates the inner step reads and
+        writes (seen on one Tape run of it on the virtual word), and the cost
+        of one Tape run of tape_fn on the word, which checks the word form
+        read, stepped and written back through the view. An inner step
+        without a word form gives (), the Tape path. As in the pointer table,
+        only a key of the key view's domain (_in_domain) is stored; a missing
+        key outside it takes the Tape path.
 
         A table's first miss fills only its own key: a general counter's
         first step from its start word runs the bit view, and 2^width Tape
@@ -462,19 +459,20 @@ class _ResidueStep:
         other residues of the same cells and the clock writes other cells,
         so the virtual word stays current through a walk.
         """
-        inner = getattr(self.run, "word_step", None)
-        entry = getattr(inner, "entry", None)
-        if entry is None:
+        pointer = getattr(self.run, "pointer", None)
+        if pointer is None:
             return None
-        view, m, width = self.view, self.m, inner.width
+        lookup, width, delta = pointer
+        view, m = self.view, self.m
         key_view = view[:width]
+        radix = key_view[0][2]
+        radices = (radix,) * width
         pad = (0,) * (len(view) - width)
         located = [(j, *x) for j, x in enumerate(view)]
         shapes = {}
         # key -> (closure or None, virtual pointer cell, its new value, the
         #   (j, *view[j]) of each data coordinate read and of each written,
-        #   cost), or () when the inner entry has no word form or the key
-        #   is no inner pointer word
+        #   cost), or () when the inner step has no word form
         table = {}
 
         def virtual_of(word):
@@ -502,19 +500,19 @@ class _ResidueStep:
             return tuple(cells)
 
         def observed(word, key):
-            # the entry of key, from a Tape run of tape_fn on word and one of
-            # the inner step on the virtual word, checked against form
-            out = tape_step(tape_fn, word)
-            virtual = virtual_of(word)
-            e = entry(virtual)
-            if e is None or e[4] is None:  # no pointer word, or no word form
+            # key's entry from the inner pointer's, an inner Tape run on the
+            # virtual word and one of tape_fn on word, checked against form
+            step, v_cell, v_g, _, _ = lookup(key[::-1])
+            word_fn = getattr(step, "word_fn", None)
+            if step is not None and word_fn is None:
                 return ()
-            _, v_cell, v_g, f, _ = e
-            tape = Tape(virtual)
+            f = word_fn and word_fn()
+            tape = Tape(virtual_of(word))
             self.run(tape)
             reads = tuple([located[j] for j in sorted((tape.reads | tape.written)
                                                       - set(range(width)))])
             writes = tuple([located[j] for j in sorted(tape.written)])
+            out = tape_step(tape_fn, word)
             # shared tuples: fewer small objects pin fewer of the arenas
             e = (f, v_cell, v_g, shapes.setdefault(reads, reads),
                  shapes.setdefault(writes, writes), out[1])
@@ -526,8 +524,7 @@ class _ResidueStep:
             tape = Tape(word)
             mixed = _MixedTape(tape, key_view, m)
             filled = {}
-            for k in (itertools.product(*[range(q) for _, _, q, _ in key_view])
-                      if table else (key,)):
+            for k in itertools.product(range(radix), repeat=width) if table else (key,):
                 if k not in table:
                     for j, v in enumerate(k):
                         mixed.write(j, v)
@@ -537,14 +534,13 @@ class _ResidueStep:
         def word_step(word):
             key = tuple([word[c] // d % q for c, d, q, _ in key_view])
             e = table.get(key)
-            if e is None:
+            if e is None and _in_domain(key, radices):
                 fill(word, key)
                 e = table[key]
-            if not e:
+            if not e:  # no stored entry, or one without a word form
                 return tape_step(tape_fn, word)
             return form(word, key, e), e[5]
 
-        radix, delta = key_view[0][2], inner.delta
         size = radix ** width
         by_rank = []  # inner rank -> its table entry, allocated on first use
 

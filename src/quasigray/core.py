@@ -454,10 +454,10 @@ class Counter:
     same key (a pointer or clock word, or an inner pointer as a residue
     view shows it). next and prev call the word path when it is there and
     otherwise run the step on a Tape (the Tape path, tape_step). A word
-    path may itself take the Tape path for some steps: one whose data step
-    has no word form does. measure_counter, and so audit, and materialize
-    always take the Tape path, so what they report is observed on a Tape
-    (one Tape reused for every step of a walk).
+    path takes the Tape path itself for a data step without a word form,
+    and for a missing key with a digit that is not an int in range: no
+    table stores one. measure_counter, audit and materialize always take
+    the Tape path, so what they report is observed on one Tape per walk.
 
     walk(word, count, direction) gives the count words that follow word,
     exactly the words of count calls of next (or prev), without their

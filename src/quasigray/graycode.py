@@ -46,6 +46,8 @@ def _check(m: int, r: int, word=None) -> None:
         raise ValueError("need m >= 2 and r >= 1")
     if word is not None and len(word) != r:
         raise ValueError(f"expected {r} digits, got {len(word)}")
+    for j, x in enumerate(() if word is None else word):  # any int counts mod m
+        _integer(x, f"digit {j}")
 
 
 def gray_unrank(i: int, m: int, r: int) -> tuple[int, ...]:

@@ -6,6 +6,11 @@ digests. Each zoo counter's own digest is pinned as well, in
 zoo_digests.json, so a failure names the counters that changed; after a
 deliberate change, `PYTHONPATH=src python tests/test_fingerprint.py`
 rewrites that file.
+
+General and stitch counters, which step through residue views, have
+digests of their own: one over every small one, the same way, and one per
+general counter too big to step on every word, over seeded words and a
+walk each way from the start.
 """
 
 import hashlib
@@ -13,9 +18,13 @@ import itertools
 import json
 import math
 import pathlib
+import random
+
+import pytest
 
 from quasigray import (Field, companion_counter, crt_compose, dat_to_json,
-                       gray_counter, linear_counter, materialize)
+                       general_counter, gray_counter, linear_counter, materialize,
+                       stitch_radix)
 from quasigray.linear import _companion_ops
 
 # the largest domain fingerprinted; twice this took the zoo past 3.5 s
@@ -27,6 +36,15 @@ ZOO_DIGESTS = pathlib.Path(__file__).with_name("zoo_digests.json")
 
 ZOO_SHA256 = "2619b22f751f2419faecc4706d6449248ac1dd5a239a589663c0037e75393d72"
 COMPANION_OPS_SHA256 = "12d72cff61652517885e03a0221c7bc8c4b2238d58d9aec73787f9a95e655ae4"
+RESIDUE_SHA256 = "c24f0b7ae2a1f617970dae256e141b00e6c54caf912d077f3022b2a88884c36b"
+# general(m, n) -> the SHA-256 of what _feed_seeded hashes
+SEEDED_SHA256 = {
+    (6, 12): "625bcba52e584e5c6890738593ad5b50fcf9d6342abe6420f8be0a7b8f4c37c7",
+    (10, 14): "d74c5f1ab429920d50e56f2b6af1ede6a6adbae7376ef50768db2b2d270a5829",
+    (12, 12): "b5ffe6df4ad2db84b210f21da7c9e7d137a506ae9a5c6c02a93b201da41a99c9",
+}
+# seeded words stepped each way, and words walked each way from the start
+SEEDED_WORDS, WALK_WORDS = 2000, 4096
 
 
 def _zoo():
@@ -130,6 +148,66 @@ def test_companion_ops_fingerprint():
         p, ops = _companion_ops(q, n)
         h.update(repr((q, n, str(p), ops)).encode())
     assert h.hexdigest() == COMPANION_OPS_SHA256
+
+
+def _residue_zoo():
+    """(label, counter) for every general counter of at most ZOO_WORDS
+    words, and every stitch counter over a linear(F2, n, r) zoo counter
+    whose width the block size divides."""
+    out = []
+    for m in (2, 4, 8, 16):
+        # the smallest buildable width: a one-cell clock and 3 data bits
+        for n in itertools.count(1 - (-3 // (m - 1).bit_length())):
+            if m ** n > ZOO_WORDS:
+                break
+            out.append((f"general({m},{n})", general_counter(m, n)))
+    f = Field(2)
+    for k in (2, 3, 4):
+        for n in itertools.count(1):
+            r_min = linear_counter(f, n).recipe["r"]
+            if 2 ** (n + r_min) > ZOO_WORDS:
+                break
+            for r in (r_min, r_min + 1):
+                if 2 ** (n + r) <= ZOO_WORDS and (n + r) % k == 0:
+                    out.append((f"stitch({k},linear(2,{n},{r}))",
+                                stitch_radix(k, linear_counter(f, n, r))))
+    return out
+
+
+def test_residue_fingerprint():
+    h = hashlib.sha256()
+    zoo = _residue_zoo()
+    for label, counter in zoo:
+        h.update(label.encode())
+        nexts, prevs = _feed((h,), counter)
+        assert all(prevs[v] == w for w, v in nexts.items()), label
+        assert all(nexts[v] == w for w, v in prevs.items()), label
+    assert len(zoo) == 26
+    assert h.hexdigest() == RESIDUE_SHA256
+
+
+def _feed_seeded(m, n) -> str:
+    """The SHA-256 of a fresh general(m, n)'s start, claims and recipe, its
+    walk of WALK_WORDS words each way from the start, and next and prev
+    word and cost on SEEDED_WORDS seeded words."""
+    c = general_counter(m, n)
+    h = hashlib.sha256(repr((c.start, c.claimed_length, c.claimed_reads,
+                             c.claimed_writes, c.recipe)).encode())
+    for direction in ("next", "prev"):
+        h.update(repr(c.walk(c.start, WALK_WORDS, direction)).encode())
+    rng = random.Random(m * n)
+    rows = []
+    for _ in range(SEEDED_WORDS):
+        w = tuple(rng.randrange(m) for _ in range(n))
+        (a, ca), (b, cb) = c.next(w), c.prev(w)
+        rows.append((a, b, *ca, *cb))
+    h.update(repr(rows).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("m,n", list(SEEDED_SHA256))
+def test_seeded_general_fingerprint(m, n):
+    assert _feed_seeded(m, n) == SEEDED_SHA256[m, n]
 
 
 if __name__ == "__main__":

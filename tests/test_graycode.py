@@ -1,3 +1,4 @@
+import numpy
 import pytest
 from hypothesis import given, strategies as st
 
@@ -136,6 +137,26 @@ def test_gray_next_prev_length_error():
         gray_next((0, 0, 0), 3, 2)
     with pytest.raises(ValueError):
         gray_prev((0,), 3, 2)
+
+
+@pytest.mark.parametrize("word,bad", [((0.5, 1), "digit 0 .* got 0.5"),
+                                      (("a", 1), "digit 0 .* got 'a'"),
+                                      ((1, 2.0), "digit 1 .* got 2.0"),
+                                      ((0, True), "digit 1 .* got True"),
+                                      ((0, None), "digit 1 .* got None")])
+def test_gray_helpers_refuse_non_integer_digits(word, bad):
+    for fn in (gray_rank, gray_next, gray_prev):
+        with pytest.raises(ValueError, match=bad):
+            fn(word, 3, 2)
+
+
+def test_gray_helpers_count_out_of_range_digits_mod_m():
+    # any int digit counts mod m, numpy ints included
+    for word in ((3, 4), (-3, 7), (numpy.int64(3), numpy.int64(-2))):
+        same = tuple(int(x) % 3 for x in word)
+        assert gray_rank(word, 3, 2) == gray_rank(same, 3, 2)
+        assert gray_next(word, 3, 2) == gray_next(same, 3, 2)
+        assert gray_prev(word, 3, 2) == gray_prev(same, 3, 2)
 
 
 class _RecordingTape(Tape):

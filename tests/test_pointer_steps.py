@@ -19,7 +19,7 @@ from quasigray.compose import (StepList, _MixedTape, _residues, _ResidueStep,
                                crt_compose, cycle_compose, general_counter,
                                stitch_radix)
 from quasigray.core import (Counter, Domain, OffsetTape, StepStats, Tape, _BranchOn,
-                            _replay_tape, apply_word, dat_count_nodes, dat_eval,
+                            _in_domain, _replay_tape, apply_word, dat_count_nodes, dat_eval,
                             dat_read_complexity, dat_to_json, dat_write_complexity,
                             materialize, measure_counter, tape_step)
 from quasigray.graycode import gray_counter, gray_rank, gray_scan, gray_unrank
@@ -1516,6 +1516,59 @@ def test_cursor_entries_all_hold_a_word_form(m, n):
         for path in _residue_paths(c, direction).values():
             by_rank = _closed_over(path.cursor, "by_rank")
             assert by_rank and all(by_rank)
+
+
+def _not_int(digits, kind):
+    """digits as floats, as numpy ints, or as the two by turns ("mixed")."""
+    kinds = {"float": [float], "numpy": [numpy.int64], "mixed": [float, numpy.int64]}[kind]
+    return tuple(kinds[j % len(kinds)](x) for j, x in enumerate(digits))
+
+
+def _residue_keys_in_domain(c):
+    """Whether c has a residue table, and every key of every one, both
+    directions, is a word of its key view's domain: a stitch counter's
+    whole word path, or the residue word paths its pointer tables hold."""
+    if c.recipe["kind"] == "stitch":
+        paths = [c._next_word, c._prev_word]
+    else:
+        paths = [p for fn in (c._next_word, c._prev_word) for p in _word_paths(fn).values()]
+    return bool(paths) and all(_in_domain(key, (_closed_over(p.cursor, "radix"),) * len(key))
+                               for p in paths for key in _closed_over(p, "table"))
+
+
+@pytest.mark.parametrize("direction", ["next", "prev"])
+@pytest.mark.parametrize("m,n", CURSOR_GENERAL)
+def test_non_int_data_digits_store_no_residue_entry(m, n, direction):
+    # on a fresh counter, a word at a clock rank that runs the binary or odd
+    # step, with float, numpy-int or mixed data digits, steps as on a Tape
+    # and stores no residue entry: a walk from its int twin then gives the
+    # iterated steps, and every residue key is a word of its view's domain
+    rec = general_counter(m, n).recipe
+    i = rec["clock"]
+    # next runs step j at rank j, and prev its inverse at rank j + 1
+    for rank in [j + (direction == "prev") for j in range(2 if rec["odd"] else 1)]:
+        for kind in ("float", "numpy", "mixed"):
+            c = general_counter(m, n)
+            word = gray_unrank(rank, m, i) + c.start[i:]
+            bad = word[:i] + _not_int(word[i:], kind)
+            step, fn = (c.next, c.next_tape) if direction == "next" else (c.prev, c.prev_tape)
+            assert step(bad) == tape_step(fn, bad), (rank, kind)
+            assert c.walk(word, 50, direction) == _iterated(c, word, 50, direction)
+            assert _residue_keys_in_domain(c), (rank, kind)
+
+
+@pytest.mark.parametrize("kind", ["float", "numpy", "mixed"])
+def test_non_int_digits_store_no_stitch_residue_entry(kind):
+    # a stitch counter's residue table keeps the same store rule: words with
+    # non-int digits step as on a Tape, both ways, before and after the int
+    # words, and leave no key outside the key view's domain
+    c = stitch_radix(2, linear_counter(Field(2), 4, 4))
+    rng = random.Random(61)
+    words = [c.start] + [tuple(rng.randrange(4) for _ in range(4)) for _ in range(20)]
+    for w in [_not_int(w, kind) for w in words] + words:
+        for step, fn in ((c.next, c.next_tape), (c.prev, c.prev_tape)):
+            assert step(w) == tape_step(fn, w), w
+    assert _residue_keys_in_domain(c)
 
 
 GARBAGE = {
